@@ -13,7 +13,18 @@ interchangeable backends are provided:
 All of them produce bitwise-identical distance and predecessor arrays:
 the heap kernels walk the CSR arrays in the same order and break ties on
 (distance, node index), and the batch kernel rebuilds exactly what that
-heap order yields.  Selection is automatic: the numba kernels are used
+heap order yields.
+
+A solver asks for the same sources' trees once per iteration, and the
+trees often repeat.  Given a :class:`WarmStart`, the batch kernel
+starts each chunk of sources whose trees came back unchanged on the
+last call from those trees' path costs under the new costs, instead of
+from ``inf``; the relaxation then ends on the same distances in a few
+rounds instead of one round per tree level.  The state also tells the
+caller whether the trees repeated, and holds the graph's padded in-arc
+layout, so it is built once per series of calls.
+
+Selection is automatic: the numba kernels are used
 when numba imports cleanly and the environment variable
 ``MUE_PURE_NUMPY`` is unset/0; setting ``MUE_PURE_NUMPY=1`` forces the
 numpy backend.  ``MUE_THREADS`` caps the worker count used for batched
@@ -39,6 +50,7 @@ __all__ = [
     "project_blocks_numba",
     "project_blocks_python",
     "resolve_workers",
+    "WarmStart",
 ]
 
 
@@ -98,6 +110,11 @@ def dijkstra_python(indptr, heads, links, cost, source):
 _BATCH_ENTRIES = 1 << 16
 
 
+def _chunk_size(slot):
+    """Sources per chunk of the batch kernel, for in-arc layout ``slot``."""
+    return max(1, _BATCH_ENTRIES // slot.size)
+
+
 def _in_arcs(indptr, heads):
     """Incoming arc slots of every node, padded to the largest in-degree.
 
@@ -117,10 +134,12 @@ def _in_arcs(indptr, heads):
     return slot, tail
 
 
-def _relax_chunk(slot, tail, arc_cost, sources):
+def _relax_chunk(slot, tail, arc_cost, sources, start=None):
     """Shortest paths from a few sources at once, node-major.
 
     ``arc_cost`` is the padded in-arc cost, shaped like ``slot``.
+    Relaxation starts from ``start`` (n_nodes, sources), which it may
+    overwrite, or from ``inf`` with the sources at 0 when it is None.
     Returns (dist, pred, ties): dist and pred shaped (n_nodes, sources),
     and a per-source flag for trees whose predecessors the rule in
     :func:`dijkstra_batch_numpy` cannot vouch for.
@@ -130,8 +149,11 @@ def _relax_chunk(slot, tail, arc_cost, sources):
     # repeated per source up front: a contiguous add is several times
     # faster than one broadcast over the short source axis
     cost = np.repeat(arc_cost[:, :, None], k, axis=2)
-    dist = np.full((n, k), np.inf)
-    dist[sources, np.arange(k)] = 0.0
+    if start is None:
+        dist = np.full((n, k), np.inf)
+        dist[sources, np.arange(k)] = 0.0
+    else:
+        dist = start
     while True:
         cand = np.take(dist, tail, axis=0)  # (max in-degree, n, k)
         cand += cost
@@ -150,7 +172,86 @@ def _relax_chunk(slot, tail, arc_cost, sources):
     return dist, pred, ties
 
 
-def dijkstra_batch_numpy(indptr, heads, links, cost, sources):
+def _tree_costs(preds, arc_tail, arc_cost, sources, depth=None):
+    """Cost of every tree path under ``arc_cost``, node-major.
+
+    ``preds`` (sources, n_nodes) are trees rooted at ``sources``, as the
+    kernels return them.  Each step sets every node to its tree parent's
+    value plus its tree arc's cost, so step ``t`` settles the nodes ``t``
+    arcs below their source: the path is summed from the source, left
+    to right, as the heap sums it.  Nodes off the tree stay ``inf``.
+    Runs ``depth`` steps, or, when it is None, steps until nothing
+    changes.  Returns (costs, steps run that changed something).
+    """
+    k, n = preds.shape
+    reached = preds >= 0
+    entry = np.arange(k * n).reshape(k, n)
+    parent = np.where(reached, entry - entry % n + arc_tail[preds], entry).ravel()
+    step_cost = np.where(reached, arc_cost[preds], 0.0).ravel()
+    start = np.full(k * n, np.inf)
+    start[np.arange(k) * n + sources] = 0.0
+    steps = 0
+    while depth is None or steps < depth:
+        nxt = start[parent]
+        nxt += step_cost
+        if depth is None and np.array_equal(nxt, start):
+            break
+        start = nxt
+        steps += 1
+    return np.ascontiguousarray(start.reshape(k, n).T), steps
+
+
+class WarmStart:
+    """What one caller's last batch left for its next batch to start from.
+
+    A solver asks for the trees of the same sources once per iteration,
+    under costs that change a little each time, and most calls return
+    exactly the trees of the call before.  Pass one state per such
+    series of calls as ``warm=`` to :func:`batch_dijkstra`.  It holds
+    the graph's padded in-arc layout (see :func:`_in_arcs`), the sources
+    and the ``preds`` array the last call returned (referenced, not
+    copied: callers must not modify it), and, per chunk of sources,
+    whether that call returned the same trees as the one before and,
+    once measured, how deep those trees are.  ``repeated`` is True when
+    every chunk came back unchanged, so a caller can reuse whatever it
+    derived from the last trees.
+    """
+
+    def __init__(self, slot, tail):
+        self.slot, self.tail = slot, tail
+        self.arc_tail = np.zeros(int(slot.max()) + 1, dtype=np.int64)
+        self.arc_tail[slot] = tail
+        self.forget()
+
+    def forget(self):
+        """Drop the last trees: the next call starts cold."""
+        self.sources = self.preds = None
+        self.same: list[bool] = []
+        self.depth: dict[int, int] = {}
+        self.repeated = False
+
+    def warm_chunks(self, sources):
+        """Per chunk of ``sources``: may it start from the last trees?"""
+        if self.preds is None or not np.array_equal(self.sources, sources):
+            return None
+        return self.same
+
+    def record(self, sources, preds):
+        """Keep the trees just returned and compare them with the last."""
+        last = self.warm_chunks(sources)
+        step = _chunk_size(self.slot)
+        self.same = [
+            last is not None and np.array_equal(
+                self.preds[lo:lo + step], preds[lo:lo + step])
+            for lo in range(0, len(sources), step)
+        ]
+        self.depth = {c: d for c, d in self.depth.items() if self.same[c]}
+        self.repeated = last is not None and all(self.same)
+        self.sources = np.array(sources, dtype=np.int64)
+        self.preds = preds
+
+
+def dijkstra_batch_numpy(indptr, heads, links, cost, sources, warm=None):
     """One-to-all shortest paths from every source, solved together.
 
     Same arguments as :func:`dijkstra_python` with ``sources`` in place
@@ -171,6 +272,24 @@ def dijkstra_batch_numpy(indptr, heads, links, cost, sources):
     distance's rounding unit) can be popped in another order, and so
     can inputs with a negative or NaN cost: those sources are solved by
     :func:`dijkstra_python` instead.
+
+    ``warm`` (a :class:`WarmStart`) lets a chunk of sources whose trees
+    came back unchanged on the last call start from those trees: each
+    node starts at its old tree path's cost under the new costs, summed
+    left to right from the source (:func:`_tree_costs`), instead of at
+    ``inf``.  The result is the same bit for bit.  Let ``D`` be the
+    heap's distances.  The heap relaxes every arc out of every node it
+    settles and never raises a distance, so ``D[v] <= D[u] + c`` holds
+    in float64 on every arc.  Float addition is monotone, so along any
+    walk from the source the left-to-right sum of its costs never drops
+    below ``D`` at the walk's end.  Every finite value of the start is
+    such a sum, and relaxation only extends sums by one arc, so the
+    distances never drop below ``D``.  Relaxation stops when
+    ``d[v] <= d[u] + c`` on every arc; from the source (at 0) along the
+    heap's own tree path, whose left-to-right sums are ``D``, the same
+    monotonicity gives ``d <= D``.  So warm and cold starts both end on
+    ``D``, and the predecessor rule and the zero-increase fallback then
+    run on it as before.
     """
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
     n = indptr.shape[0] - 1
@@ -180,18 +299,34 @@ def dijkstra_batch_numpy(indptr, heads, links, cost, sources):
     if not np.all(arc_cost >= 0.0):
         for i, s in enumerate(sources):
             dists[i], preds[i] = dijkstra_python(indptr, heads, links, cost, s)
+        if warm is not None:
+            # trees found under a negative cost can loop back to their
+            # source, which no warm start may build on
+            warm.forget()
         return dists, preds
-    slot, tail = _in_arcs(indptr, heads)
+    if warm is None:
+        slot, tail = _in_arcs(indptr, heads)
+        warm_chunks = None
+    else:
+        slot, tail = warm.slot, warm.tail
+        warm_chunks = warm.warm_chunks(sources)
     padded_cost = np.append(arc_cost, np.inf)[slot]
-    step = max(1, _BATCH_ENTRIES // slot.size)
-    for lo in range(0, sources.shape[0], step):
+    step = _chunk_size(slot)
+    for c, lo in enumerate(range(0, sources.shape[0], step)):
         chunk = sources[lo:lo + step]
-        dist, pred, ties = _relax_chunk(slot, tail, padded_cost, chunk)
+        start = None
+        if warm_chunks is not None and warm_chunks[c]:
+            start, warm.depth[c] = _tree_costs(
+                warm.preds[lo:lo + step], warm.arc_tail, arc_cost, chunk,
+                warm.depth.get(c))
+        dist, pred, ties = _relax_chunk(slot, tail, padded_cost, chunk, start)
         dists[lo:lo + step] = dist.T
         preds[lo:lo + step] = pred.T
         for j in np.flatnonzero(ties):
             dists[lo + j], preds[lo + j] = dijkstra_python(
                 indptr, heads, links, cost, chunk[j])
+    if warm is not None:
+        warm.record(sources, preds)
     return dists, preds
 
 
@@ -371,19 +506,23 @@ def resolve_workers(n_tasks):
     return max(1, min(cap, n_tasks))
 
 
-def batch_dijkstra(indptr, heads, links, cost, sources, workers=None):
+def batch_dijkstra(indptr, heads, links, cost, sources, workers=None,
+                   warm=None):
     """Run Dijkstra from every node in ``sources``.
 
     Returns (dists, preds) stacked in source order.  Without numba the
     whole batch goes to :func:`dijkstra_batch_numpy` in the calling
-    thread.  Worker threads only pay off with the nogil numba kernel,
+    thread, which starts from ``warm`` where it can.  The numba kernels
+    always start cold; they only record in ``warm`` whether the trees
+    repeated.  Worker threads only pay off with the nogil numba kernel,
     but results are identical (and bitwise reproducible) for any worker
     count because each source is independent and outputs are collected
     in submission order.
     """
     sources = list(sources)
     if not NUMBA_ENABLED:
-        return dijkstra_batch_numpy(indptr, heads, links, cost, sources)
+        return dijkstra_batch_numpy(indptr, heads, links, cost, sources,
+                                    warm=warm)
     if workers is None:
         workers = resolve_workers(len(sources))
     n = indptr.shape[0] - 1
@@ -392,12 +531,14 @@ def batch_dijkstra(indptr, heads, links, cost, sources, workers=None):
     if workers <= 1 or len(sources) <= 1:
         for i, s in enumerate(sources):
             dists[i], preds[i] = dijkstra(indptr, heads, links, cost, s)
-        return dists, preds
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(
-            lambda s: dijkstra(indptr, heads, links, cost, s), sources
-        )
-        for i, (d, p) in enumerate(results):
-            dists[i] = d
-            preds[i] = p
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = pool.map(
+                lambda s: dijkstra(indptr, heads, links, cost, s), sources
+            )
+            for i, (d, p) in enumerate(results):
+                dists[i] = d
+                preds[i] = p
+    if warm is not None:
+        warm.record(sources, preds)
     return dists, preds

@@ -25,6 +25,7 @@ shortest-path cost.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,6 +56,10 @@ class InfeasibleProblemError(SolverError):
 
 class UnsupportedOperationError(SolverError):
     """Requested combination is not provided by this solver."""
+
+
+class UnknownPairError(SolverError):
+    """A solution's path joins an OD pair that the demand does not hold."""
 
 
 @dataclass(frozen=True)
@@ -214,6 +219,8 @@ class _Problem:
             self.od.append((origin, dest, o_node, d_node))
             dem_rows.append([demand.by_class[c][(origin, dest)] for c in CLASSES])
         self.n_od = len(self.od)
+        self.od_index = {(origin, dest): oi
+                         for oi, (origin, dest, _, _) in enumerate(self.od)}
         self.dem = (
             np.array(dem_rows).T if dem_rows else np.zeros((len(CLASSES), 0))
         )  # (n_classes, n_od)
@@ -229,8 +236,12 @@ class _Problem:
         self.od_row = np.array(
             [origin_row[o_node] for _, _, o_node, _ in self.od], dtype=np.int64)
         self.od_dest = np.array([od[3] for od in self.od], dtype=np.int64)
-        # per class: the last (preds, ods, paths) walked; trees often
-        # repeat from one iteration to the next
+        # per class: the kernel's warm-start state, which also tells
+        # whether the trees repeated, and the last (path state, ods,
+        # path indices) walked from them; the state is held weakly, as
+        # it holds this problem
+        in_arcs = _kernels._in_arcs(self.indptr, self.heads)
+        self.warm = [_kernels.WarmStart(*in_arcs) for _ in CLASSES]
         self.last_walk: dict[int, tuple] = {}
 
         self.constrained_idx = np.zeros(0, dtype=np.int64)
@@ -268,14 +279,17 @@ class _Problem:
         dist_part = float(np.sum(self.class_per_km @ (x_class * self.length[None, :])))
         return time_part + dist_part
 
-    def shortest_trees(self, cost: np.ndarray):
-        """Dijkstra from every demand origin under one cost vector.
+    def shortest_trees(self, ci: int, cost: np.ndarray):
+        """Dijkstra from every demand origin under class ``ci``'s costs.
 
-        Returns (dists, preds), one row per entry of ``origin_nodes``.
+        Returns (dists, preds), one row per entry of ``origin_nodes``;
+        ``warm[ci].repeated`` then tells whether the trees are those of
+        the class's previous call.
         """
         return _kernels.batch_dijkstra(
             self.indptr, self.heads, self.slots, cost,
             self.origin_nodes, workers=self.options.workers,
+            warm=self.warm[ci],
         )
 
     def walk_paths(self, preds: np.ndarray, ods: np.ndarray):
@@ -444,13 +458,13 @@ def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndar
     """
     n_classes = len(CLASSES)
     sp = np.full((n_classes, prob.n_od), np.inf)
-    chosen: list[tuple[int, int, tuple[int, ...], float]] = []
+    members, volumes = [], []
     for ci in range(n_classes):
         ods = np.flatnonzero(prob.dem[ci] > 0.0)
         if ods.size == 0:
             # shortest costs are only consumed for pairs with positive demand
             continue
-        dists, preds = prob.shortest_trees(class_link_costs[ci])
+        dists, preds = prob.shortest_trees(ci, class_link_costs[ci])
         costs = dists[prob.od_row[ods], prob.od_dest[ods]]
         unreachable = np.flatnonzero(~np.isfinite(costs))
         if unreachable.size:
@@ -461,39 +475,48 @@ def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndar
             )
         sp[ci, ods] = costs
         last = prob.last_walk.get(ci)
-        if (last is not None and np.array_equal(last[0], preds)
+        if (prob.warm[ci].repeated and last is not None and last[0]() is state
                 and np.array_equal(last[1], ods)):
-            paths = last[2]
+            idx = last[2]
         else:
             paths = prob.walk_paths(preds, ods)
-            prob.last_walk[ci] = (preds, ods, paths)
-        chosen.extend(zip([ci] * ods.size, ods.tolist(), paths,
-                          prob.dem[ci, ods].tolist()))
-    members = [state.ensure(ci, oi, path) for ci, oi, path, _ in chosen]
+            idx = np.array([state.ensure(ci, oi, path)
+                            for oi, path in zip(ods.tolist(), paths)],
+                           dtype=np.int64)
+            prob.last_walk[ci] = (weakref.ref(state), ods, idx)
+        members.append(idx)
+        volumes.append(prob.dem[ci, ods])
     target = np.zeros(state.n_paths)
-    np.add.at(target, members, [d for _, _, _, d in chosen])
+    if members:
+        np.add.at(target, np.concatenate(members), np.concatenate(volumes))
     return target, sp
 
 
-def _wardrop_from_paths(prob: _Problem, state: _PathState, flows: np.ndarray,
-                        path_costs: np.ndarray, sp: np.ndarray):
-    """Per-block relative gap between mean used-path cost and best cost."""
+def _block_gaps(prob: _Problem, state: _PathState, flows: np.ndarray,
+                path_costs: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    """Per-block relative gap between mean used-path cost and best cost.
+
+    Shaped (n_classes, n_od); 0 for blocks without demand and for a best
+    cost that is not positive.
+    """
     weighted = state.block_sums(flows * path_costs)
-    per_pair = {}
-    worst = 0.0
-    for ci in range(len(CLASSES)):
-        for oi in range(prob.n_od):
-            d = prob.dem[ci, oi]
-            if d <= 0.0:
-                continue
-            mu = sp[ci, oi]
-            cbar = weighted[ci, oi] / d
-            violation = (cbar - mu) / mu if mu > 0.0 else 0.0
-            origin, dest, _, _ = prob.od[oi]
-            per_pair[(CLASSES[ci], origin, dest)] = violation
-            if violation > worst:
-                worst = violation
-    return per_pair, worst
+    live = prob.dem > 0.0
+    mu = sp[live]
+    gaps = np.zeros(sp.shape)
+    gaps[live] = np.divide(weighted[live] / prob.dem[live] - mu, mu,
+                           out=np.zeros(mu.shape), where=mu > 0.0)
+    return gaps
+
+
+def _worst_gap(gaps: np.ndarray) -> float:
+    """Largest per-block gap, at least 0; NaN gaps are ignored."""
+    return float(np.max(gaps, initial=0.0, where=gaps > 0.0))
+
+
+def _wardrop_from_paths(prob: _Problem, state: _PathState, flows: np.ndarray,
+                        path_costs: np.ndarray, sp: np.ndarray) -> float:
+    """Worst per-block relative gap (see :func:`_block_gaps`)."""
+    return _worst_gap(_block_gaps(prob, state, flows, path_costs, sp))
 
 
 # -- shared assembly ------------------------------------------------------
@@ -585,14 +608,7 @@ def _initial_flows(prob: _Problem, state: _PathState, warm: EquilibriumSolution 
         flows_map: dict[tuple[int, int], list[tuple[tuple[int, ...], float]]] = {}
         for (cls, origin, dest), entries in warm.paths.items():
             ci = CLASSES.index(cls)
-            oi = next(
-                (
-                    i
-                    for i, (o, d, _, _) in enumerate(prob.od)
-                    if o == origin and d == dest
-                ),
-                None,
-            )
+            oi = prob.od_index.get((origin, dest))
             if oi is None:
                 continue
             idx_entries = []
@@ -774,9 +790,7 @@ def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
         }
         if agg_gap <= opts.rel_gap_tol:
             path_costs = state.path_costs(costs)
-            per_pair, wardrop_gap = _wardrop_from_paths(
-                prob, state, flows, path_costs, sp
-            )
+            wardrop_gap = _wardrop_from_paths(prob, state, flows, path_costs, sp)
             record["wardrop_gap"] = float(wardrop_gap)
             if wardrop_gap <= opts.rel_gap_tol:
                 per_pair_cost = {
@@ -831,7 +845,7 @@ def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
         y_vec, sp = _all_or_nothing(prob, state, costs)
         flows = state.grow(flows)
         path_costs = state.path_costs(costs)
-        _, wardrop_gap = _wardrop_from_paths(prob, state, flows, path_costs, sp)
+        wardrop_gap = _wardrop_from_paths(prob, state, flows, path_costs, sp)
         per_pair_cost = {
             (CLASSES[ci], prob.od[oi][0], prob.od[oi][1]): float(sp[ci, oi])
             for ci in range(len(CLASSES))
@@ -963,7 +977,7 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
         flows = state.grow(flows)
         path_costs = state.path_costs(eff)
 
-        per_pair, wardrop_gap = _wardrop_from_paths(prob, state, flows, path_costs, sp)
+        wardrop_gap = _wardrop_from_paths(prob, state, flows, path_costs, sp)
         record = {
             "iteration": iteration,
             "rel_gap": float(wardrop_gap),
@@ -1045,7 +1059,7 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
         _, sp = _all_or_nothing(prob, state, eff)
         flows = state.grow(flows)
         path_costs = state.path_costs(eff)
-        _, wardrop_gap = _wardrop_from_paths(prob, state, flows, path_costs, sp)
+        wardrop_gap = _wardrop_from_paths(prob, state, flows, path_costs, sp)
         per_pair_cost = {
             (CLASSES[ci], prob.od[oi][0], prob.od[oi][1]): float(sp[ci, oi])
             for ci in range(len(CLASSES))
@@ -1139,6 +1153,8 @@ def wardrop_residual(network: Network, demand: ClassDemand, config: CostConfig,
     Costs are effective generalized costs (including any capacity
     multipliers carried by the solution), evaluated at the solution's
     flows; the mean used-path cost comes from the solution's paths.
+    Raises :class:`UnknownPairError` for a path whose OD pair is not in
+    ``demand``.
     """
     if not solution.paths and any(
         d > 0.0 for c in demand.by_class.values() for d in c.values()
@@ -1152,9 +1168,12 @@ def wardrop_residual(network: Network, demand: ClassDemand, config: CostConfig,
     flows_entries = []
     for (cls, origin, dest), entries in solution.paths.items():
         ci = CLASSES.index(cls)
-        oi = next(
-            i for i, (o, d, _, _) in enumerate(prob.od) if o == origin and d == dest
-        )
+        oi = prob.od_index.get((origin, dest))
+        if oi is None:
+            raise UnknownPairError(
+                f"solution has {cls!r} paths from zone {origin!r} to zone "
+                f"{dest!r}, a pair the demand does not hold"
+            )
         for link_ids, f in entries:
             g = state.ensure(ci, oi, tuple(prob.link_index[l] for l in link_ids))
             flows_entries.append((g, f))
@@ -1170,5 +1189,9 @@ def wardrop_residual(network: Network, demand: ClassDemand, config: CostConfig,
     _, sp = _all_or_nothing(prob, state, eff)
     flows = state.grow(flows)
     path_costs = state.path_costs(eff)
-    per_pair, worst = _wardrop_from_paths(prob, state, flows, path_costs, sp)
-    return per_pair, worst
+    gaps = _block_gaps(prob, state, flows, path_costs, sp)
+    per_pair = {
+        (CLASSES[ci], prob.od[oi][0], prob.od[oi][1]): float(gaps[ci, oi])
+        for ci, oi in zip(*np.nonzero(prob.dem > 0.0))
+    }
+    return per_pair, _worst_gap(gaps)

@@ -201,14 +201,13 @@ def _sp_weighted_time(network: Network, link_times: np.ndarray, pairs, total):
     from .network import centroid_node_id
 
     indptr, heads, slots, node_index, _ = network.csr()
-    cost = link_times[slots.astype(int)] if slots.size else link_times[:0]
     by_origin: dict = {}
     for r, s, q in pairs:
         by_origin.setdefault(r, []).append((s, q))
     weighted = 0.0
     for r, dests in by_origin.items():
         src = node_index[centroid_node_id(r)]
-        dist, _ = _kernels.dijkstra(indptr, heads, slots, cost, src)
+        dist, _ = _kernels.dijkstra(indptr, heads, slots, link_times, src)
         for s, q in dests:
             d = dist[node_index[centroid_node_id(s)]]
             if not math.isfinite(d):

@@ -9,6 +9,7 @@ consistency, equilibration of used paths) are checked on every solver.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from mueflow.equilibrium import (
     InfeasibleProblemError,
     METHODS,
     SolverOptions,
+    UnknownPairError,
     UnsupportedOperationError,
+    _PathState,
+    _Problem,
+    _all_or_nothing,
+    _block_gaps,
+    _worst_gap,
     beckmann_objective,
     solve,
     solve_extra_gradient,
@@ -177,6 +184,41 @@ class TestStructuralInvariants:
         _, worst = wardrop_residual(net, demand, cfg, grid3_solution)
         assert worst <= 10.0 * max(grid3_solution.wardrop_gap, 1e-12)
 
+    def test_residual_names_a_path_outside_the_demand(self, grid3_solution,
+                                                      grid3_case):
+        net, od, cfg = grid3_case
+        (origin, dest), _ = next((p for p in od.pairs() if p[1] > 0.0))
+        rest = ODMatrix([(o, d, q) for (o, d), q in od.pairs()
+                         if (o, d) != (origin, dest)])
+        with pytest.raises(UnknownPairError, match=f"{origin!r} to zone {dest!r}"):
+            wardrop_residual(net, split_demand(rest, 0.5), cfg, grid3_solution)
+
+    def test_block_gaps_match_the_per_pair_loop(self):
+        # pairs without demand do not count, a best cost <= 0 gives 0,
+        # NaN gaps are skipped, and the worst gap is at least 0
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            shape = (len(CLASSES), int(rng.integers(1, 8)))
+            dem = np.where(rng.uniform(size=shape) < 0.3, 0.0,
+                           rng.uniform(1.0, 5.0, shape))
+            sp = rng.choice([0.0, -1.0, np.nan, 2.0, 3.0, 7.5], size=shape)
+            weighted = dem * rng.choice([1.0, 1.5, 0.5, np.nan], size=shape) * 3.0
+            prob = SimpleNamespace(dem=dem)
+            state = SimpleNamespace(block_sums=lambda _: weighted)
+            gaps = _block_gaps(prob, state, np.ones(1), np.ones(1), sp)
+            want = 0.0
+            for ci, oi in np.ndindex(shape):
+                if dem[ci, oi] <= 0.0:
+                    assert gaps[ci, oi] == 0.0
+                    continue
+                mu = sp[ci, oi]
+                cbar = weighted[ci, oi] / dem[ci, oi]
+                gap = (cbar - mu) / mu if mu > 0.0 else 0.0
+                assert gaps[ci, oi] == gap or (np.isnan(gap) and np.isnan(gaps[ci, oi]))
+                if gap > want:
+                    want = gap
+            assert _worst_gap(gaps) == want
+
     def test_objective_matches_beckmann_helper(self, grid3_solution, grid3_case):
         net, _, cfg = grid3_case
         value = beckmann_objective(
@@ -311,6 +353,31 @@ class TestWarmStart:
             atol=2e-3 * 100.0,
         )
         assert warm.iterations <= cold.iterations
+
+    def test_repeated_trees_walk_pairs_not_walked_before(self, grid3_case):
+        # _initial_flows first routes only the blocks a warm solution
+        # lacks; when the next trees repeat, the other pairs still need
+        # their paths walked
+        net, od, cfg = grid3_case
+        demand = split_demand(od, 0.5)
+
+        def targets(masks):
+            prob = _Problem(net, demand, cfg, SolverOptions())
+            state = _PathState(prob)
+            costs = prob.class_costs(prob.times(np.zeros(prob.n_links)))
+            full = prob.dem
+            for mask in masks:
+                prob.dem = np.where(mask, full, 0.0)
+                target, sp = _all_or_nothing(prob, state, costs)
+            assert prob.warm[0].repeated == (len(masks) > 1)
+            return sp.tobytes(), {
+                (state.path_class[g], state.path_od[g], state.paths[g]): target[g]
+                for g in np.flatnonzero(target)}
+
+        every = np.ones((len(CLASSES), len(od.pairs())), dtype=bool)
+        some = every.copy()
+        some[:, ::2] = False
+        assert targets([some, every]) == targets([every])
 
     def test_warm_start_across_methods(self, dual_case):
         net, od, cfg = dual_case

@@ -17,6 +17,8 @@ import pytest
 
 from mueflow import _kernels
 from mueflow.cost import bpr_time, vehicle_costs
+from mueflow.demand import split_demand
+from mueflow.equilibrium import solve
 from mueflow.fixtures import FIXTURES, grid10x10
 
 
@@ -160,6 +162,174 @@ class TestBatchDijkstra:
         assert_batch_matches_heap(indptr, heads, slots, cost,
                                   list(node_index.values())[::7],
                                   batch=_kernels.batch_dijkstra)
+
+
+def warm_state(indptr, heads):
+    return _kernels.WarmStart(*_kernels._in_arcs(indptr, heads))
+
+
+def open_gate(warm, indptr, heads, links, cost, sources):
+    """Two calls with the same costs, so the next call starts warm."""
+    for _ in range(2):
+        _kernels.dijkstra_batch_numpy(indptr, heads, links, cost, sources,
+                                      warm=warm)
+    assert warm.repeated
+
+
+def loaded_costs(name, seed):
+    build_network, build_config = FIXTURES[name]
+    net, _ = build_network()
+    config = build_config()
+    indptr, heads, slots, _, _ = net.csr()
+    t0, cap, length = (net.free_flow_times(), net.capacities(),
+                       net.lengths_km())
+    rng = np.random.default_rng(seed)
+    flows = rng.uniform(0.0, 2.0, size=net.n_links) * cap
+    loaded = bpr_time(t0, cap, config.bpr_alpha, config.bpr_beta, flows)
+    cost = config.vot * loaded + max(vehicle_costs(config).per_km.values()) * length
+    return indptr, heads, slots, cost, rng
+
+
+class TestWarmStart:
+    """Batches started from earlier trees, against cold and heap runs."""
+
+    @pytest.fixture
+    def warm_calls(self, monkeypatch):
+        """Count the chunks that start from earlier trees."""
+        calls = []
+        tree_costs = _kernels._tree_costs
+
+        def counted(*args):
+            calls.append(args)
+            return tree_costs(*args)
+
+        monkeypatch.setattr(_kernels, "_tree_costs", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_perturbed_costs_on_every_fixture(self, name, warm_calls):
+        indptr, heads, slots, cost, rng = loaded_costs(name, 7)
+        n = indptr.shape[0] - 1
+        sources = list(range(0, n, -(-n // 100)))  # about 100, in chunks
+        warm = warm_state(indptr, heads)
+        # small steps keep most trees, large ones change them
+        for scale in (1e-9, 1e-6, 1e-3, 0.1, 0.5):
+            open_gate(warm, indptr, heads, slots, cost, sources)
+            cost = cost * (1.0 + scale * rng.uniform(-1.0, 1.0, cost.size))
+            before = len(warm_calls)
+            got = _kernels.dijkstra_batch_numpy(indptr, heads, slots, cost,
+                                                sources, warm=warm)
+            assert len(warm_calls) > before
+            cold = _kernels.dijkstra_batch_numpy(indptr, heads, slots, cost,
+                                                 sources)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in cold]
+            assert_batch_matches_heap(indptr, heads, slots, cost, sources,
+                                      batch=lambda *args: got)
+
+    def test_trees_from_unrelated_costs(self, warm_calls):
+        indptr, heads, slots, cost, rng = loaded_costs("grid10x10", 5)
+        sources = list(range(0, indptr.shape[0] - 1, 3))
+        for trial in range(5):
+            warm = warm_state(indptr, heads)
+            unrelated = rng.uniform(0.0, 20.0, size=cost.size)
+            open_gate(warm, indptr, heads, slots, unrelated, sources)
+            assert_batch_matches_heap(
+                indptr, heads, slots, cost, sources,
+                batch=lambda *args: _kernels.dijkstra_batch_numpy(
+                    *args, warm=warm))
+        assert warm_calls
+
+    def test_chunked_sources(self, monkeypatch, warm_calls):
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = list(node_index.values())[:30] + [0, 0]
+        monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 1)
+        warm = warm_state(indptr, heads)
+        open_gate(warm, indptr, heads, slots, cost, sources)
+        assert len(warm.same) == len(sources)
+        # dearer arc on the first source's tree: trees that use it
+        # change, and only the chunks of the others stay warm
+        before = warm.preds
+        bumped = cost.copy()
+        bumped[slots[before[0, int(np.argmax(before[0] >= 0))]]] += 50.0
+        _, preds = _kernels.dijkstra_batch_numpy(
+            indptr, heads, slots, bumped, sources, warm=warm)
+        same = [np.array_equal(a, b) for a, b in zip(before, preds)]
+        assert warm.same == same and 0 < sum(same) < len(sources)
+        assert not warm.repeated
+        for step_cost in (bumped, cost):
+            calls = len(warm_calls)
+            warm_chunks = sum(warm.same)
+            assert_batch_matches_heap(
+                indptr, heads, slots, step_cost, sources,
+                batch=lambda *args: _kernels.dijkstra_batch_numpy(
+                    *args, warm=warm))
+            assert len(warm_calls) - calls == warm_chunks
+
+    def test_zero_and_negative_costs(self, warm_calls):
+        # zero-cost arcs route tied trees through the heap, warm or
+        # cold; a negative cost runs the heap and the next call is cold
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            n = int(rng.integers(2, 25))
+            m = int(rng.integers(1, 4 * n))
+            tails, heads_ = rng.integers(0, n, m), rng.integers(0, n, m)
+            draw = [rng.integers(0, 4, m).astype(float) for _ in range(3)]
+            indptr, heads, links, _ = csr_from_arcs(
+                n, list(zip(tails.tolist(), heads_.tolist(), draw[0])))
+            sources = range(n)
+            warm = warm_state(indptr, heads)
+            for cost in draw:
+                open_gate(warm, indptr, heads, links, cost, sources)
+                assert_batch_matches_heap(
+                    indptr, heads, links, cost[::-1].copy(), sources,
+                    batch=lambda *args: _kernels.dijkstra_batch_numpy(
+                        *args, warm=warm))
+            negative = draw[0].copy()
+            negative[0] = -1.0
+            _kernels.dijkstra_batch_numpy(indptr, heads, links, negative,
+                                          sources, warm=warm)
+            assert warm.preds is None and not warm.repeated
+        assert warm_calls
+
+    def test_batch_dijkstra_records_repeats(self):
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = list(node_index.values())[::5]
+        warm = warm_state(indptr, heads)
+        flags = []
+        for step_cost in (cost, cost, cost * 1.5 + 1.0, cost * 1.5 + 1.0):
+            _kernels.batch_dijkstra(indptr, heads, slots, step_cost, sources,
+                                    workers=1, warm=warm)
+            flags.append(warm.repeated)
+        assert flags == [False, True, False, True]
+        # other sources: the last trees belong to other roots
+        assert_batch_matches_heap(
+            indptr, heads, slots, cost, sources[1:] + sources[:1],
+            batch=lambda *args: _kernels.batch_dijkstra(
+                *args, workers=1, warm=warm))
+        assert not warm.repeated
+
+
+    @pytest.mark.parametrize("method", ["fw", "bfw", "pd", "eg"])
+    def test_solvers_give_the_same_results(self, method, monkeypatch,
+                                           warm_calls):
+        net, od = grid10x10()
+        config = FIXTURES["grid10x10"][1]()
+        demand = split_demand(od, 0.5)
+        warm = solve(net, demand, config, method)
+        if method in ("pd", "eg"):  # fw/bfw trees change every iteration
+            assert warm_calls
+        # no chunk may start warm, so no trees count as repeated either
+        monkeypatch.setattr(_kernels.WarmStart, "warm_chunks",
+                            lambda self, sources: None)
+        calls = len(warm_calls)
+        cold = solve(net, demand, config, method)
+        assert len(warm_calls) == calls
+        assert warm.iterations == cold.iterations
+        assert warm.wardrop_gap == cold.wardrop_gap
+        assert warm.paths == cold.paths
+        assert warm.pi == cold.pi
+        for cls, flows in warm.link_flows.class_flows.items():
+            assert flows.tobytes() == cold.link_flows.class_flows[cls].tobytes()
 
 
 def project_blocks_loop(values, offsets, totals):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mueflow.equilibrium import LinkFlows
+from mueflow.fixtures import FIXTURES
 from mueflow.metrics import (
     DEFAULT_PROFILE_BINS,
     MetricsError,
@@ -30,7 +31,15 @@ from mueflow.metrics import (
     road_utilization,
     voc,
 )
-from mueflow.network import Link, Network, Node, Zone, generate_connectors
+from mueflow.network import (
+    Link,
+    Network,
+    Node,
+    Zone,
+    centroid_node_id,
+    generate_connectors,
+    shortest_path,
+)
 
 
 def stub_solution(network, class_flows, link_times, paths=None):
@@ -87,6 +96,26 @@ class TestAvgTravelTime:
         )
         got = avg_travel_time(sol, net, od, mode="mue")
         assert got == pytest.approx(13.7 + 2e-6)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_shortest_path_rules_match_network_shortest_path(self, name):
+        # T_FF and rule="min_time" weigh each pair's cheapest path under
+        # link-indexed times; dual_route's free-flow T_FF alone could not
+        # tell them from times permuted into CSR slot order
+        net, od = FIXTURES[name][0]()
+        rng = np.random.default_rng(3)
+        loaded = net.free_flow_times() * rng.uniform(1.0, 3.0, net.n_links)
+        sol = stub_solution(net, {}, loaded)
+        for times, kwargs in ((None, {"mode": "free_flow"}),
+                              (loaded, {"mode": "mue", "rule": "min_time"})):
+            pairs = [(r, s, q) for (r, s), q in od.pairs() if r != s and q > 0.0]
+            want = sum(
+                q * shortest_path(net, centroid_node_id(r), centroid_node_id(s),
+                                  times)[0]
+                for r, s, q in pairs
+            ) / sum(q for _, _, q in pairs)
+            got = avg_travel_time(sol, net, od, **kwargs)
+            assert got == pytest.approx(want, rel=1e-12), kwargs
 
     def test_zero_demand_undefined(self, dual_solution_gv, dual_case):
         net, _, _ = dual_case
