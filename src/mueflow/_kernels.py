@@ -1,8 +1,23 @@
-"""Shortest-path kernels shared by the assignment solvers.
+"""Shortest-path and projection kernels shared by the whole package.
 
 The hot loop of every solver is one-to-all Dijkstra over the network's
-CSR adjacency, run once per (vehicle class, origin) per iteration.  Two
-interchangeable backends are provided:
+CSR adjacency, run once per (vehicle class, origin) per iteration.
+Who calls what:
+
+* :func:`batch_dijkstra` builds every shortest-path tree: the solvers'
+  all-or-nothing step (``equilibrium``, one batch per class and
+  iteration, with a :class:`WarmStart` per class), ``metrics`` (every
+  demand origin at once) and ``network.shortest_path`` (one source).
+* :func:`walk_paths` turns trees into link paths for the solvers and
+  for ``network.shortest_path``.  It steps up the trees with
+  :func:`_tree_parents`, as does the warm start's :func:`_tree_costs`;
+  both take arc tails from :func:`arc_tails`.
+* :func:`project_blocks` is the path-based solvers' simplex projection.
+* :func:`dijkstra` (one source) is what :func:`batch_dijkstra` runs per
+  source under numba.  Without numba it is :func:`dijkstra_python`,
+  which the batch kernel also runs for the trees its rule cannot settle.
+
+Two interchangeable backends are provided:
 
 * numba ``@njit`` kernels (compiled once, cached on disk, ``nogil`` so
   batched runs can use real threads), and
@@ -16,13 +31,8 @@ the heap kernels walk the CSR arrays in the same order and break ties on
 heap order yields.
 
 A solver asks for the same sources' trees once per iteration, and the
-trees often repeat.  Given a :class:`WarmStart`, the batch kernel
-starts each chunk of sources whose trees came back unchanged on the
-last call from those trees' path costs under the new costs, instead of
-from ``inf``; the relaxation then ends on the same distances in a few
-rounds instead of one round per tree level.  The state also tells the
-caller whether the trees repeated, and holds the graph's padded in-arc
-layout, so it is built once per series of calls.
+trees often repeat: given a :class:`WarmStart`, the batch kernel starts
+from the last trees where they came back unchanged.
 
 Selection is automatic: the numba kernels are used
 when numba imports cleanly and the environment variable
@@ -41,6 +51,7 @@ import numpy as np
 
 __all__ = [
     "NUMBA_ENABLED",
+    "arc_tails",
     "dijkstra",
     "dijkstra_numba",
     "dijkstra_python",
@@ -50,6 +61,7 @@ __all__ = [
     "project_blocks_numba",
     "project_blocks_python",
     "resolve_workers",
+    "walk_paths",
     "WarmStart",
 ]
 
@@ -115,13 +127,19 @@ def _chunk_size(slot):
     return max(1, _BATCH_ENTRIES // slot.size)
 
 
+def arc_tails(indptr):
+    """Tail node of every arc slot of the CSR row pointers ``indptr``."""
+    return np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+
+
 def _in_arcs(indptr, heads):
     """Incoming arc slots of every node, padded to the largest in-degree.
 
-    Returns (slot, tail), both shaped (max in-degree, n_nodes): row ``r``
-    holds each node's ``r``-th incoming slot, in ascending slot order,
-    and that slot's tail node.  Padding points at the dummy slot
-    ``n_arcs``.
+    Returns (slot, tail, arc_tail).  ``slot`` and ``tail`` are shaped
+    (max in-degree, n_nodes): row ``r`` holds each node's ``r``-th
+    incoming slot, in ascending slot order, and that slot's tail node.
+    Padding points at the dummy slot ``n_arcs``.  ``arc_tail`` is
+    :func:`arc_tails`.
     """
     n = indptr.shape[0] - 1
     m = heads.shape[0]
@@ -130,8 +148,9 @@ def _in_arcs(indptr, heads):
     rank = np.arange(m) - (np.cumsum(indeg) - indeg)[heads[order]]
     slot = np.full((max(int(indeg.max(initial=0)), 1), n), m, dtype=np.int64)
     slot[rank, heads[order]] = order
-    tail = np.append(np.repeat(np.arange(n), np.diff(indptr)), 0)[slot]
-    return slot, tail
+    arc_tail = arc_tails(indptr)
+    tail = np.append(arc_tail, 0)[slot]
+    return slot, tail, arc_tail
 
 
 def _relax_chunk(slot, tail, arc_cost, sources, start=None):
@@ -172,6 +191,19 @@ def _relax_chunk(slot, tail, arc_cost, sources, start=None):
     return dist, pred, ties
 
 
+def _tree_parents(preds, arc_tail):
+    """One parent-pointer step over the trees ``preds``, flattened.
+
+    ``preds`` (sources, n_nodes) are trees as the kernels return them.
+    Entry ``r * n_nodes + v`` maps to the entry of ``v``'s tree parent
+    in the same row (the tail of its tree arc); nodes off the tree map
+    to themselves.
+    """
+    k, n = preds.shape
+    entry = np.arange(k * n).reshape(k, n)
+    return np.where(preds >= 0, entry - entry % n + arc_tail[preds], entry).ravel()
+
+
 def _tree_costs(preds, arc_tail, arc_cost, sources, depth=None):
     """Cost of every tree path under ``arc_cost``, node-major.
 
@@ -184,10 +216,8 @@ def _tree_costs(preds, arc_tail, arc_cost, sources, depth=None):
     changes.  Returns (costs, steps run that changed something).
     """
     k, n = preds.shape
-    reached = preds >= 0
-    entry = np.arange(k * n).reshape(k, n)
-    parent = np.where(reached, entry - entry % n + arc_tail[preds], entry).ravel()
-    step_cost = np.where(reached, arc_cost[preds], 0.0).ravel()
+    parent = _tree_parents(preds, arc_tail)
+    step_cost = np.where(preds >= 0, arc_cost[preds], 0.0).ravel()
     start = np.full(k * n, np.inf)
     start[np.arange(k) * n + sources] = 0.0
     steps = 0
@@ -199,6 +229,37 @@ def _tree_costs(preds, arc_tail, arc_cost, sources, depth=None):
         start = nxt
         steps += 1
     return np.ascontiguousarray(start.reshape(k, n).T), steps
+
+
+def walk_paths(preds, links, arc_tail, sources, rows, dests):
+    """Link tuples of tree paths, one per pair (``rows[i]``, ``dests[i]``).
+
+    Path ``i`` runs in tree ``rows[i]`` of ``preds`` (rooted at
+    ``sources[rows[i]]``) from its root to node ``dests[i]``, which must
+    be reachable in that tree.  All paths step back from their
+    destinations together, one link per :func:`_tree_parents` step.
+    """
+    k, n = preds.shape
+    up = _tree_parents(preds, arc_tail)
+    link = np.where(preds >= 0, links[preds], -1).ravel()
+    # walks end at the roots, even where a root has a tree arc of its
+    # own (trees found under a negative cost can loop back to it)
+    root = np.arange(k) * n + np.asarray(sources)
+    up[root] = root
+    link[root] = -1
+    at = np.asarray(rows) * n + dests
+    steps = []
+    while True:
+        step = link[at]
+        if step.max(initial=-1) < 0:
+            break
+        steps.append(step)
+        at = up[at]
+    depth = len(steps)
+    # one row per pair, its links in path order after -1 padding
+    table = np.array(steps[::-1], dtype=np.int64).reshape(depth, at.size).T
+    lengths = np.count_nonzero(table >= 0, axis=1).tolist()
+    return [tuple(row[depth - m:]) for row, m in zip(table.tolist(), lengths)]
 
 
 class WarmStart:
@@ -217,10 +278,8 @@ class WarmStart:
     derived from the last trees.
     """
 
-    def __init__(self, slot, tail):
-        self.slot, self.tail = slot, tail
-        self.arc_tail = np.zeros(int(slot.max()) + 1, dtype=np.int64)
-        self.arc_tail[slot] = tail
+    def __init__(self, slot, tail, arc_tail):
+        self.slot, self.tail, self.arc_tail = slot, tail, arc_tail
         self.forget()
 
     def forget(self):
@@ -305,7 +364,7 @@ def dijkstra_batch_numpy(indptr, heads, links, cost, sources, warm=None):
             warm.forget()
         return dists, preds
     if warm is None:
-        slot, tail = _in_arcs(indptr, heads)
+        slot, tail, _ = _in_arcs(indptr, heads)
         warm_chunks = None
     else:
         slot, tail = warm.slot, warm.tail

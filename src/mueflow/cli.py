@@ -5,6 +5,8 @@ Subcommands
     solve     one equilibrium at a fixed penetration; writes solution+metrics
     sweep     equilibria across penetration levels; writes sweep artifacts
 
+``--method`` takes one of ``equilibrium.METHODS`` (fw, bfw, pd, eg).
+
 Exit codes: 0 success, 2 validation failure, 3 iteration cap reached
 (partial outputs are still written), 4 infeasible problem.  Failures are
 reported as a JSON object ``{"errors": [...]}`` on stdout so scripts can
@@ -34,6 +36,7 @@ from .cost import (
 )
 from .demand import DemandError, ODMatrix, load_od_csv, split_demand
 from .equilibrium import (
+    METHODS,
     InfeasibleProblemError,
     SolverError,
     SolverOptions,
@@ -63,7 +66,6 @@ EXIT_VALIDATION = 2
 EXIT_ITERATION_CAP = 3
 EXIT_INFEASIBLE = 4
 
-METHODS = ("fw", "bfw", "pd", "eg")
 FORMATS = ("csv", "json")
 
 _INPUT_ERRORS = (

@@ -187,10 +187,6 @@ class _Problem:
         self.t0 = network.free_flow_times()
         self.cap = network.capacities()
         self.length = network.lengths_km()
-        self.link_tail = np.array(
-            [self.node_index[l.from_node] for l in network.links.values()],
-            dtype=np.int64,
-        )
         self.alpha = config.bpr_alpha
         self.beta = config.bpr_beta
         self.gamma = config.vot
@@ -241,6 +237,7 @@ class _Problem:
         # path indices) walked from them; the state is held weakly, as
         # it holds this problem
         in_arcs = _kernels._in_arcs(self.indptr, self.heads)
+        self.arc_tail = in_arcs[2]
         self.warm = [_kernels.WarmStart(*in_arcs) for _ in CLASSES]
         self.last_walk: dict[int, tuple] = {}
 
@@ -278,47 +275,6 @@ class _Problem:
         )
         dist_part = float(np.sum(self.class_per_km @ (x_class * self.length[None, :])))
         return time_part + dist_part
-
-    def shortest_trees(self, ci: int, cost: np.ndarray):
-        """Dijkstra from every demand origin under class ``ci``'s costs.
-
-        Returns (dists, preds), one row per entry of ``origin_nodes``;
-        ``warm[ci].repeated`` then tells whether the trees are those of
-        the class's previous call.
-        """
-        return _kernels.batch_dijkstra(
-            self.indptr, self.heads, self.slots, cost,
-            self.origin_nodes, workers=self.options.workers,
-            warm=self.warm[ci],
-        )
-
-    def walk_paths(self, preds: np.ndarray, ods: np.ndarray):
-        """Link tuples of the tree paths of the OD pairs ``ods``.
-
-        All pairs step back from their destinations together, one link
-        per step, over the flattened (tree row, node) entries of
-        ``preds``; every destination must be reachable in its tree.
-        """
-        n_rows, n = preds.shape
-        reached = preds >= 0
-        link = np.where(reached, self.slots[preds], -1)
-        row_start = np.arange(n_rows)[:, None] * n
-        up = row_start + np.where(reached, self.link_tail[link], np.arange(n))
-        link[np.arange(n_rows), self.origin_nodes] = -1  # walks end at origins
-        link, up = link.ravel(), up.ravel()
-        at = self.od_row[ods] * n + self.od_dest[ods]
-        steps = []
-        while True:
-            step = link[at]
-            if step.max(initial=-1) < 0:
-                break
-            steps.append(step)
-            at = up[at]
-        depth = len(steps)
-        # one row per pair, its links in path order after -1 padding
-        table = np.array(steps[::-1], dtype=np.int64).reshape(depth, ods.size).T
-        lengths = np.count_nonzero(table >= 0, axis=1).tolist()
-        return [tuple(row[depth - k:]) for row, k in zip(table.tolist(), lengths)]
 
 
 class _PathState:
@@ -449,22 +405,28 @@ class _PathState:
 # -- all-or-nothing ------------------------------------------------------
 
 
-def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndarray):
+def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndarray,
+                    dem: np.ndarray | None = None):
     """Assign every block's demand to its cheapest path.
 
-    Returns (per-path target vector over the grown universe, shortest
-    cost array (n_classes, n_od)).  Unreachable positive-demand pairs
-    raise :class:`InfeasibleProblemError`.
+    ``dem`` (n_classes, n_od) is the demand to assign, ``prob.dem`` when
+    None.  Returns (per-path target vector over the grown universe,
+    shortest cost array (n_classes, n_od)).  Unreachable positive-demand
+    pairs raise :class:`InfeasibleProblemError`.
     """
+    if dem is None:
+        dem = prob.dem
     n_classes = len(CLASSES)
     sp = np.full((n_classes, prob.n_od), np.inf)
     members, volumes = [], []
     for ci in range(n_classes):
-        ods = np.flatnonzero(prob.dem[ci] > 0.0)
+        ods = np.flatnonzero(dem[ci] > 0.0)
         if ods.size == 0:
             # shortest costs are only consumed for pairs with positive demand
             continue
-        dists, preds = prob.shortest_trees(ci, class_link_costs[ci])
+        dists, preds = _kernels.batch_dijkstra(
+            prob.indptr, prob.heads, prob.slots, class_link_costs[ci],
+            prob.origin_nodes, workers=prob.options.workers, warm=prob.warm[ci])
         costs = dists[prob.od_row[ods], prob.od_dest[ods]]
         unreachable = np.flatnonzero(~np.isfinite(costs))
         if unreachable.size:
@@ -479,13 +441,15 @@ def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndar
                 and np.array_equal(last[1], ods)):
             idx = last[2]
         else:
-            paths = prob.walk_paths(preds, ods)
+            paths = _kernels.walk_paths(preds, prob.slots, prob.arc_tail,
+                                        prob.origin_nodes, prob.od_row[ods],
+                                        prob.od_dest[ods])
             idx = np.array([state.ensure(ci, oi, path)
                             for oi, path in zip(ods.tolist(), paths)],
                            dtype=np.int64)
             prob.last_walk[ci] = (weakref.ref(state), ods, idx)
         members.append(idx)
-        volumes.append(prob.dem[ci, ods])
+        volumes.append(dem[ci, ods])
     target = np.zeros(state.n_paths)
     if members:
         np.add.at(target, np.concatenate(members), np.concatenate(volumes))
@@ -513,10 +477,18 @@ def _worst_gap(gaps: np.ndarray) -> float:
     return float(np.max(gaps, initial=0.0, where=gaps > 0.0))
 
 
-def _wardrop_from_paths(prob: _Problem, state: _PathState, flows: np.ndarray,
-                        path_costs: np.ndarray, sp: np.ndarray) -> float:
-    """Worst per-block relative gap (see :func:`_block_gaps`)."""
-    return _worst_gap(_block_gaps(prob, state, flows, path_costs, sp))
+def _measure(prob: _Problem, state: _PathState, flows: np.ndarray,
+             costs: np.ndarray):
+    """Gap of per-path ``flows`` against the best paths under ``costs``.
+
+    Runs the all-or-nothing assignment, which may grow the path
+    universe.  Returns (shortest costs sp, ``flows`` grown to the
+    universe, path costs, per-block gaps (see :func:`_block_gaps`)).
+    """
+    _, sp = _all_or_nothing(prob, state, costs)
+    flows = state.grow(flows)
+    path_costs = state.path_costs(costs)
+    return sp, flows, path_costs, _block_gaps(prob, state, flows, path_costs, sp)
 
 
 # -- shared assembly ------------------------------------------------------
@@ -548,7 +520,7 @@ def _trim_paths(prob: _Problem, state: _PathState, flows: np.ndarray):
 
 def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndarray,
               trace: list, converged: bool, iterations: int, method: str,
-              wardrop_gap: float, per_pair_cost: dict) -> EquilibriumSolution:
+              wardrop_gap: float, sp: np.ndarray) -> EquilibriumSolution:
     flows = _trim_paths(prob, state, flows)
     x_class = state.link_flows(flows)
     x_agg = x_class.sum(axis=0)
@@ -578,7 +550,7 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
     return EquilibriumSolution(
         link_flows=LinkFlows(link_ids=list(prob.link_ids), class_flows=class_flows),
         paths=paths,
-        pi=dict(per_pair_cost),
+        pi=_per_pair(prob, sp),
         duals=duals,
         complementarity=comp,
         gap_trace=trace,
@@ -592,14 +564,12 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
     )
 
 
-def _trivial_solution(prob: _Problem, method: str) -> EquilibriumSolution:
-    state = _PathState(prob)
-    lam = np.zeros(prob.constrained_idx.size)
-    return _assemble(
-        prob, state, np.zeros(0), lam, [
-            {"iteration": 0, "rel_gap": 0.0, "objective": 0.0, "note": "zero demand"}
-        ], True, 0, method, 0.0, {},
-    )
+def _per_pair(prob: _Problem, values: np.ndarray) -> dict:
+    """{(class, origin zone, dest zone): value} over blocks with demand."""
+    return {
+        (CLASSES[ci], prob.od[oi][0], prob.od[oi][1]): float(values[ci, oi])
+        for ci, oi in zip(*np.nonzero(prob.dem > 0.0))
+    }
 
 
 def _initial_flows(prob: _Problem, state: _PathState, warm: EquilibriumSolution | None):
@@ -639,13 +609,8 @@ def _initial_flows(prob: _Problem, state: _PathState, warm: EquilibriumSolution 
         missing = (prob.dem > 0.0) & (covered <= 0.0)
         if np.any(missing):
             t = prob.times(state.link_flows(flows).sum(axis=0))
-            costs = prob.class_costs(t)
-            saved = prob.dem
-            try:
-                prob.dem = np.where(missing, saved, 0.0)
-                target, _ = _all_or_nothing(prob, state, costs)
-            finally:
-                prob.dem = saved
+            target, _ = _all_or_nothing(prob, state, prob.class_costs(t),
+                                        np.where(missing, prob.dem, 0.0))
             flows = state.grow(flows) + target
         return flows
 
@@ -752,13 +717,6 @@ def _conjugate_target(prob, x_class, y_vec_flows, s1, s2, theta_prev, state):
 
 def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
     opts = prob.options
-    if prob.constrained_idx.size:
-        raise UnsupportedOperationError(
-            "explicit capacity constraints need a path-based solver ('pd' or 'eg')"
-        )
-    if prob.dem.size == 0 or float(prob.dem.sum()) == 0.0:
-        return _trivial_solution(prob, method)
-
     state = _PathState(prob)
     flows = _initial_flows(prob, state, warm)
     x_class = state.link_flows(flows)
@@ -768,13 +726,10 @@ def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
     trace: list = []
     converged = False
     wardrop_gap = math.inf
-    per_pair_cost: dict = {}
     iteration = 0
 
     for iteration in range(1, opts.max_iters + 1):
-        x_agg = x_class.sum(axis=0)
-        t = prob.times(x_agg)
-        costs = prob.class_costs(t)
+        costs = prob.class_costs(prob.times(x_class.sum(axis=0)))
         y_vec, sp = _all_or_nothing(prob, state, costs)
         flows = state.grow(flows)
         y_class = state.link_flows(y_vec)
@@ -789,16 +744,10 @@ def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
             "objective": float(prob.beckmann(x_class)),
         }
         if agg_gap <= opts.rel_gap_tol:
-            path_costs = state.path_costs(costs)
-            wardrop_gap = _wardrop_from_paths(prob, state, flows, path_costs, sp)
+            wardrop_gap = _worst_gap(_block_gaps(
+                prob, state, flows, state.path_costs(costs), sp))
             record["wardrop_gap"] = float(wardrop_gap)
             if wardrop_gap <= opts.rel_gap_tol:
-                per_pair_cost = {
-                    (CLASSES[ci], prob.od[oi][0], prob.od[oi][1]): float(sp[ci, oi])
-                    for ci in range(len(CLASSES))
-                    for oi in range(prob.n_od)
-                    if prob.dem[ci, oi] > 0.0
-                }
                 trace.append(record)
                 converged = True
                 break
@@ -840,23 +789,13 @@ def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
 
     if not converged:
         # final measurement for the returned gap
-        x_agg = x_class.sum(axis=0)
-        costs = prob.class_costs(prob.times(x_agg))
-        y_vec, sp = _all_or_nothing(prob, state, costs)
-        flows = state.grow(flows)
-        path_costs = state.path_costs(costs)
-        wardrop_gap = _wardrop_from_paths(prob, state, flows, path_costs, sp)
-        per_pair_cost = {
-            (CLASSES[ci], prob.od[oi][0], prob.od[oi][1]): float(sp[ci, oi])
-            for ci in range(len(CLASSES))
-            for oi in range(prob.n_od)
-            if prob.dem[ci, oi] > 0.0
-        }
+        costs = prob.class_costs(prob.times(x_class.sum(axis=0)))
+        sp, flows, _, gaps = _measure(prob, state, flows, costs)
+        wardrop_gap = _worst_gap(gaps)
 
-    lam = np.zeros(0)
     return _assemble(
-        prob, state, flows, lam, trace, converged, iteration, method,
-        wardrop_gap, per_pair_cost,
+        prob, state, flows, np.zeros(0), trace, converged, iteration, method,
+        wardrop_gap, sp,
     )
 
 
@@ -945,9 +884,6 @@ def _check_duals(prob: _Problem, lam: np.ndarray):
 
 def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | None):
     opts = prob.options
-    if prob.dem.size == 0 or float(prob.dem.sum()) == 0.0:
-        return _trivial_solution(prob, method)
-
     state = _PathState(prob)
     flows = _initial_flows(prob, state, warm)
     lam = np.zeros(prob.constrained_idx.size)
@@ -958,39 +894,33 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
     trace: list = []
     converged = False
     wardrop_gap = math.inf
-    per_pair_cost: dict = {}
     g_sq = math.inf
     iteration = 0
     lip_safety = 1.15 if method == "pd" else 1.35
     lip = None  # (l_f, l_a2), refreshed when the path universe grows
     lip_paths = -1
     lip_iter = 0
+    # class link flows of ``flows`` and their objective; pd carries its
+    # accepted candidate's into the next iteration
+    x_class = None
 
     for iteration in range(1, opts.max_iters + 1):
-        x_class = state.link_flows(flows)
+        if x_class is None:
+            x_class = state.link_flows(flows)
+            objective = prob.beckmann(x_class)
         x_agg = x_class.sum(axis=0)
-        t = prob.times(x_agg)
-        eff = _effective_costs(prob, t, lam)
+        eff = _effective_costs(prob, prob.times(x_agg), lam)
 
         # column generation: bring in each block's current best path
-        _, sp = _all_or_nothing(prob, state, eff)
-        flows = state.grow(flows)
-        path_costs = state.path_costs(eff)
-
-        wardrop_gap = _wardrop_from_paths(prob, state, flows, path_costs, sp)
+        sp, flows, path_costs, gaps = _measure(prob, state, flows, eff)
+        wardrop_gap = _worst_gap(gaps)
         record = {
             "iteration": iteration,
             "rel_gap": float(wardrop_gap),
-            "objective": float(prob.beckmann(x_class)),
+            "objective": float(objective),
             "g_sq": float(g_sq) if math.isfinite(g_sq) else None,
         }
         if wardrop_gap <= opts.rel_gap_tol and g_sq < opts.eps_gap:
-            per_pair_cost = {
-                (CLASSES[ci], prob.od[oi][0], prob.od[oi][1]): float(sp[ci, oi])
-                for ci in range(len(CLASSES))
-                for oi in range(prob.n_od)
-                if prob.dem[ci, oi] > 0.0
-            }
             trace.append(record)
             converged = True
             break
@@ -1007,29 +937,26 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
                 base = 0.9 / (l_f + l_a2 / opts.dual_step + 1e-12)
             elif base > 1.0 / (l_f + l_a2 / opts.dual_step + 1e-12):
                 record["note"] = "primal step exceeds stability bound"
-            merit_before = prob.beckmann(x_class) + float(
+            merit_before = objective + float(
                 np.dot(lam, x_agg[prob.constrained_idx] - prob.constrained_cap)
-            ) if lam.size else prob.beckmann(x_class)
+            ) if lam.size else objective
             step = base
-            new_flows = flows
             for attempt in range(21):
-                candidate = _project_blocks(prob, state, flows - step * path_costs)
-                cand_class = state.link_flows(candidate)
-                cand_agg = cand_class.sum(axis=0)
-                merit_after = prob.beckmann(cand_class)
+                new_flows = _project_blocks(prob, state, flows - step * path_costs)
+                x_class = state.link_flows(new_flows)
+                new_agg = x_class.sum(axis=0)
+                objective = prob.beckmann(x_class)
+                merit_after = objective
                 if lam.size:
                     merit_after += float(
-                        np.dot(lam, cand_agg[prob.constrained_idx] - prob.constrained_cap)
+                        np.dot(lam, new_agg[prob.constrained_idx] - prob.constrained_cap)
                     )
                 if merit_after <= merit_before + 1e-12 * max(1.0, abs(merit_before)):
-                    new_flows = candidate
                     break
                 if attempt == 20:
-                    new_flows = candidate
                     record["note"] = "step halving exhausted"
                     break
                 step *= 0.5
-            new_agg = state.link_flows(new_flows).sum(axis=0)
             new_lam = _dual_update(prob, lam, new_agg, opts.dual_step)
             record["step"] = step
         else:  # extra-gradient
@@ -1044,6 +971,7 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
             new_flows = _project_blocks(prob, state, flows - step * mid_costs)
             new_lam = _dual_update(prob, lam, mid_agg, step)
             record["step"] = step
+            x_class = None
 
         g_sq = float(np.sum((new_flows - flows) ** 2))
         if lam.size:
@@ -1056,20 +984,12 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
     if not converged:
         x_agg = state.link_flows(flows).sum(axis=0)
         eff = _effective_costs(prob, prob.times(x_agg), lam)
-        _, sp = _all_or_nothing(prob, state, eff)
-        flows = state.grow(flows)
-        path_costs = state.path_costs(eff)
-        wardrop_gap = _wardrop_from_paths(prob, state, flows, path_costs, sp)
-        per_pair_cost = {
-            (CLASSES[ci], prob.od[oi][0], prob.od[oi][1]): float(sp[ci, oi])
-            for ci in range(len(CLASSES))
-            for oi in range(prob.n_od)
-            if prob.dem[ci, oi] > 0.0
-        }
+        sp, flows, _, gaps = _measure(prob, state, flows, eff)
+        wardrop_gap = _worst_gap(gaps)
 
     return _assemble(
         prob, state, flows, lam, trace, converged, iteration, method,
-        wardrop_gap, per_pair_cost,
+        wardrop_gap, sp,
     )
 
 
@@ -1092,6 +1012,16 @@ def solve(network: Network, demand: ClassDemand, config: CostConfig,
     if options is None:
         options = SolverOptions()
     prob = _Problem(network, demand, config, options)
+    if method in ("fw", "bfw") and prob.constrained_idx.size:
+        raise UnsupportedOperationError(
+            "explicit capacity constraints need a path-based solver ('pd' or 'eg')"
+        )
+    if float(prob.dem.sum()) == 0.0:
+        trace = [{"iteration": 0, "rel_gap": 0.0, "objective": 0.0,
+                  "note": "zero demand"}]
+        return _assemble(prob, _PathState(prob), np.zeros(0),
+                         np.zeros(prob.constrained_idx.size), trace, True, 0,
+                         method, 0.0, np.zeros(prob.dem.shape))
     if method in ("fw", "bfw"):
         return _solve_fw(prob, method, warm_start)
     return _solve_path_based(prob, method, warm_start)
@@ -1154,7 +1084,8 @@ def wardrop_residual(network: Network, demand: ClassDemand, config: CostConfig,
     multipliers carried by the solution), evaluated at the solution's
     flows; the mean used-path cost comes from the solution's paths.
     Raises :class:`UnknownPairError` for a path whose OD pair is not in
-    ``demand``.
+    ``demand``, and ValueError for a path or dual link that the network
+    does not hold.
     """
     if not solution.paths and any(
         d > 0.0 for c in demand.by_class.values() for d in c.values()
@@ -1164,6 +1095,13 @@ def wardrop_residual(network: Network, demand: ClassDemand, config: CostConfig,
             "that records paths"
         )
     prob = _Problem(network, demand, config, SolverOptions())
+
+    def link_position(lid, where):
+        li = prob.link_index.get(lid)
+        if li is None:
+            raise ValueError(f"solution {where} names unknown link {lid!r}")
+        return li
+
     state = _PathState(prob)
     flows_entries = []
     for (cls, origin, dest), entries in solution.paths.items():
@@ -1175,7 +1113,8 @@ def wardrop_residual(network: Network, demand: ClassDemand, config: CostConfig,
                 f"{dest!r}, a pair the demand does not hold"
             )
         for link_ids, f in entries:
-            g = state.ensure(ci, oi, tuple(prob.link_index[l] for l in link_ids))
+            path = tuple(link_position(lid, "path") for lid in link_ids)
+            g = state.ensure(ci, oi, path)
             flows_entries.append((g, f))
     flows = np.zeros(state.n_paths)
     for g, f in flows_entries:
@@ -1184,14 +1123,7 @@ def wardrop_residual(network: Network, demand: ClassDemand, config: CostConfig,
     t = prob.times(x_agg)
     lam = np.zeros(prob.n_links)
     for lid, value in solution.duals.items():
-        lam[prob.link_index[lid]] = value
+        lam[link_position(lid, "dual")] = value
     eff = prob.class_costs(t) + lam[None, :]
-    _, sp = _all_or_nothing(prob, state, eff)
-    flows = state.grow(flows)
-    path_costs = state.path_costs(eff)
-    gaps = _block_gaps(prob, state, flows, path_costs, sp)
-    per_pair = {
-        (CLASSES[ci], prob.od[oi][0], prob.od[oi][1]): float(gaps[ci, oi])
-        for ci, oi in zip(*np.nonzero(prob.dem > 0.0))
-    }
-    return per_pair, _worst_gap(gaps)
+    *_, gaps = _measure(prob, state, flows, eff)
+    return _per_pair(prob, gaps), _worst_gap(gaps)

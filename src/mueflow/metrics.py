@@ -204,10 +204,11 @@ def _sp_weighted_time(network: Network, link_times: np.ndarray, pairs, total):
     by_origin: dict = {}
     for r, s, q in pairs:
         by_origin.setdefault(r, []).append((s, q))
+    dists, _ = _kernels.batch_dijkstra(
+        indptr, heads, slots, link_times,
+        [node_index[centroid_node_id(r)] for r in by_origin])
     weighted = 0.0
-    for r, dests in by_origin.items():
-        src = node_index[centroid_node_id(r)]
-        dist, _ = _kernels.dijkstra(indptr, heads, slots, link_times, src)
+    for dist, (r, dests) in zip(dists, by_origin.items()):
         for s, q in dests:
             d = dist[node_index[centroid_node_id(s)]]
             if not math.isfinite(d):

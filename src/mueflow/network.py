@@ -492,17 +492,10 @@ def shortest_path(network: Network, origin: str, destination: str, link_costs=No
         raise ValueError("link costs must be nonnegative")
     src = node_index[origin]
     dst = node_index[destination]
-    dist, pred = _kernels.dijkstra(indptr, heads, slots, cost, src)
-    if not np.isfinite(dist[dst]):
+    dists, preds = _kernels.batch_dijkstra(indptr, heads, slots, cost, [src])
+    if not np.isfinite(dists[0, dst]):
         return math.inf, []
+    (path,) = _kernels.walk_paths(preds, slots, _kernels.arc_tails(indptr),
+                                  [src], [0], [dst])
     ids = network.link_ids
-    link_list = list(network.links.values())
-    # walk arc slots back to the origin
-    path = []
-    node = dst
-    while node != src:
-        li = int(slots[pred[node]])
-        path.append(ids[li])
-        node = node_index[link_list[li].from_node]
-    path.reverse()
-    return float(dist[dst]), path
+    return float(dists[0, dst]), [ids[li] for li in path]

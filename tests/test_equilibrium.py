@@ -9,12 +9,13 @@ consistency, equilibration of used paths) are checked on every solver.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mueflow import fixtures
+from mueflow import equilibrium, fixtures
 from mueflow.cost import CLASSES
 from mueflow.demand import ODMatrix, split_demand
 from mueflow.equilibrium import (
@@ -178,6 +179,19 @@ class TestStructuralInvariants:
             (cls, o, d) for cls in CLASSES for (o, d), q in od.pairs() if q > 0
         }
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_trace_objective_follows_the_flows(self, method, grid3_case):
+        net, od, cfg = grid3_case
+        sol = solve(net, split_demand(od, 0.5), cfg, method=method)
+        objectives = [record["objective"] for record in sol.gap_trace]
+        # the last record sees the returned flows, before dead paths go
+        assert objectives[-1] == pytest.approx(sol.objective, rel=1e-9)
+        if method == "pd":
+            # a step is taken only where the objective does not rise
+            assert not any("note" in record for record in sol.gap_trace)
+            for before, after in zip(objectives, objectives[1:]):
+                assert after <= before + 1e-12 * max(1.0, abs(before))
+
     def test_reported_gap_matches_recomputation(self, grid3_solution, grid3_case):
         net, od, cfg = grid3_case
         demand = split_demand(od, 0.5)
@@ -192,6 +206,21 @@ class TestStructuralInvariants:
                          if (o, d) != (origin, dest)])
         with pytest.raises(UnknownPairError, match=f"{origin!r} to zone {dest!r}"):
             wardrop_residual(net, split_demand(rest, 0.5), cfg, grid3_solution)
+
+    def test_residual_names_an_unknown_link(self, grid3_solution, grid3_case):
+        net, od, cfg = grid3_case
+        demand = split_demand(od, 0.5)
+        key, [(links, flow), *rest] = next(iter(grid3_solution.paths.items()))
+        bad_path = replace(grid3_solution, paths={
+            **grid3_solution.paths,
+            key: [(links[:-1] + ("no-such-link",), flow), *rest]})
+        with pytest.raises(ValueError,
+                           match="path names unknown link 'no-such-link'"):
+            wardrop_residual(net, demand, cfg, bad_path)
+        bad_dual = replace(grid3_solution, duals={"no-such-dual": 1.0})
+        with pytest.raises(ValueError,
+                           match="dual names unknown link 'no-such-dual'"):
+            wardrop_residual(net, demand, cfg, bad_dual)
 
     def test_block_gaps_match_the_per_pair_loop(self):
         # pairs without demand do not count, a best cost <= 0 gives 0,
@@ -283,6 +312,16 @@ class TestCapacityConstraints:
             with pytest.raises(UnsupportedOperationError, match="path-based"):
                 solve(net, split_demand(od, 0.0), cfg, method, options)
 
+    def test_link_based_solvers_refuse_caps_without_demand(self):
+        net, _ = fixtures.dual_route()
+        cfg = fixtures.time_only_config()
+        options = SolverOptions(capacity_constraints={"a": 25.0})
+        empty = split_demand(ODMatrix([("A", "B", 0.0)]), 0.0)
+        for method in ("fw", "bfw"):
+            with pytest.raises(UnsupportedOperationError, match="path-based"):
+                solve(net, empty, cfg, method, options)
+        assert solve(net, empty, cfg, "pd", options).iterations == 0
+
     def test_unknown_or_nonpositive_cap_rejected(self):
         net, od = fixtures.dual_route()
         cfg = fixtures.time_only_config()
@@ -365,10 +404,9 @@ class TestWarmStart:
             prob = _Problem(net, demand, cfg, SolverOptions())
             state = _PathState(prob)
             costs = prob.class_costs(prob.times(np.zeros(prob.n_links)))
-            full = prob.dem
             for mask in masks:
-                prob.dem = np.where(mask, full, 0.0)
-                target, sp = _all_or_nothing(prob, state, costs)
+                target, sp = _all_or_nothing(prob, state, costs,
+                                             np.where(mask, prob.dem, 0.0))
             assert prob.warm[0].repeated == (len(masks) > 1)
             return sp.tobytes(), {
                 (state.path_class[g], state.path_od[g], state.paths[g]): target[g]
@@ -378,6 +416,32 @@ class TestWarmStart:
         some = every.copy()
         some[:, ::2] = False
         assert targets([some, every]) == targets([every])
+
+    def test_partial_warm_start_leaves_the_demand_alone(self, grid3_case,
+                                                        monkeypatch):
+        # blocks the warm solution lacks are routed with a demand of
+        # their own; prob.dem is never swapped out, not even for a while
+        net, od, cfg = grid3_case
+        demand = split_demand(od, 0.5)
+        base = solve(net, demand, cfg, "bfw")
+        first = next(iter(base.paths))
+        partial = replace(base, paths={first: base.paths[first]})
+        prob = _Problem(net, demand, cfg, SolverOptions())
+        dem, before = prob.dem, prob.dem.copy()
+        seen = []
+        all_or_nothing = equilibrium._all_or_nothing
+
+        def watched(p, *args):
+            seen.append(p.dem is dem)
+            return all_or_nothing(p, *args)
+
+        monkeypatch.setattr(equilibrium, "_all_or_nothing", watched)
+        state = _PathState(prob)
+        flows = equilibrium._initial_flows(prob, state, partial)
+        assert seen == [True]
+        assert prob.dem is dem and dem.tobytes() == before.tobytes()
+        # the warm block from its rescaled paths, the rest all-or-nothing
+        np.testing.assert_allclose(state.block_sums(flows), dem, rtol=1e-12)
 
     def test_warm_start_across_methods(self, dual_case):
         net, od, cfg = dual_case

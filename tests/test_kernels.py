@@ -20,6 +20,7 @@ from mueflow.cost import bpr_time, vehicle_costs
 from mueflow.demand import split_demand
 from mueflow.equilibrium import solve
 from mueflow.fixtures import FIXTURES, grid10x10
+from mueflow.network import shortest_path
 
 
 def grid_csr():
@@ -130,7 +131,7 @@ class TestBatchDijkstra:
         # while the smallest-(distance, slot) rule would pick 1 -> 4
         arcs = [(0, 3, 1.0), (1, 4, 1.0), (3, 1, 0.0), (3, 4, 1.0)]
         indptr, heads, links, cost = csr_from_arcs(5, arcs)
-        slot, tail = _kernels._in_arcs(indptr, heads)
+        slot, tail, _ = _kernels._in_arcs(indptr, heads)
         padded = np.append(cost[links], np.inf)[slot]
         _, rule_pred, ties = _kernels._relax_chunk(
             slot, tail, padded, np.array([0]))
@@ -330,6 +331,96 @@ class TestWarmStart:
         assert warm.pi == cold.pi
         for cls, flows in warm.link_flows.class_flows.items():
             assert flows.tobytes() == cold.link_flows.class_flows[cls].tobytes()
+
+
+def tree_paths_loop(pred, links, link_tail, source):
+    """Every reached node's tree path from ``source``, as link tuples.
+
+    One parent pointer at a time: a node's path is its parent's path
+    plus its tree link, the parent being that link's tail node.
+    """
+    paths = {source: ()}
+    for node in np.flatnonzero(pred >= 0).tolist():
+        climbed = []
+        while node not in paths:
+            climbed.append(node)
+            node = link_tail[links[pred[node]]]
+        for v in reversed(climbed):
+            li = int(links[pred[v]])
+            paths[v] = paths[link_tail[li]] + (li,)
+    return paths
+
+
+def fixture_costs(name):
+    """Free-flow and seeded loaded link costs of fixture ``name``."""
+    net, _ = FIXTURES[name][0]()
+    return net, (net.free_flow_times(), loaded_costs(name, 3)[3])
+
+
+class TestTreeWalk:
+    """The shared parent-pointer walk against a scalar loop."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_every_tree_path_on_every_fixture(self, name):
+        net, costs = fixture_costs(name)
+        indptr, heads, slots, node_index, _ = net.csr()
+        # tails from the links themselves, not from the CSR layout
+        link_tail = [node_index[link.from_node] for link in net.links.values()]
+        arc_tail = _kernels.arc_tails(indptr)
+        assert arc_tail.tolist() == [link_tail[li] for li in slots]
+        n = indptr.shape[0] - 1
+        for cost in costs:
+            _, preds = _kernels.batch_dijkstra(indptr, heads, slots, cost,
+                                               range(n))
+            for lo in range(0, n, 32):
+                sources = list(range(lo, min(lo + 32, n)))
+                want = [tree_paths_loop(preds[s], slots, link_tail, s)
+                        for s in sources]
+                rows = np.repeat(np.arange(len(sources)),
+                                 [len(paths) for paths in want])
+                dests = np.array([v for paths in want for v in paths])
+                got = _kernels.walk_paths(preds[lo:lo + 32], slots, arc_tail,
+                                          sources, rows, dests)
+                assert got == [path for paths in want
+                               for path in paths.values()]
+
+    def test_walks_stop_at_their_roots(self):
+        # a tree whose root has a predecessor (as under a negative cost)
+        # still ends every walk at the root
+        arcs = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]
+        indptr, heads, links, _ = csr_from_arcs(3, arcs)
+        preds = np.array([[2, 0, 1]])
+        got = _kernels.walk_paths(preds, links, _kernels.arc_tails(indptr),
+                                  [0], np.zeros(3, dtype=np.int64),
+                                  np.arange(3))
+        assert got == [(), (0,), (0, 1)]
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_shortest_path_matches_the_heap(self, name):
+        net, costs = fixture_costs(name)
+        indptr, heads, slots, node_index, link_index = net.csr()
+        nodes = list(node_index)
+        stride = max(1, len(nodes) // 12)
+        for cost in costs:
+            for origin in nodes[::stride]:
+                dist, _ = _kernels.dijkstra_python(
+                    indptr, heads, slots, cost, node_index[origin])
+                for dest in nodes[::stride]:
+                    total, path = shortest_path(net, origin, dest, cost)
+                    want = dist[node_index[dest]]
+                    if not np.isfinite(want):
+                        assert (total, path) == (np.inf, [])
+                        continue
+                    assert total == want
+                    # the links join up from origin to dest and sum, left
+                    # to right, to the heap's distance
+                    at, summed = origin, 0.0
+                    for lid in path:
+                        link = net.links[lid]
+                        assert link.from_node == at
+                        at = link.to_node
+                        summed += cost[link_index[lid]]
+                    assert at == dest and summed == want
 
 
 def project_blocks_loop(values, offsets, totals):
