@@ -1,78 +1,46 @@
 """Shortest-path and projection kernels shared by the whole package.
 
-The hot loop of every solver is one-to-all Dijkstra over the network's
-CSR adjacency, run once per (vehicle class, origin) per iteration.
-Who calls what:
+The hot loop of every solver is one-to-all shortest paths over the
+network's CSR adjacency, from every origin of a vehicle class, once per
+iteration.  Every kernel is numpy and runs in the calling thread.  Who
+calls what:
 
 * :func:`batch_dijkstra` builds every shortest-path tree: the solvers'
   all-or-nothing step (``equilibrium``, one batch per class and
   iteration, with a :class:`WarmStart` per class), ``metrics`` (every
   demand origin at once) and ``network.shortest_path`` (one source).
+  It solves all sources of a batch together with array operations, and
+  a class whose trees came back unchanged starts its next batch from
+  them.
+* :func:`dijkstra` is the :mod:`heapq` reference for one source.  The
+  batch kernel runs it for the trees its predecessor rule cannot settle
+  and on negative or NaN costs; the tests hold the batch kernel to it
+  bit for bit.
 * :func:`walk_paths` turns trees into link paths for the solvers and
   for ``network.shortest_path``.  It steps up the trees with
   :func:`_tree_parents`, as does the warm start's :func:`_tree_costs`;
   both take arc tails from :func:`arc_tails`.
 * :func:`project_blocks` is the path-based solvers' simplex projection.
-* :func:`dijkstra` (one source) is what :func:`batch_dijkstra` runs per
-  source under numba.  Without numba it is :func:`dijkstra_python`,
-  which the batch kernel also runs for the trees its rule cannot settle.
-
-Two interchangeable backends are provided:
-
-* numba ``@njit`` kernels (compiled once, cached on disk, ``nogil`` so
-  batched runs can use real threads), and
-* pure numpy: :func:`dijkstra_python`, a :mod:`heapq` reference for one
-  source, and :func:`dijkstra_batch_numpy`, which solves every source of
-  a batch together with array operations.
-
-All of them produce bitwise-identical distance and predecessor arrays:
-the heap kernels walk the CSR arrays in the same order and break ties on
-(distance, node index), and the batch kernel rebuilds exactly what that
-heap order yields.
-
-A solver asks for the same sources' trees once per iteration, and the
-trees often repeat: given a :class:`WarmStart`, the batch kernel starts
-from the last trees where they came back unchanged.
-
-Selection is automatic: the numba kernels are used
-when numba imports cleanly and the environment variable
-``MUE_PURE_NUMPY`` is unset/0; setting ``MUE_PURE_NUMPY=1`` forces the
-numpy backend.  ``MUE_THREADS`` caps the worker count used for batched
-numba runs (0 or unset means one worker per CPU).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "arc_tails",
-    "dijkstra",
-    "dijkstra_numba",
-    "dijkstra_python",
-    "dijkstra_batch_numpy",
     "batch_dijkstra",
+    "dijkstra",
     "project_blocks",
-    "project_blocks_numba",
-    "project_blocks_python",
-    "resolve_workers",
     "walk_paths",
     "WarmStart",
 ]
 
 
-def _pure_numpy_requested() -> bool:
-    raw = os.environ.get("MUE_PURE_NUMPY", "0").strip()
-    return raw not in ("", "0", "false", "False")
-
-
-def dijkstra_python(indptr, heads, links, cost, source):
-    """One-to-all Dijkstra, pure Python/numpy reference implementation.
+def dijkstra(indptr, heads, links, cost, source):
+    """One-to-all Dijkstra from one source: the :mod:`heapq` reference.
 
     Parameters
     ----------
@@ -161,7 +129,7 @@ def _relax_chunk(slot, tail, arc_cost, sources, start=None):
     overwrite, or from ``inf`` with the sources at 0 when it is None.
     Returns (dist, pred, ties): dist and pred shaped (n_nodes, sources),
     and a per-source flag for trees whose predecessors the rule in
-    :func:`dijkstra_batch_numpy` cannot vouch for.
+    :func:`batch_dijkstra` cannot vouch for.
     """
     n = slot.shape[1]
     k = sources.shape[0]
@@ -237,7 +205,10 @@ def walk_paths(preds, links, arc_tail, sources, rows, dests):
     Path ``i`` runs in tree ``rows[i]`` of ``preds`` (rooted at
     ``sources[rows[i]]``) from its root to node ``dests[i]``, which must
     be reachable in that tree.  All paths step back from their
-    destinations together, one link per :func:`_tree_parents` step.
+    destinations together, one link per :func:`_tree_parents` step.  No
+    tree path has ``n_nodes`` links, so a walk still open after that
+    many steps is caught in a cycle of ``preds``: that raises
+    ``RuntimeError``.
     """
     k, n = preds.shape
     up = _tree_parents(preds, arc_tail)
@@ -249,12 +220,15 @@ def walk_paths(preds, links, arc_tail, sources, rows, dests):
     link[root] = -1
     at = np.asarray(rows) * n + dests
     steps = []
-    while True:
+    for _ in range(n):
         step = link[at]
         if step.max(initial=-1) < 0:
             break
         steps.append(step)
         at = up[at]
+    else:
+        raise RuntimeError("a tree walk did not reach its root: "
+                           "the predecessors hold a cycle")
     depth = len(steps)
     # one row per pair, its links in path order after -1 padding
     table = np.array(steps[::-1], dtype=np.int64).reshape(depth, at.size).T
@@ -310,13 +284,12 @@ class WarmStart:
         self.preds = preds
 
 
-def dijkstra_batch_numpy(indptr, heads, links, cost, sources, warm=None):
+def batch_dijkstra(indptr, heads, links, cost, sources, warm=None):
     """One-to-all shortest paths from every source, solved together.
 
-    Same arguments as :func:`dijkstra_python` with ``sources`` in place
-    of ``source``; returns (dists, preds) stacked in source order, each
-    row bitwise equal to what :func:`dijkstra_python` gives for that
-    source.
+    Same arguments as :func:`dijkstra` with ``sources`` in place of
+    ``source``; returns (dists, preds) stacked in source order, each row
+    bitwise equal to what :func:`dijkstra` gives for that source.
 
     Distances come from label-correcting relaxation of all arcs at once,
     repeated until nothing changes.  With nonnegative costs the heap's
@@ -330,7 +303,7 @@ def dijkstra_batch_numpy(indptr, heads, links, cost, sources, warm=None):
     a tight arc of zero increase (zero-cost arcs, or a cost below the
     distance's rounding unit) can be popped in another order, and so
     can inputs with a negative or NaN cost: those sources are solved by
-    :func:`dijkstra_python` instead.
+    :func:`dijkstra` instead.
 
     ``warm`` (a :class:`WarmStart`) lets a chunk of sources whose trees
     came back unchanged on the last call start from those trees: each
@@ -357,7 +330,7 @@ def dijkstra_batch_numpy(indptr, heads, links, cost, sources, warm=None):
     arc_cost = cost[links]
     if not np.all(arc_cost >= 0.0):
         for i, s in enumerate(sources):
-            dists[i], preds[i] = dijkstra_python(indptr, heads, links, cost, s)
+            dists[i], preds[i] = dijkstra(indptr, heads, links, cost, s)
         if warm is not None:
             # trees found under a negative cost can loop back to their
             # source, which no warm start may build on
@@ -382,23 +355,22 @@ def dijkstra_batch_numpy(indptr, heads, links, cost, sources, warm=None):
         dists[lo:lo + step] = dist.T
         preds[lo:lo + step] = pred.T
         for j in np.flatnonzero(ties):
-            dists[lo + j], preds[lo + j] = dijkstra_python(
+            dists[lo + j], preds[lo + j] = dijkstra(
                 indptr, heads, links, cost, chunk[j])
     if warm is not None:
         warm.record(sources, preds)
     return dists, preds
 
 
-def project_blocks_python(values, offsets, totals):
+def project_blocks(values, offsets, totals):
     """Blockwise Euclidean projection onto {x >= 0, sum x = total}.
 
     Block ``b`` is ``values[offsets[b]:offsets[b + 1]]`` with budget
     ``totals[b]``; blocks whose budget is zero project to zero.  Each
     block uses the sort-and-threshold rule: sorted descending, the
     active set is a prefix, and one cumulative-sum pass finds the shift
-    that lands the prefix on the budget.  Pure numpy implementation:
-    all blocks are padded into the rows of one array and handled
-    together; row prefixes are summed in the same order as a per-block
+    that lands the prefix on the budget.  All blocks are padded into
+    the rows of one array and handled together; row prefixes are summed in the same order as a per-block
     ``cumsum``, so each block's result is that of the rule alone.
     """
     out = np.zeros_like(values)
@@ -425,179 +397,11 @@ def project_blocks_python(values, offsets, totals):
     return out
 
 
-try:  # pragma: no cover - exercised indirectly via the dispatch below
-    if _pure_numpy_requested():
-        raise ImportError("MUE_PURE_NUMPY set; skipping numba")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover
-    njit = None
-    NUMBA_ENABLED = False
+# Read only by perfbench/child.py, which stamps the backend of a run.
+NUMBA_ENABLED = False
 
 
-if njit is not None:
-
-    @njit(cache=True, nogil=True)
-    def _dijkstra_nb(indptr, heads, links, cost, source):  # pragma: no cover
-        n = indptr.shape[0] - 1
-        m = heads.shape[0]
-        dist = np.full(n, np.inf)
-        pred = np.full(n, -1, dtype=np.int64)
-        done = np.zeros(n, dtype=np.bool_)
-        # binary min-heap of (dist, node), ties broken on node index so
-        # the pop order matches heapq's tuple comparison exactly
-        hk = np.empty(m + 1, dtype=np.float64)
-        hn = np.empty(m + 1, dtype=np.int64)
-        hk[0] = 0.0
-        hn[0] = source
-        size = 1
-        dist[source] = 0.0
-        while size > 0:
-            d = hk[0]
-            u = hn[0]
-            size -= 1
-            hk[0] = hk[size]
-            hn[0] = hn[size]
-            i = 0
-            while True:
-                left = 2 * i + 1
-                if left >= size:
-                    break
-                best = left
-                right = left + 1
-                if right < size and (
-                    hk[right] < hk[left]
-                    or (hk[right] == hk[left] and hn[right] < hn[left])
-                ):
-                    best = right
-                if hk[best] < hk[i] or (hk[best] == hk[i] and hn[best] < hn[i]):
-                    hk[i], hk[best] = hk[best], hk[i]
-                    hn[i], hn[best] = hn[best], hn[i]
-                    i = best
-                else:
-                    break
-            if done[u]:
-                continue
-            done[u] = True
-            for pos in range(indptr[u], indptr[u + 1]):
-                v = heads[pos]
-                nd = d + cost[links[pos]]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    pred[v] = pos
-                    j = size
-                    hk[j] = nd
-                    hn[j] = v
-                    size += 1
-                    while j > 0:
-                        parent = (j - 1) // 2
-                        if hk[j] < hk[parent] or (
-                            hk[j] == hk[parent] and hn[j] < hn[parent]
-                        ):
-                            hk[j], hk[parent] = hk[parent], hk[j]
-                            hn[j], hn[parent] = hn[parent], hn[j]
-                            j = parent
-                        else:
-                            break
-        return dist, pred
-
-    def dijkstra_numba(indptr, heads, links, cost, source):
-        """One-to-all Dijkstra via the compiled numba kernel."""
-        return _dijkstra_nb(indptr, heads, links, cost, np.int64(source))
-
-    @njit(cache=True, nogil=True)
-    def _project_blocks_nb(values, offsets, totals):  # pragma: no cover
-        out = np.zeros_like(values)
-        for b in range(offsets.shape[0] - 1):
-            lo = offsets[b]
-            hi = offsets[b + 1]
-            total = totals[b]
-            if hi <= lo or total <= 0.0:
-                continue
-            n = hi - lo
-            u = np.sort(values[lo:hi])
-            # descending traversal, accumulating in the same order as the
-            # reference's cumsum so results match bitwise
-            run = 0.0
-            theta = 0.0
-            for j in range(1, n + 1):
-                uj = u[n - j]
-                run += uj
-                c = run - total
-                if uj - c / j > 0.0:
-                    theta = c / j
-            for k in range(lo, hi):
-                val = values[k] - theta
-                out[k] = val if val > 0.0 else 0.0
-        return out
-
-    def project_blocks_numba(values, offsets, totals):
-        """Blockwise simplex projection via the compiled numba kernel."""
-        return _project_blocks_nb(values, offsets, totals)
-
-else:
-    dijkstra_numba = None
-    project_blocks_numba = None
-
-
-if NUMBA_ENABLED and not _pure_numpy_requested():
-    dijkstra = dijkstra_numba
-    project_blocks = project_blocks_numba
-else:
-    dijkstra = dijkstra_python
-    project_blocks = project_blocks_python
-
-
+# Read only by perfbench/child.py, which stamps the thread count: every
+# kernel runs in the calling thread.
 def resolve_workers(n_tasks):
-    """Worker count for a batch of ``n_tasks`` independent runs.
-
-    ``MUE_THREADS`` caps the count; 0/unset means one per CPU.  The
-    result never exceeds the task count and is at least 1.
-    """
-    raw = os.environ.get("MUE_THREADS", "0").strip()
-    try:
-        cap = int(raw) if raw else 0
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
-def batch_dijkstra(indptr, heads, links, cost, sources, workers=None,
-                   warm=None):
-    """Run Dijkstra from every node in ``sources``.
-
-    Returns (dists, preds) stacked in source order.  Without numba the
-    whole batch goes to :func:`dijkstra_batch_numpy` in the calling
-    thread, which starts from ``warm`` where it can.  The numba kernels
-    always start cold; they only record in ``warm`` whether the trees
-    repeated.  Worker threads only pay off with the nogil numba kernel,
-    but results are identical (and bitwise reproducible) for any worker
-    count because each source is independent and outputs are collected
-    in submission order.
-    """
-    sources = list(sources)
-    if not NUMBA_ENABLED:
-        return dijkstra_batch_numpy(indptr, heads, links, cost, sources,
-                                    warm=warm)
-    if workers is None:
-        workers = resolve_workers(len(sources))
-    n = indptr.shape[0] - 1
-    dists = np.empty((len(sources), n))
-    preds = np.empty((len(sources), n), dtype=np.int64)
-    if workers <= 1 or len(sources) <= 1:
-        for i, s in enumerate(sources):
-            dists[i], preds[i] = dijkstra(indptr, heads, links, cost, s)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda s: dijkstra(indptr, heads, links, cost, s), sources
-            )
-            for i, (d, p) in enumerate(results):
-                dists[i] = d
-                preds[i] = p
-    if warm is not None:
-        warm.record(sources, preds)
-    return dists, preds
+    return 1

@@ -10,7 +10,7 @@ Subcommands
 Exit codes: 0 success, 2 validation failure, 3 iteration cap reached
 (partial outputs are still written), 4 infeasible problem.  Failures are
 reported as a JSON object ``{"errors": [...]}`` on stdout so scripts can
-parse them.  The env var ``MUE_THREADS`` caps solver workers (0 = auto).
+parse them.
 """
 
 from __future__ import annotations

@@ -79,24 +79,24 @@ class SolverOptions:
     tau: float | None = None
     capacity_constraints: dict | None = None
     init: str = "aon"
-    workers: int | None = None
     seed: int | None = None
     path_drop_tol: float = 1e-9
     line_search_tol: float = 1e-10
     dual_bound: float = 1e8
 
     def __post_init__(self):
-        if self.rel_gap_tol <= 0.0:
+        # `not x > 0` also rejects NaN, which every comparison fails
+        if not self.rel_gap_tol > 0.0:
             raise ValueError("rel_gap_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.primal_step is not None and self.primal_step <= 0.0:
+        if self.primal_step is not None and not self.primal_step > 0.0:
             raise ValueError("primal_step must be positive")
-        if self.dual_step <= 0.0:
+        if not self.dual_step > 0.0:
             raise ValueError("dual_step must be positive")
-        if self.tau is not None and self.tau <= 0.0:
+        if self.tau is not None and not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        if self.eps_gap <= 0.0:
+        if not self.eps_gap > 0.0:
             raise ValueError("eps_gap must be positive")
         if self.init not in ("aon", "uniform"):
             raise ValueError(f"init must be 'aon' or 'uniform', got {self.init!r}")
@@ -426,7 +426,7 @@ def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndar
             continue
         dists, preds = _kernels.batch_dijkstra(
             prob.indptr, prob.heads, prob.slots, class_link_costs[ci],
-            prob.origin_nodes, workers=prob.options.workers, warm=prob.warm[ci])
+            prob.origin_nodes, warm=prob.warm[ci])
         costs = dists[prob.od_row[ods], prob.od_dest[ods]]
         unreachable = np.flatnonzero(~np.isfinite(costs))
         if unreachable.size:

@@ -1,16 +1,13 @@
 """Kernels against their reference twins.
 
-The compiled kernels and the batched numpy kernels are checked against
-the heap Dijkstra and the per-block projection loop.  Equivalence here
-is bitwise, not approximate: the solvers rely on it for reproducibility
-across the dispatch switch.
+The batch shortest-path kernel, cold and warm, is checked against the
+heap Dijkstra, the tree walk against a parent-pointer loop, and the
+blockwise projection against a per-block loop.  Equivalence here is
+bitwise, not approximate: the solvers' byte-identical artifacts rest
+on it.
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -38,7 +35,7 @@ class TestDijkstra:
         heads = np.array([1, 2, 2], dtype=np.int64)
         links = np.array([0, 1, 2], dtype=np.int64)
         cost = np.array([1.0, 5.0, 2.0])
-        dist, pred = _kernels.dijkstra_python(indptr, heads, links, cost, 0)
+        dist, pred = _kernels.dijkstra(indptr, heads, links, cost, 0)
         np.testing.assert_allclose(dist, [0.0, 1.0, 3.0])
         assert pred[2] == 2 and pred[1] == 0  # arc slots, not nodes
         assert pred[0] == -1
@@ -48,24 +45,15 @@ class TestDijkstra:
         heads = np.array([1], dtype=np.int64)
         links = np.array([0], dtype=np.int64)
         cost = np.array([1.0])
-        dist, pred = _kernels.dijkstra_python(indptr, heads, links, cost, 0)
+        dist, pred = _kernels.dijkstra(indptr, heads, links, cost, 0)
         assert np.isinf(dist[2]) and pred[2] == -1
-
-    @pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba unavailable")
-    def test_numba_bitwise_equals_python(self):
-        indptr, heads, slots, cost, node_index = grid_csr()
-        for source in list(node_index.values())[:25]:
-            d_nb, p_nb = _kernels.dijkstra_numba(indptr, heads, slots, cost, source)
-            d_py, p_py = _kernels.dijkstra_python(indptr, heads, slots, cost, source)
-            assert d_nb.tobytes() == d_py.tobytes()
-            assert p_nb.tobytes() == p_py.tobytes()
 
 
 def assert_batch_matches_heap(indptr, heads, links, cost, sources,
-                              batch=_kernels.dijkstra_batch_numpy):
+                              batch=_kernels.batch_dijkstra):
     sources = list(sources)
     dists, preds = batch(indptr, heads, links, cost, sources)
-    trees = [_kernels.dijkstra_python(indptr, heads, links, cost, s)
+    trees = [_kernels.dijkstra(indptr, heads, links, cost, s)
              for s in sources]
     assert dists.tobytes() == np.array([d for d, _ in trees]).tobytes()
     assert preds.tobytes() == np.array([p for _, p in trees]).tobytes()
@@ -110,7 +98,7 @@ class TestBatchDijkstra:
                 (2, 3, 2.0), (2, 4, 1.5), (3, 4, 0.5), (0, 4, 2.5)]
         indptr, heads, links, cost = csr_from_arcs(5, arcs)
         assert_batch_matches_heap(indptr, heads, links, cost, range(5))
-        _, preds = _kernels.dijkstra_batch_numpy(indptr, heads, links, cost, [0])
+        _, preds = _kernels.batch_dijkstra(indptr, heads, links, cost, [0])
         assert arcs[links[preds[0, 3]]][:2] == (2, 3)
         assert links[preds[0, 1]] == 0  # the first of the parallel arcs
 
@@ -137,7 +125,7 @@ class TestBatchDijkstra:
             slot, tail, padded, np.array([0]))
         assert ties[0]
         assert arcs[links[rule_pred[4, 0]]][:2] == (1, 4)
-        dists, preds = _kernels.dijkstra_batch_numpy(
+        dists, preds = _kernels.batch_dijkstra(
             indptr, heads, links, cost, [0])
         assert arcs[links[preds[0, 4]]][:2] == (3, 4)
         assert_batch_matches_heap(indptr, heads, links, cost, range(5))
@@ -147,7 +135,7 @@ class TestBatchDijkstra:
         # keeps 2.0 where the relaxation's fixed point would give 1.5
         arcs = [(0, 1, 2.0), (1, 2, -1.5), (0, 2, 1.0), (2, 3, 1.0)]
         indptr, heads, links, cost = csr_from_arcs(4, arcs)
-        dists, _ = _kernels.dijkstra_batch_numpy(
+        dists, _ = _kernels.batch_dijkstra(
             indptr, heads, links, cost, [0])
         assert dists[0, 3] == 2.0
         assert_batch_matches_heap(indptr, heads, links, cost, range(4))
@@ -158,12 +146,6 @@ class TestBatchDijkstra:
         monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 1)
         assert_batch_matches_heap(indptr, heads, slots, cost, sources)
 
-    def test_batch_dijkstra_matches_heap(self):
-        indptr, heads, slots, cost, node_index = grid_csr()
-        assert_batch_matches_heap(indptr, heads, slots, cost,
-                                  list(node_index.values())[::7],
-                                  batch=_kernels.batch_dijkstra)
-
 
 def warm_state(indptr, heads):
     return _kernels.WarmStart(*_kernels._in_arcs(indptr, heads))
@@ -172,8 +154,8 @@ def warm_state(indptr, heads):
 def open_gate(warm, indptr, heads, links, cost, sources):
     """Two calls with the same costs, so the next call starts warm."""
     for _ in range(2):
-        _kernels.dijkstra_batch_numpy(indptr, heads, links, cost, sources,
-                                      warm=warm)
+        _kernels.batch_dijkstra(indptr, heads, links, cost, sources,
+                                warm=warm)
     assert warm.repeated
 
 
@@ -218,11 +200,11 @@ class TestWarmStart:
             open_gate(warm, indptr, heads, slots, cost, sources)
             cost = cost * (1.0 + scale * rng.uniform(-1.0, 1.0, cost.size))
             before = len(warm_calls)
-            got = _kernels.dijkstra_batch_numpy(indptr, heads, slots, cost,
-                                                sources, warm=warm)
+            got = _kernels.batch_dijkstra(indptr, heads, slots, cost,
+                                          sources, warm=warm)
             assert len(warm_calls) > before
-            cold = _kernels.dijkstra_batch_numpy(indptr, heads, slots, cost,
-                                                 sources)
+            cold = _kernels.batch_dijkstra(indptr, heads, slots, cost,
+                                           sources)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in cold]
             assert_batch_matches_heap(indptr, heads, slots, cost, sources,
                                       batch=lambda *args: got)
@@ -236,7 +218,7 @@ class TestWarmStart:
             open_gate(warm, indptr, heads, slots, unrelated, sources)
             assert_batch_matches_heap(
                 indptr, heads, slots, cost, sources,
-                batch=lambda *args: _kernels.dijkstra_batch_numpy(
+                batch=lambda *args: _kernels.batch_dijkstra(
                     *args, warm=warm))
         assert warm_calls
 
@@ -252,7 +234,7 @@ class TestWarmStart:
         before = warm.preds
         bumped = cost.copy()
         bumped[slots[before[0, int(np.argmax(before[0] >= 0))]]] += 50.0
-        _, preds = _kernels.dijkstra_batch_numpy(
+        _, preds = _kernels.batch_dijkstra(
             indptr, heads, slots, bumped, sources, warm=warm)
         same = [np.array_equal(a, b) for a, b in zip(before, preds)]
         assert warm.same == same and 0 < sum(same) < len(sources)
@@ -262,7 +244,7 @@ class TestWarmStart:
             warm_chunks = sum(warm.same)
             assert_batch_matches_heap(
                 indptr, heads, slots, step_cost, sources,
-                batch=lambda *args: _kernels.dijkstra_batch_numpy(
+                batch=lambda *args: _kernels.batch_dijkstra(
                     *args, warm=warm))
             assert len(warm_calls) - calls == warm_chunks
 
@@ -283,12 +265,12 @@ class TestWarmStart:
                 open_gate(warm, indptr, heads, links, cost, sources)
                 assert_batch_matches_heap(
                     indptr, heads, links, cost[::-1].copy(), sources,
-                    batch=lambda *args: _kernels.dijkstra_batch_numpy(
+                    batch=lambda *args: _kernels.batch_dijkstra(
                         *args, warm=warm))
             negative = draw[0].copy()
             negative[0] = -1.0
-            _kernels.dijkstra_batch_numpy(indptr, heads, links, negative,
-                                          sources, warm=warm)
+            _kernels.batch_dijkstra(indptr, heads, links, negative,
+                                    sources, warm=warm)
             assert warm.preds is None and not warm.repeated
         assert warm_calls
 
@@ -299,14 +281,13 @@ class TestWarmStart:
         flags = []
         for step_cost in (cost, cost, cost * 1.5 + 1.0, cost * 1.5 + 1.0):
             _kernels.batch_dijkstra(indptr, heads, slots, step_cost, sources,
-                                    workers=1, warm=warm)
+                                    warm=warm)
             flags.append(warm.repeated)
         assert flags == [False, True, False, True]
         # other sources: the last trees belong to other roots
         assert_batch_matches_heap(
             indptr, heads, slots, cost, sources[1:] + sources[:1],
-            batch=lambda *args: _kernels.batch_dijkstra(
-                *args, workers=1, warm=warm))
+            batch=lambda *args: _kernels.batch_dijkstra(*args, warm=warm))
         assert not warm.repeated
 
 
@@ -395,6 +376,16 @@ class TestTreeWalk:
                                   np.arange(3))
         assert got == [(), (0,), (0, 1)]
 
+    def test_a_cycle_away_from_the_root_raises(self):
+        # nodes 1 and 2 point at each other and never lead back to 0
+        arcs = [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)]
+        indptr, heads, links, _ = csr_from_arcs(3, arcs)
+        preds = np.array([[-1, 2, 1]])
+        with pytest.raises(RuntimeError, match="did not reach its root"):
+            _kernels.walk_paths(preds, links, _kernels.arc_tails(indptr),
+                                [0], np.zeros(1, dtype=np.int64),
+                                np.array([2]))
+
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_shortest_path_matches_the_heap(self, name):
         net, costs = fixture_costs(name)
@@ -403,7 +394,7 @@ class TestTreeWalk:
         stride = max(1, len(nodes) // 12)
         for cost in costs:
             for origin in nodes[::stride]:
-                dist, _ = _kernels.dijkstra_python(
+                dist, _ = _kernels.dijkstra(
                     indptr, heads, slots, cost, node_index[origin])
                 for dest in nodes[::stride]:
                     total, path = shortest_path(net, origin, dest, cost)
@@ -457,7 +448,7 @@ class TestProjectBlocks:
         from mueflow.equilibrium import project_simplex
 
         values, offsets, totals = self.random_blocks()
-        out = _kernels.project_blocks_python(values, offsets, totals)
+        out = _kernels.project_blocks(values, offsets, totals)
         for b in range(offsets.size - 1):
             lo, hi = offsets[b], offsets[b + 1]
             if totals[b] <= 0.0:
@@ -480,49 +471,15 @@ class TestProjectBlocks:
                               int(rng.integers(0, 3)))
             totals = rng.uniform(0.0, 40.0, size=blocks)
             totals[rng.uniform(size=blocks) < 0.2] = 0.0
-            got = _kernels.project_blocks_python(values, offsets, totals)
+            got = _kernels.project_blocks(values, offsets, totals)
             want = project_blocks_loop(values, offsets, totals)
             assert got.tobytes() == want.tobytes(), trial
 
-    @pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba unavailable")
-    def test_numba_bitwise_equals_python(self):
-        for seed in (3, 17, 99):
-            values, offsets, totals = self.random_blocks(seed=seed)
-            a = _kernels.project_blocks_numba(values, offsets, totals)
-            b = _kernels.project_blocks_python(values, offsets, totals)
-            assert a.tobytes() == b.tobytes()
-
-
-class TestWorkers:
-    def test_resolve_workers_respects_env(self, monkeypatch):
-        monkeypatch.setenv("MUE_THREADS", "3")
-        assert _kernels.resolve_workers(10) == 3
-        assert _kernels.resolve_workers(2) == 2  # never above task count
-        monkeypatch.setenv("MUE_THREADS", "0")
-        assert _kernels.resolve_workers(1) == 1
-        monkeypatch.setenv("MUE_THREADS", "not-a-number")
-        assert _kernels.resolve_workers(1) == 1
-
-    def test_batch_identical_across_worker_counts(self):
-        indptr, heads, slots, cost, node_index = grid_csr()
-        sources = list(node_index.values())[:16]
-        base = _kernels.batch_dijkstra(indptr, heads, slots, cost, sources, workers=1)
-        for workers in (4, 8):
-            got = _kernels.batch_dijkstra(
-                indptr, heads, slots, cost, sources, workers=workers)
-            assert got[0].tobytes() == base[0].tobytes()
-            assert got[1].tobytes() == base[1].tobytes()
-
 
 class TestDispatch:
-    def test_default_dispatch_prefers_numba(self):
-        if _kernels.NUMBA_ENABLED and not _kernels._pure_numpy_requested():
-            assert _kernels.dijkstra is _kernels.dijkstra_numba
-            assert _kernels.project_blocks is _kernels.project_blocks_numba
-
     def test_batch_kernel_does_not_follow_a_wrapped_dijkstra(self, monkeypatch):
-        # a tracer wraps _kernels.dijkstra; without numba the batch must
-        # still run the numpy batch kernel, not the per-source heap
+        # a tracer wraps _kernels.dijkstra; the batch must still run
+        # the batch kernel, not the per-source heap
         calls = []
         single = _kernels.dijkstra
 
@@ -532,19 +489,5 @@ class TestDispatch:
 
         monkeypatch.setattr(_kernels, "dijkstra", wrapped)
         indptr, heads, slots, cost, _ = grid_csr()
-        _kernels.batch_dijkstra(indptr, heads, slots, cost, [0, 1], workers=1)
-        assert bool(calls) == _kernels.NUMBA_ENABLED
-
-    def test_env_flag_forces_pure_numpy(self):
-        env = dict(os.environ, MUE_PURE_NUMPY="1")
-        code = (
-            "from mueflow import _kernels\n"
-            "assert _kernels.dijkstra is _kernels.dijkstra_python\n"
-            "assert _kernels.project_blocks is _kernels.project_blocks_python\n"
-            "print('pure-numpy dispatch ok')\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env,
-            capture_output=True, text=True, check=True,
-        )
-        assert "pure-numpy dispatch ok" in out.stdout
+        _kernels.batch_dijkstra(indptr, heads, slots, cost, [0, 1])
+        assert not calls
