@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import (
@@ -79,26 +79,6 @@ _INPUT_ERRORS = (
 
 
 @dataclass
-class RunConfig:
-    """Resolved inputs and options for one CLI invocation."""
-
-    nodes_csv: str
-    links_csv: str
-    od_csv: str
-    zones_csv: str | None = None
-    cost_config: str | None = None
-    method: str = "bfw"
-    rel_gap: float = 1e-4
-    max_iters: int = 4000
-    out: str = "."
-    formats: tuple = ("csv", "json")
-    capacity_constraints: str | None = None
-    seed: int | None = None
-    penetration: float = 0.0
-    levels: list = field(default_factory=list)
-
-
-@dataclass
 class _Inputs:
     network: Network
     od: ODMatrix
@@ -137,34 +117,15 @@ def parse_levels(text: str) -> list:
     return levels
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        nodes_csv=args.network,
-        links_csv=args.links,
-        od_csv=args.od,
-        zones_csv=args.zones,
-        cost_config=args.cost_config,
-        out=args.out,
-        formats=_parse_formats(args.format),
-    )
-    for name in ("method", "rel_gap", "max_iters", "capacity_constraints",
-                 "seed", "penetration"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "levels", None) is not None:
-        cfg.levels = parse_levels(args.levels)
-    return cfg
-
-
-def _load_inputs(cfg: RunConfig, *, need_cost: bool) -> _Inputs:
+def _load_inputs(args: argparse.Namespace, *, need_cost: bool) -> _Inputs:
     """Load every input, raising ValueError with all problems joined."""
     errors: list[str] = []
-    required = [("--network", cfg.nodes_csv), ("--links", cfg.links_csv),
-                ("--od", cfg.od_csv)]
-    if cfg.zones_csv is not None:
-        required.append(("--zones", cfg.zones_csv))
-    if cfg.capacity_constraints is not None:
-        required.append(("--capacity-constraints", cfg.capacity_constraints))
+    required = [("--network", args.network), ("--links", args.links),
+                ("--od", args.od)]
+    if args.zones is not None:
+        required.append(("--zones", args.zones))
+    if args.capacity_constraints is not None:
+        required.append(("--capacity-constraints", args.capacity_constraints))
     for flag, path in required:
         if not Path(path).is_file():
             errors.append(f"{flag}: no such file: {path}")
@@ -173,29 +134,29 @@ def _load_inputs(cfg: RunConfig, *, need_cost: bool) -> _Inputs:
 
     network = od = None
     try:
-        network = load_network(cfg.nodes_csv, cfg.links_csv, cfg.zones_csv)
+        network = load_network(args.network, args.links, args.zones)
         generate_connectors(network)
     except _INPUT_ERRORS as exc:
         errors.append(str(exc))
     try:
-        od = load_od_csv(cfg.od_csv)
+        od = load_od_csv(args.od)
     except _INPUT_ERRORS as exc:
         errors.append(str(exc))
 
     config = None
-    if cfg.cost_config is not None:
+    if args.cost_config is not None:
         try:
-            config = _resolve_cost_config(cfg.cost_config)
+            config = _resolve_cost_config(args.cost_config)
         except _INPUT_ERRORS as exc:
             errors.append(str(exc))
     elif need_cost:
         errors.append("--cost-config is required for this command")
 
     capacities = None
-    if cfg.capacity_constraints is not None and network is not None:
+    if args.capacity_constraints is not None and network is not None:
         try:
             capacities = _load_capacity_constraints(
-                cfg.capacity_constraints, network
+                args.capacity_constraints, network
             )
         except _INPUT_ERRORS as exc:
             errors.append(str(exc))
@@ -261,24 +222,24 @@ def _load_capacity_constraints(path, network: Network) -> dict:
     return caps
 
 
-def _solver_options(cfg: RunConfig, inputs: _Inputs) -> SolverOptions:
+def _solver_options(args: argparse.Namespace, inputs: _Inputs) -> SolverOptions:
     return SolverOptions(
-        rel_gap_tol=cfg.rel_gap,
-        max_iters=cfg.max_iters,
+        rel_gap_tol=args.rel_gap,
+        max_iters=args.max_iters,
         capacity_constraints=inputs.capacities,
-        seed=cfg.seed,
+        seed=args.seed,
     )
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
+def _outdir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    inputs = _load_inputs(cfg, need_cost=False)
+    _parse_formats(args.format)  # checked as in solve, though nothing is written
+    inputs = _load_inputs(args, need_cost=False)
     net, od = inputs.network, inputs.od
     road = sum(1 for link in net.links.values() if not link.connector)
     conn = net.n_links - road
@@ -290,13 +251,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_solution_artifacts(cfg, outdir, solution, network, report):
+def _write_solution_artifacts(formats, outdir, solution, network, report):
     written = []
-    if "csv" in cfg.formats:
+    if "csv" in formats:
         write_solution_csv(solution, network, outdir / "solution.csv")
         write_metrics_csv(report, outdir / "metrics.csv")
         written += [outdir / "solution.csv", outdir / "metrics.csv"]
-    if "json" in cfg.formats:
+    if "json" in formats:
         write_solution_json(solution, network, outdir / "solution.json")
         write_metrics_json(report, outdir / "metrics.json")
         written += [outdir / "solution.json", outdir / "metrics.json"]
@@ -304,20 +265,20 @@ def _write_solution_artifacts(cfg, outdir, solution, network, report):
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    inputs = _load_inputs(cfg, need_cost=True)
-    demand = split_demand(inputs.od, cfg.penetration)
+    formats = _parse_formats(args.format)
+    inputs = _load_inputs(args, need_cost=True)
+    demand = split_demand(inputs.od, args.penetration)
     solution = solve(
-        inputs.network, demand, inputs.config, method=cfg.method,
-        options=_solver_options(cfg, inputs),
+        inputs.network, demand, inputs.config, method=args.method,
+        options=_solver_options(args, inputs),
     )
     report = compute_report(solution, inputs.network, inputs.od)
-    outdir = _outdir(cfg)
-    written = _write_solution_artifacts(cfg, outdir, solution,
+    outdir = _outdir(args)
+    written = _write_solution_artifacts(formats, outdir, solution,
                                         inputs.network, report)
     summary = metrics_to_dict(report)
     print(
-        f"penetration={cfg.penetration:g} method={solution.method} "
+        f"penetration={args.penetration:g} method={solution.method} "
         f"converged={solution.converged} iterations={solution.iterations} "
         f"wardrop_gap={solution.wardrop_gap!r}"
     )
@@ -330,19 +291,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"wrote {path}")
     if not solution.converged:
         _emit_errors([
-            f"iteration cap {cfg.max_iters} reached at wardrop gap "
-            f"{solution.wardrop_gap!r} (tolerance {cfg.rel_gap!r})"
+            f"iteration cap {args.max_iters} reached at wardrop gap "
+            f"{solution.wardrop_gap!r} (tolerance {args.rel_gap!r})"
         ])
         return EXIT_ITERATION_CAP
     return EXIT_OK
 
 
-def _write_sweep_artifacts(cfg, outdir, sweep):
+def _write_sweep_artifacts(formats, outdir, sweep):
     written = []
-    if "csv" in cfg.formats:
+    if "csv" in formats:
         write_sweep_csv(sweep, outdir / "sweep.csv")
         written.append(outdir / "sweep.csv")
-    if "json" in cfg.formats:
+    if "json" in formats:
         write_sweep_json(sweep, outdir / "sweep.json")
         written.append(outdir / "sweep.json")
     series = write_sweep_series(sweep, outdir)
@@ -351,16 +312,17 @@ def _write_sweep_artifacts(cfg, outdir, sweep):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    inputs = _load_inputs(cfg, need_cost=True)
-    if len(cfg.levels) < 2:
+    formats = _parse_formats(args.format)
+    levels = parse_levels(args.levels)
+    inputs = _load_inputs(args, need_cost=True)
+    if len(levels) < 2:
         raise _InputError(["--levels needs at least two penetration levels"])
-    outdir = _outdir(cfg)
+    outdir = _outdir(args)
     partial_error = None
     try:
         sweep = run_sweep(
-            inputs.network, inputs.od, inputs.config, cfg.levels,
-            method=cfg.method, options=_solver_options(cfg, inputs),
+            inputs.network, inputs.od, inputs.config, levels,
+            method=args.method, options=_solver_options(args, inputs),
         )
     except SweepError as exc:
         if not exc.completed:
@@ -368,9 +330,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return EXIT_ITERATION_CAP
         partial_error = exc
         sweep = sweep_from_records(exc.completed)
-    written = _write_sweep_artifacts(cfg, outdir, sweep)
+    written = _write_sweep_artifacts(formats, outdir, sweep)
     print(
-        f"levels={len(sweep.levels)} method={cfg.method} "
+        f"levels={len(sweep.levels)} method={args.method} "
         f"city_type={sweep.city_type or '-'}"
     )
     for path in written:
@@ -395,9 +357,11 @@ def _add_common(parser: argparse.ArgumentParser, *, with_solver: bool) -> None:
                         help="comma list from {csv, json}")
     if with_solver:
         parser.add_argument("--method", default="bfw", choices=METHODS)
-        parser.add_argument("--rel-gap", type=float, default=1e-4,
+        parser.add_argument("--rel-gap", type=float,
+                            default=SolverOptions.rel_gap_tol,
                             help="relative Wardrop gap tolerance")
-        parser.add_argument("--max-iters", type=int, default=4000)
+        parser.add_argument("--max-iters", type=int,
+                            default=SolverOptions.max_iters)
         parser.add_argument("--capacity-constraints", default=None,
                             help="JSON file of link_id -> capacity override")
         parser.add_argument("--seed", type=int, default=None)
@@ -413,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="load and cross-check inputs")
     _add_common(p_val, with_solver=False)
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func=cmd_validate, capacity_constraints=None)
 
     p_solve = sub.add_parser("solve", help="solve one equilibrium")
     _add_common(p_solve, with_solver=True)

@@ -19,7 +19,10 @@ Solvers
 All four share the all-or-nothing machinery, keep an explicit path
 decomposition of their flows, and stop on the same relative Wardrop
 gap: the worst per-(class, OD) excess of mean used-path cost over the
-shortest-path cost.
+shortest-path cost.  pd and eg also need the squared norm of their last
+step (path flows and multipliers) below ``_EPS_GAP`` veh²/h²; that
+absolute test keeps them going long after the gap is met, and holds
+them to the iteration cap on ``mini_city``.
 """
 
 from __future__ import annotations
@@ -45,6 +48,13 @@ from .network import Network
 METHODS = ("fw", "bfw", "pd", "eg")
 METHOD_ALIASES = {"primal_dual": "pd", "extra_gradient": "eg"}
 
+# pd/eg stop only once their squared step norm is below this (veh²/h²)
+_EPS_GAP = 1e-10
+# width of the bracket at which the fw/bfw bisection line search stops
+_LINE_SEARCH_TOL = 1e-10
+# a path carrying less than this share of its block's demand is dropped
+_PATH_DROP_TOL = 1e-9
+
 
 class SolverError(RuntimeError):
     """Base class for assignment failures."""
@@ -64,24 +74,23 @@ class UnknownPairError(SolverError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs shared by all solvers; path-based extras are ignored by fw/bfw.
+    """Settings of one solve; the defaults are the CLI's defaults.
 
-    ``primal_step``/``tau`` default to None, meaning an automatic value
-    from a per-iteration Lipschitz estimate of the cost map.  ``seed``
-    is accepted for interface stability; no solver step is randomized.
+    fw and bfw read ``rel_gap_tol``, ``max_iters`` and ``init`` (the cold
+    start: ``"aon"`` or ``"uniform"``).  pd and eg also take
+    ``capacity_constraints`` ({link_id: cap}), pd's multiplier step
+    ``dual_step``, and ``dual_bound``, above which a multiplier raises
+    :class:`InfeasibleProblemError`; their primal steps come from a
+    Lipschitz estimate.  ``seed`` is kept for interface stability; no
+    step is randomized.
     """
 
     rel_gap_tol: float = 1e-4
     max_iters: int = 4000
-    primal_step: float | None = None
     dual_step: float = 1.0
-    eps_gap: float = 1e-10
-    tau: float | None = None
     capacity_constraints: dict | None = None
     init: str = "aon"
     seed: int | None = None
-    path_drop_tol: float = 1e-9
-    line_search_tol: float = 1e-10
     dual_bound: float = 1e8
 
     def __post_init__(self):
@@ -90,14 +99,8 @@ class SolverOptions:
             raise ValueError("rel_gap_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.primal_step is not None and not self.primal_step > 0.0:
-            raise ValueError("primal_step must be positive")
         if not self.dual_step > 0.0:
             raise ValueError("dual_step must be positive")
-        if self.tau is not None and not self.tau > 0.0:
-            raise ValueError("tau must be positive")
-        if not self.eps_gap > 0.0:
-            raise ValueError("eps_gap must be positive")
         if self.init not in ("aon", "uniform"):
             raise ValueError(f"init must be 'aon' or 'uniform', got {self.init!r}")
 
@@ -507,7 +510,7 @@ def _trim_paths(prob: _Problem, state: _PathState, flows: np.ndarray):
             continue
         block = np.array(idxs, dtype=np.int64)
         f = out[block]
-        keep = f >= prob.options.path_drop_tol * d
+        keep = f >= _PATH_DROP_TOL * d
         if not np.any(keep):
             keep = f == f.max()
         kept_sum = float(f[keep].sum())
@@ -639,8 +642,7 @@ def _initial_flows(prob: _Problem, state: _PathState, warm: EquilibriumSolution 
 # -- Frank-Wolfe family ----------------------------------------------------
 
 
-def _line_search(prob: _Problem, x_class: np.ndarray, d_class: np.ndarray,
-                 tol: float) -> float:
+def _line_search(prob: _Problem, x_class: np.ndarray, d_class: np.ndarray) -> float:
     """Exact step on the combined objective via bisection on its slope."""
     d_agg = d_class.sum(axis=0)
     linear = float(np.sum(prob.class_per_km @ (d_class * prob.length[None, :])))
@@ -656,7 +658,7 @@ def _line_search(prob: _Problem, x_class: np.ndarray, d_class: np.ndarray,
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(60):
-        if hi - lo <= tol:
+        if hi - lo <= _LINE_SEARCH_TOL:
             break
         mid = 0.5 * (lo + hi)
         if slope(mid) > 0.0:
@@ -769,13 +771,13 @@ def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
         if float(np.max(np.abs(d_class))) == 0.0:
             theta = 0.0
         else:
-            theta = _line_search(prob, x_class, d_class, opts.line_search_tol)
+            theta = _line_search(prob, x_class, d_class)
         if theta <= 0.0 and method == "bfw" and (b1 or b2):
             # conjugate target failed to descend; retry with plain target
             target_vec = y_vec
             target_class = y_class
             d_class = target_class - x_class
-            theta = _line_search(prob, x_class, d_class, opts.line_search_tol)
+            theta = _line_search(prob, x_class, d_class)
             b0, b1, b2 = 1.0, 0.0, 0.0
 
         flows = (1.0 - theta) * flows + theta * target_vec
@@ -920,7 +922,7 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
             "objective": float(objective),
             "g_sq": float(g_sq) if math.isfinite(g_sq) else None,
         }
-        if wardrop_gap <= opts.rel_gap_tol and g_sq < opts.eps_gap:
+        if wardrop_gap <= opts.rel_gap_tol and g_sq < _EPS_GAP:
             trace.append(record)
             converged = True
             break
@@ -932,15 +934,10 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
         l_f, l_a2 = lip
 
         if method == "pd":
-            base = opts.primal_step
-            if base is None:
-                base = 0.9 / (l_f + l_a2 / opts.dual_step + 1e-12)
-            elif base > 1.0 / (l_f + l_a2 / opts.dual_step + 1e-12):
-                record["note"] = "primal step exceeds stability bound"
             merit_before = objective + float(
                 np.dot(lam, x_agg[prob.constrained_idx] - prob.constrained_cap)
             ) if lam.size else objective
-            step = base
+            step = 0.9 / (l_f + l_a2 / opts.dual_step + 1e-12)
             for attempt in range(21):
                 new_flows = _project_blocks(prob, state, flows - step * path_costs)
                 x_class = state.link_flows(new_flows)
@@ -960,8 +957,7 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
             new_lam = _dual_update(prob, lam, new_agg, opts.dual_step)
             record["step"] = step
         else:  # extra-gradient
-            l_total = l_f + math.sqrt(l_a2) + 1e-12
-            step = opts.tau if opts.tau is not None else 0.9 / l_total
+            step = 0.9 / (l_f + math.sqrt(l_a2) + 1e-12)
             mid_flows = _project_blocks(prob, state, flows - step * path_costs)
             mid_lam = _dual_update(prob, lam, x_agg, step)
             mid_class = state.link_flows(mid_flows)

@@ -235,6 +235,19 @@ def _parse_positive(raw, what, where):
     return value
 
 
+def _parse_coords(row, path, what):
+    """The finite ``(x, y)`` of a node or zone row."""
+    try:
+        x, y = float(row["x"]), float(row["y"])
+    except (TypeError, ValueError):
+        raise NetworkValidationError(f"{path}: bad coordinates for {what}") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NetworkValidationError(
+            f"{path}: non-finite coordinates for {what}: x={x!r}, y={y!r}"
+        )
+    return x, y
+
+
 def load_network(
     nodes_csv,
     links_csv,
@@ -276,12 +289,7 @@ def load_network(
         nid = row["node_id"].strip()
         if not nid:
             raise NetworkValidationError(f"{nodes_path}: empty node_id")
-        try:
-            x, y = float(row["x"]), float(row["y"])
-        except (TypeError, ValueError):
-            raise NetworkValidationError(
-                f"{nodes_path}: bad coordinates for node {nid!r}"
-            ) from None
+        x, y = _parse_coords(row, nodes_path, f"node {nid!r}")
         net.add_node(Node(nid, x, y))
 
     links_path = Path(links_csv)
@@ -364,12 +372,7 @@ def load_network(
                 zid = row["zone_id"].strip()
                 if not zid:
                     raise NetworkValidationError(f"{zones_path}: empty zone_id")
-                try:
-                    x, y = float(row["x"]), float(row["y"])
-                except (TypeError, ValueError):
-                    raise NetworkValidationError(
-                        f"{zones_path}: bad coordinates for zone {zid!r}"
-                    ) from None
+                x, y = _parse_coords(row, zones_path, f"zone {zid!r}")
                 net.add_zone(Zone(zid, x, y))
 
     net.validate()
@@ -475,12 +478,19 @@ def shortest_path(network: Network, origin: str, destination: str, link_costs=No
     ``link_costs`` is an array aligned to ``network.link_ids`` or a
     {link_id: cost} mapping; free-flow times are used when omitted.
     Returns ``(total_cost, [link ids])``; ``(inf, [])`` when no path
-    exists.
+    exists.  Raises ValueError for an unknown node, a mapping that
+    misses a link, and negative or NaN costs.
     """
     indptr, heads, slots, node_index, link_index = network.csr()
+    for role, node in (("origin", origin), ("destination", destination)):
+        if node not in node_index:
+            raise ValueError(f"unknown {role} node {node!r}")
     if link_costs is None:
         cost = network.free_flow_times()
     elif isinstance(link_costs, dict):
+        missing = [lid for lid in network.links if lid not in link_costs]
+        if missing:
+            raise ValueError(f"link_costs has no cost for links {missing}")
         cost = np.array([link_costs[lid] for lid in network.links])
     else:
         cost = np.asarray(link_costs, dtype=float)
@@ -488,8 +498,9 @@ def shortest_path(network: Network, origin: str, destination: str, link_costs=No
             raise ValueError(
                 f"link_costs has shape {cost.shape}, expected ({network.n_links},)"
             )
-    if np.any(cost < 0.0):
-        raise ValueError("link costs must be nonnegative")
+    # NaN fails every comparison, so this also rejects NaN costs
+    if not np.all(cost >= 0.0):
+        raise ValueError("link costs must be nonnegative and not NaN")
     src = node_index[origin]
     dst = node_index[destination]
     dists, preds = _kernels.batch_dijkstra(indptr, heads, slots, cost, [src])

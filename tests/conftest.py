@@ -1,8 +1,7 @@
 """Shared test fixtures.
 
 Solved equilibria are session-scoped: the solvers dominate the suite's
-runtime and every consumer treats solutions as read-only.  The autouse
-warm-up compiles the jitted kernels before any timed assertion runs.
+runtime and every consumer treats solutions as read-only.
 """
 
 from __future__ import annotations
@@ -12,15 +11,6 @@ import pytest
 from mueflow import fixtures
 from mueflow.demand import split_demand
 from mueflow.equilibrium import SolverOptions, solve
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile jitted kernels once so timed tests measure solves only."""
-    net, od = fixtures.dual_route()
-    cfg = fixtures.dual_route_config()
-    for method in ("fw", "bfw", "pd", "eg"):
-        solve(net, split_demand(od, 0.5), cfg, method=method)
 
 
 @pytest.fixture(scope="session")

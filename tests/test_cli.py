@@ -123,6 +123,21 @@ class TestValidate:
         payload = last_json_line(capsys.readouterr())
         assert len(payload["errors"]) == 2
 
+    def test_non_finite_node_coordinate_named(self, grid_case, tmp_path,
+                                              capsys):
+        # a NaN coordinate wins every nearest-node search; unchecked, every
+        # zone would attach to n00 and the error would name the connectors
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text(grid_case["nodes"].read_text().replace(
+            "n00,0.0,", "n00,nan,"))
+        code = main(["validate", "--network", str(nodes),
+                     "--links", str(grid_case["links"]),
+                     "--od", str(grid_case["od"]),
+                     "--zones", str(grid_case["zones"])])
+        assert code == EXIT_VALIDATION
+        (error,) = last_json_line(capsys.readouterr())["errors"]
+        assert "non-finite coordinates for node 'n00'" in error
+
 
 class TestSolve:
     def test_mixed_fleet_artifacts(self, case, tmp_path, capsys):

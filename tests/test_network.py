@@ -134,6 +134,22 @@ class TestLoadErrors:
         with pytest.raises(NetworkValidationError, match="hierarchy"):
             load_network(paths["nodes"], paths["links"])
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_node_coordinates(self, tmp_path, value):
+        bad = NODES_CSV.replace("n2,9.654,", f"n2,{value},")
+        paths = write_inputs(tmp_path, nodes=bad)
+        with pytest.raises(NetworkValidationError,
+                           match="non-finite coordinates for node 'n2'"):
+            load_network(paths["nodes"], paths["links"])
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_zone_coordinates(self, tmp_path, value):
+        bad = ZONES_CSV.replace("B,9.654,0.0", f"B,9.654,{value}")
+        paths = write_inputs(tmp_path, zones=bad)
+        with pytest.raises(NetworkValidationError,
+                           match="non-finite coordinates for zone 'B'"):
+            load_network(paths["nodes"], paths["links"], paths["zones"])
+
     def test_blank_attributes_fall_back_to_hierarchy(self, tmp_path):
         links = LINKS_CSV.replace("6.0,mi,120,30,mph,highway", "6.0,mi,,,,highway")
         paths = write_inputs(tmp_path, links=links)
@@ -263,6 +279,28 @@ class TestShortestPath:
         net = self.make_net()
         cost, links = shortest_path(net, "n3", "n1")
         assert math.isinf(cost) and links == []
+
+    def test_unknown_node_rejected(self):
+        net = self.make_net()
+        with pytest.raises(ValueError, match="unknown origin node 'nope'"):
+            shortest_path(net, "nope", "n3")
+        with pytest.raises(ValueError, match="unknown destination node 'nope'"):
+            shortest_path(net, "n1", "nope")
+
+    def test_cost_mapping_must_cover_every_link(self):
+        net = self.make_net()
+        with pytest.raises(ValueError, match=r"no cost for links \['s2'\]"):
+            shortest_path(net, "n1", "n3", {"fast": 10.0, "s1": 1.0})
+
+    def test_nan_costs_rejected(self, dual_case):
+        net = self.make_net()
+        with pytest.raises(ValueError, match="NaN"):
+            shortest_path(net, "n1", "n3", [math.nan, 1.0, 1.0])
+        # all-NaN costs must not read as (inf, []), "no path exists"
+        dual_net, _, _ = dual_case
+        with pytest.raises(ValueError, match="NaN"):
+            shortest_path(dual_net, "n1", "n2",
+                          np.full(dual_net.n_links, math.nan))
 
     def test_equal_cost_tie_prefers_smaller_link_ids(self):
         net = Network()
