@@ -7,8 +7,9 @@ calls what:
 
 * :func:`batch_dijkstra` builds every shortest-path tree: the solvers'
   all-or-nothing step (``equilibrium``, one batch per class and
-  iteration, with a :class:`WarmStart` per class), ``metrics`` (every
-  demand origin at once) and ``network.shortest_path`` (one source).
+  iteration, with a :class:`WarmStart` per class owned by the solve's
+  path state), ``metrics`` (every demand origin at once) and
+  ``network.shortest_path`` (one source).
   It solves all sources of a batch together with array operations, and
   a class whose trees came back unchanged starts its next batch from
   them.
@@ -242,14 +243,15 @@ class WarmStart:
     A solver asks for the trees of the same sources once per iteration,
     under costs that change a little each time, and most calls return
     exactly the trees of the call before.  Pass one state per such
-    series of calls as ``warm=`` to :func:`batch_dijkstra`.  It holds
-    the graph's padded in-arc layout (see :func:`_in_arcs`), the sources
-    and the ``preds`` array the last call returned (referenced, not
-    copied: callers must not modify it), and, per chunk of sources,
-    whether that call returned the same trees as the one before and,
-    once measured, how deep those trees are.  ``repeated`` is True when
-    every chunk came back unchanged, so a caller can reuse whatever it
-    derived from the last trees.
+    series of calls as ``warm=`` to :func:`batch_dijkstra`; in the
+    solvers, a solve's path state (``equilibrium._PathState``) owns one
+    per vehicle class.  It holds the graph's padded in-arc layout (see
+    :func:`_in_arcs`), the sources and the ``preds`` array the last call
+    returned (referenced, not copied: callers must not modify it), and,
+    per chunk of sources, whether that call returned the same trees as
+    the one before and, once measured, how deep those trees are.
+    ``repeated`` is True when every chunk came back unchanged, so a
+    caller can reuse whatever it derived from the last trees.
     """
 
     def __init__(self, slot, tail, arc_tail):
@@ -370,8 +372,9 @@ def project_blocks(values, offsets, totals):
     block uses the sort-and-threshold rule: sorted descending, the
     active set is a prefix, and one cumulative-sum pass finds the shift
     that lands the prefix on the budget.  All blocks are padded into
-    the rows of one array and handled together; row prefixes are summed in the same order as a per-block
-    ``cumsum``, so each block's result is that of the rule alone.
+    the rows of one array and handled together; row prefixes are summed
+    in the same order as a per-block ``cumsum``, so each block's result
+    is that of the rule alone.
     """
     out = np.zeros_like(values)
     sizes = np.diff(offsets)

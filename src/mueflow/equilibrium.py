@@ -28,8 +28,8 @@ them to the iteration cap on ``mini_city``.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,8 +118,14 @@ class LinkFlows:
             out = out + arr
         return out
 
+    @cached_property
+    def _position(self) -> dict:
+        return {lid: i for i, lid in enumerate(self.link_ids)}
+
     def flow(self, link_id: str, cls: str | None = None) -> float:
-        i = self.link_ids.index(link_id)
+        i = self._position.get(link_id)
+        if i is None:
+            raise ValueError(f"unknown link {link_id!r}")
         if cls is None:
             return float(sum(arr[i] for arr in self.class_flows.values()))
         return float(self.class_flows[cls][i])
@@ -142,10 +148,6 @@ class EquilibriumSolution:
     objective: float
     link_times: np.ndarray
     skipped_intrazonal: float = 0.0
-
-    @property
-    def beckmann_value(self) -> float:
-        return self.objective
 
 
 def project_simplex(v, total: float) -> np.ndarray:
@@ -180,8 +182,6 @@ class _Problem:
     def __init__(self, network: Network, demand: ClassDemand, config: CostConfig,
                  options: SolverOptions):
         network.validate()
-        self.network = network
-        self.config = config
         self.options = options
         self.indptr, self.heads, self.slots, self.node_index, self.link_index = (
             network.csr()
@@ -235,14 +235,9 @@ class _Problem:
         self.od_row = np.array(
             [origin_row[o_node] for _, _, o_node, _ in self.od], dtype=np.int64)
         self.od_dest = np.array([od[3] for od in self.od], dtype=np.int64)
-        # per class: the kernel's warm-start state, which also tells
-        # whether the trees repeated, and the last (path state, ods,
-        # path indices) walked from them; the state is held weakly, as
-        # it holds this problem
-        in_arcs = _kernels._in_arcs(self.indptr, self.heads)
-        self.arc_tail = in_arcs[2]
-        self.warm = [_kernels.WarmStart(*in_arcs) for _ in CLASSES]
-        self.last_walk: dict[int, tuple] = {}
+        # the padded in-arc layout every warm start reads, and arc tails
+        self.in_arcs = _kernels._in_arcs(self.indptr, self.heads)
+        self.arc_tail = self.in_arcs[2]
 
         self.constrained_idx = np.zeros(0, dtype=np.int64)
         self.constrained_cap = np.zeros(0)
@@ -286,6 +281,9 @@ class _PathState:
     Paths live in one global list; per-path flow vectors (current
     flows, all-or-nothing targets, conjugate history points) are plain
     numpy arrays over that universe, padded with zeros when it grows.
+    Per class, the state also owns the kernel's ``WarmStart`` (which
+    tells whether the trees repeated) and ``last_walk``, the (OD
+    indices, path indices) last walked from those trees.
     """
 
     def __init__(self, prob: _Problem):
@@ -293,14 +291,11 @@ class _PathState:
         self.paths: list[tuple[int, ...]] = []
         self.path_class = []
         self.path_od = []
-        self.block_paths: dict[tuple[int, int], list[int]] = {
-            (ci, oi): []
-            for ci in range(len(CLASSES))
-            for oi in range(prob.n_od)
-        }
         self._lookup: dict[tuple[int, int, tuple[int, ...]], int] = {}
         self._flat = None
         self._blocks = None
+        self.warm = [_kernels.WarmStart(*prob.in_arcs) for _ in CLASSES]
+        self.last_walk: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def n_paths(self) -> int:
@@ -315,7 +310,6 @@ class _PathState:
             self.paths.append(path)
             self.path_class.append(ci)
             self.path_od.append(oi)
-            self.block_paths[(ci, oi)].append(g)
             self._flat = None
             self._blocks = None
         return g
@@ -332,14 +326,15 @@ class _PathState:
             if len(self.paths) > 1:
                 offsets[1:] = np.cumsum(lens)[:-1]
             pclass = np.array(self.path_class, dtype=np.int64)
-            pod = np.array(self.path_od, dtype=np.int64)
+            # each path's block key, class * n_od + OD
+            block = pclass * self.prob.n_od + np.array(self.path_od, dtype=np.int64)
             flat_class = np.repeat(pclass, lens)
-            self._flat = (concat, lens, offsets, pclass, pod, flat_class)
+            self._flat = (concat, lens, offsets, block, flat_class)
         return self._flat
 
     def link_flows(self, flow_vec: np.ndarray) -> np.ndarray:
         """Per-class link flows implied by a per-path flow vector."""
-        concat, lens, _, _, _, flat_class = self.flat()
+        concat, lens, _, _, flat_class = self.flat()
         x = np.zeros((len(CLASSES), self.prob.n_links))
         if flow_vec.size == 0:
             return x
@@ -354,7 +349,7 @@ class _PathState:
 
     def path_costs(self, class_link_costs: np.ndarray) -> np.ndarray:
         """Generalized cost of each path under (n_classes, n_links) costs."""
-        concat, lens, offsets, _, _, flat_class = self.flat()
+        concat, lens, offsets, _, flat_class = self.flat()
         if not self.paths:
             return np.zeros(0)
         entry = class_link_costs[flat_class, concat]
@@ -362,39 +357,46 @@ class _PathState:
 
     def block_sums(self, per_path: np.ndarray) -> np.ndarray:
         """Sum a per-path quantity into (n_classes, n_od) blocks."""
-        _, _, _, pclass, pod, _ = self.flat()
+        block = self.flat()[3]
         out = np.zeros((len(CLASSES), self.prob.n_od))
         if per_path.size:
-            flat_block = pclass * self.prob.n_od + pod
-            sums = np.bincount(
-                flat_block, weights=per_path, minlength=out.size
-            )
-            out = sums.reshape(out.shape)
+            out = np.bincount(block, weights=per_path, minlength=out.size
+                              ).reshape(out.shape)
         return out
 
     def blocks(self):
-        """Flat (class, OD)-block layout for batched projections.
+        """Flat (class, OD)-block layout of the universe.
 
         Returns (path indices grouped by block, block offsets, block
-        demands), covering every nonempty block in fixed (class-major,
-        OD-minor) order.
+        demands, block keys ``class * n_od + OD``) over the nonempty
+        blocks in key order, each block's paths in arrival order.
         """
         if self._blocks is None:
-            idx: list[int] = []
-            offsets = [0]
-            totals = []
-            for (ci, oi), members in self.block_paths.items():
-                if not members:
-                    continue
-                idx.extend(members)
-                offsets.append(len(idx))
-                totals.append(self.prob.dem[ci, oi])
+            key = self.flat()[3]
+            idx = np.argsort(key, kind="stable")
+            keys, starts = np.unique(key[idx], return_index=True)
             self._blocks = (
-                np.array(idx, dtype=np.int64),
-                np.array(offsets, dtype=np.int64),
-                np.array(totals, dtype=np.float64),
+                idx,
+                np.append(starts, idx.size),
+                self.prob.dem.ravel()[keys],
+                keys,
             )
         return self._blocks
+
+    def members(self):
+        """Yield (class, OD, path indices) of each block of :meth:`blocks`."""
+        idx, offsets, _, keys = self.blocks()
+        for b, key in enumerate(keys.tolist()):
+            ci, oi = divmod(key, self.prob.n_od)
+            yield ci, oi, idx[offsets[b]:offsets[b + 1]]
+
+    def project(self, vec: np.ndarray) -> np.ndarray:
+        """Project each block of a per-path vector onto its demand simplex."""
+        idx, offsets, totals, _ = self.blocks()
+        out = np.zeros_like(vec)
+        if idx.size:
+            out[idx] = _kernels.project_blocks(vec[idx], offsets, totals)
+        return out
 
     def grow(self, vec: np.ndarray) -> np.ndarray:
         """Pad a per-path vector with zeros up to the current universe."""
@@ -429,7 +431,7 @@ def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndar
             continue
         dists, preds = _kernels.batch_dijkstra(
             prob.indptr, prob.heads, prob.slots, class_link_costs[ci],
-            prob.origin_nodes, warm=prob.warm[ci])
+            prob.origin_nodes, warm=state.warm[ci])
         costs = dists[prob.od_row[ods], prob.od_dest[ods]]
         unreachable = np.flatnonzero(~np.isfinite(costs))
         if unreachable.size:
@@ -439,10 +441,10 @@ def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndar
                 f"for class {CLASSES[ci]!r}"
             )
         sp[ci, ods] = costs
-        last = prob.last_walk.get(ci)
-        if (prob.warm[ci].repeated and last is not None and last[0]() is state
-                and np.array_equal(last[1], ods)):
-            idx = last[2]
+        last = state.last_walk.get(ci)
+        if (state.warm[ci].repeated and last is not None
+                and np.array_equal(last[0], ods)):
+            idx = last[1]
         else:
             paths = _kernels.walk_paths(preds, prob.slots, prob.arc_tail,
                                         prob.origin_nodes, prob.od_row[ods],
@@ -450,7 +452,7 @@ def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndar
             idx = np.array([state.ensure(ci, oi, path)
                             for oi, path in zip(ods.tolist(), paths)],
                            dtype=np.int64)
-            prob.last_walk[ci] = (weakref.ref(state), ods, idx)
+            state.last_walk[ci] = (ods, idx)
         members.append(idx)
         volumes.append(dem[ci, ods])
     target = np.zeros(state.n_paths)
@@ -500,15 +502,11 @@ def _measure(prob: _Problem, state: _PathState, flows: np.ndarray,
 def _trim_paths(prob: _Problem, state: _PathState, flows: np.ndarray):
     """Drop numerically dead paths and renormalize each block's demand."""
     out = flows.copy()
-    for (ci, oi), idxs in state.block_paths.items():
+    for ci, oi, block in state.members():
         d = prob.dem[ci, oi]
-        if not idxs:
-            continue
         if d <= 0.0:
-            for g in idxs:
-                out[g] = 0.0
+            out[block] = 0.0
             continue
-        block = np.array(idxs, dtype=np.int64)
         f = out[block]
         keep = f >= _PATH_DROP_TOL * d
         if not np.any(keep):
@@ -530,12 +528,12 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
     times = prob.times(x_agg)
 
     paths: dict = {}
-    for (ci, oi), idxs in state.block_paths.items():
+    for ci, oi, block in state.members():
         if prob.dem[ci, oi] <= 0.0:
             continue
         origin, dest, _, _ = prob.od[oi]
         entries = []
-        for g in idxs:
+        for g in block.tolist():
             if flows[g] <= 0.0:
                 continue
             link_ids = tuple(prob.link_ids[li] for li in state.paths[g])
@@ -575,38 +573,57 @@ def _per_pair(prob: _Problem, values: np.ndarray) -> dict:
     }
 
 
+def _path_block(prob: _Problem, key: tuple, entries: list):
+    """One ``solution.paths`` item as (class, OD, [(link indices, flow)]).
+
+    Raises :class:`UnknownPairError` for a pair the demand does not hold
+    and ValueError for a link the network does not hold.
+    """
+    cls, origin, dest = key
+    ci = CLASSES.index(cls)
+    oi = prob.od_index.get((origin, dest))
+    if oi is None:
+        raise UnknownPairError(
+            f"solution has {cls!r} paths from zone {origin!r} to zone "
+            f"{dest!r}, a pair the demand does not hold"
+        )
+    try:
+        mapped = [(tuple(prob.link_index[lid] for lid in link_ids), f)
+                  for link_ids, f in entries]
+    except KeyError as exc:
+        raise ValueError(
+            f"solution path names unknown link {exc.args[0]!r}") from None
+    return ci, oi, mapped
+
+
+def _path_flows(state: _PathState, blocks: list) -> np.ndarray:
+    """Per-path flows of :func:`_path_block` blocks, added to the universe."""
+    entries = [(state.ensure(ci, oi, path), f)
+               for ci, oi, mapped in blocks for path, f in mapped]
+    flows = np.zeros(state.n_paths)
+    for g, f in entries:
+        flows[g] += f
+    return flows
+
+
 def _initial_flows(prob: _Problem, state: _PathState, warm: EquilibriumSolution | None):
     """Seed per-path flows from a warm solution or the configured init."""
     if warm is not None:
-        flows_map: dict[tuple[int, int], list[tuple[tuple[int, ...], float]]] = {}
-        for (cls, origin, dest), entries in warm.paths.items():
-            ci = CLASSES.index(cls)
-            oi = prob.od_index.get((origin, dest))
-            if oi is None:
+        # each block is rescaled to its new demand; a block with an
+        # unknown pair or link, no demand or no flow adds no path
+        blocks = []
+        for key, entries in warm.paths.items():
+            try:
+                ci, oi, mapped = _path_block(prob, key, entries)
+            except (UnknownPairError, ValueError):
                 continue
-            idx_entries = []
-            for link_ids, f in entries:
-                try:
-                    idx_entries.append(
-                        (tuple(prob.link_index[lid] for lid in link_ids), f)
-                    )
-                except KeyError:
-                    idx_entries = []
-                    break
-            if idx_entries:
-                flows_map[(ci, oi)] = idx_entries
-        vec_entries = []
-        for (ci, oi), idx_entries in flows_map.items():
-            total = sum(f for _, f in idx_entries)
+            total = sum(f for _, f in mapped)
             d = prob.dem[ci, oi]
             if d <= 0.0 or total <= 0.0:
                 continue
             scale = d / total
-            for path, f in idx_entries:
-                vec_entries.append((state.ensure(ci, oi, path), f * scale))
-        flows = np.zeros(state.n_paths)
-        for g, f in vec_entries:
-            flows[g] += f
+            blocks.append((ci, oi, [(path, f * scale) for path, f in mapped]))
+        flows = _path_flows(state, blocks)
         # blocks the warm start could not cover fall back to shortest paths
         covered = state.block_sums(flows)
         missing = (prob.dem > 0.0) & (covered <= 0.0)
@@ -626,16 +643,13 @@ def _initial_flows(prob: _Problem, state: _PathState, warm: EquilibriumSolution 
     costs1 = prob.class_costs(prob.times(prob.cap.copy()))
     target1, _ = _all_or_nothing(prob, state, costs1)
     target0 = state.grow(target0)
-    blocks = state.block_paths
     flows = np.zeros(state.n_paths)
-    for (ci, oi), idxs in blocks.items():
+    for ci, oi, block in state.members():
         d = prob.dem[ci, oi]
-        if d <= 0.0 or not idxs:
+        if d <= 0.0:
             continue
-        active = [g for g in idxs if target0[g] > 0.0 or target1[g] > 0.0]
-        share = d / len(active)
-        for g in active:
-            flows[g] += share
+        active = block[(target0[block] > 0.0) | (target1[block] > 0.0)]
+        flows[active] = d / len(active)
     return flows
 
 
@@ -668,9 +682,10 @@ def _line_search(prob: _Problem, x_class: np.ndarray, d_class: np.ndarray) -> fl
     return 0.5 * (lo + hi)
 
 
-def _conjugate_target(prob, x_class, y_vec_flows, s1, s2, theta_prev, state):
+def _conjugate_target(prob, x_class, y_class, s1, s2, theta_prev):
     """Frank-Wolfe target point mixed for conjugacy with past directions.
 
+    ``y_class`` holds the all-or-nothing target's class link flows;
     ``s1``/``s2`` are the previous one and two target points as
     (per-path vector, per-class link array) pairs; returns the mixing
     weights (b0, b1, b2) over (all-or-nothing, s1, s2).  Falls back to
@@ -682,7 +697,7 @@ def _conjugate_target(prob, x_class, y_vec_flows, s1, s2, theta_prev, state):
     def hdot(a_agg, b_agg):
         return float(np.sum(h * a_agg * b_agg))
 
-    y_agg = y_vec_flows.sum(axis=0)
+    y_agg = y_class.sum(axis=0)
     x_agg = x_class.sum(axis=0)
     w = y_agg - x_agg
     if s1 is None:
@@ -756,7 +771,7 @@ def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
 
         if method == "bfw":
             b0, b1, b2 = _conjugate_target(
-                prob, x_class, y_class, s1, s2, theta_prev, state
+                prob, x_class, y_class, s1, s2, theta_prev
             )
         else:
             b0, b1, b2 = 1.0, 0.0, 0.0
@@ -786,7 +801,7 @@ def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
         trace.append(record)
 
         s2 = s1
-        s1 = (target_vec.copy(), target_class.copy())
+        s1 = (target_vec, target_class)
         theta_prev = theta
 
     if not converged:
@@ -816,7 +831,7 @@ def _lipschitz_estimate(prob: _Problem, state: _PathState, x_agg: np.ndarray,
     the result (it is a guaranteed, if loose, upper bound).
     """
     tprime = prob.times_derivative(x_agg)
-    concat, lens, offsets, _, _, _ = state.flat()
+    concat, lens, offsets, _, _ = state.flat()
     if not concat.size or not tprime.size:
         return 0.0, 0.0
     d = prob.gamma * tprime
@@ -858,14 +873,6 @@ def _effective_costs(prob: _Problem, t: np.ndarray, lam: np.ndarray) -> np.ndarr
         bump[prob.constrained_idx] = lam
         costs = costs + bump[None, :]
     return costs
-
-
-def _project_blocks(prob: _Problem, state: _PathState, vec: np.ndarray) -> np.ndarray:
-    idx, offsets, totals = state.blocks()
-    out = np.zeros_like(vec)
-    if idx.size:
-        out[idx] = _kernels.project_blocks(vec[idx], offsets, totals)
-    return out
 
 
 def _dual_update(prob: _Problem, lam: np.ndarray, x_agg: np.ndarray,
@@ -939,7 +946,7 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
             ) if lam.size else objective
             step = 0.9 / (l_f + l_a2 / opts.dual_step + 1e-12)
             for attempt in range(21):
-                new_flows = _project_blocks(prob, state, flows - step * path_costs)
+                new_flows = state.project(flows - step * path_costs)
                 x_class = state.link_flows(new_flows)
                 new_agg = x_class.sum(axis=0)
                 objective = prob.beckmann(x_class)
@@ -958,13 +965,13 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
             record["step"] = step
         else:  # extra-gradient
             step = 0.9 / (l_f + math.sqrt(l_a2) + 1e-12)
-            mid_flows = _project_blocks(prob, state, flows - step * path_costs)
+            mid_flows = state.project(flows - step * path_costs)
             mid_lam = _dual_update(prob, lam, x_agg, step)
             mid_class = state.link_flows(mid_flows)
             mid_agg = mid_class.sum(axis=0)
             mid_eff = _effective_costs(prob, prob.times(mid_agg), mid_lam)
             mid_costs = state.path_costs(mid_eff)
-            new_flows = _project_blocks(prob, state, flows - step * mid_costs)
+            new_flows = state.project(flows - step * mid_costs)
             new_lam = _dual_update(prob, lam, mid_agg, step)
             record["step"] = step
             x_class = None
@@ -1091,35 +1098,17 @@ def wardrop_residual(network: Network, demand: ClassDemand, config: CostConfig,
             "that records paths"
         )
     prob = _Problem(network, demand, config, SolverOptions())
-
-    def link_position(lid, where):
-        li = prob.link_index.get(lid)
-        if li is None:
-            raise ValueError(f"solution {where} names unknown link {lid!r}")
-        return li
-
     state = _PathState(prob)
-    flows_entries = []
-    for (cls, origin, dest), entries in solution.paths.items():
-        ci = CLASSES.index(cls)
-        oi = prob.od_index.get((origin, dest))
-        if oi is None:
-            raise UnknownPairError(
-                f"solution has {cls!r} paths from zone {origin!r} to zone "
-                f"{dest!r}, a pair the demand does not hold"
-            )
-        for link_ids, f in entries:
-            path = tuple(link_position(lid, "path") for lid in link_ids)
-            g = state.ensure(ci, oi, path)
-            flows_entries.append((g, f))
-    flows = np.zeros(state.n_paths)
-    for g, f in flows_entries:
-        flows[g] += f
+    flows = _path_flows(state, [_path_block(prob, key, entries)
+                                for key, entries in solution.paths.items()])
     x_agg = state.link_flows(flows).sum(axis=0)
     t = prob.times(x_agg)
     lam = np.zeros(prob.n_links)
     for lid, value in solution.duals.items():
-        lam[link_position(lid, "dual")] = value
+        li = prob.link_index.get(lid)
+        if li is None:
+            raise ValueError(f"solution dual names unknown link {lid!r}")
+        lam[li] = value
     eff = prob.class_costs(t) + lam[None, :]
     *_, gaps = _measure(prob, state, flows, eff)
     return _per_pair(prob, gaps), _worst_gap(gaps)

@@ -91,6 +91,7 @@ class Network:
     def add_node(self, node: Node) -> None:
         if node.id in self.nodes:
             raise NetworkValidationError(f"duplicate node id {node.id!r}")
+        _require_finite(f"node {node.id!r}", node.x, node.y)
         self.nodes[node.id] = node
         self._csr = None
 
@@ -103,6 +104,7 @@ class Network:
     def add_zone(self, zone: Zone) -> None:
         if zone.id in self.zones:
             raise NetworkValidationError(f"duplicate zone id {zone.id!r}")
+        _require_finite(f"zone {zone.id!r}", zone.x, zone.y)
         self.zones[zone.id] = zone
 
     # -- basic views ---------------------------------------------------
@@ -235,17 +237,17 @@ def _parse_positive(raw, what, where):
     return value
 
 
+def _require_finite(what, x, y):
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NetworkValidationError(f"non-finite coordinates for {what}: x={x!r}, y={y!r}")
+
+
 def _parse_coords(row, path, what):
-    """The finite ``(x, y)`` of a node or zone row."""
+    """The ``(x, y)`` of a node or zone row."""
     try:
-        x, y = float(row["x"]), float(row["y"])
+        return float(row["x"]), float(row["y"])
     except (TypeError, ValueError):
         raise NetworkValidationError(f"{path}: bad coordinates for {what}") from None
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise NetworkValidationError(
-            f"{path}: non-finite coordinates for {what}: x={x!r}, y={y!r}"
-        )
-    return x, y
 
 
 def load_network(
@@ -479,7 +481,7 @@ def shortest_path(network: Network, origin: str, destination: str, link_costs=No
     {link_id: cost} mapping; free-flow times are used when omitted.
     Returns ``(total_cost, [link ids])``; ``(inf, [])`` when no path
     exists.  Raises ValueError for an unknown node, a mapping that
-    misses a link, and negative or NaN costs.
+    misses a link or names an unknown one, and negative or NaN costs.
     """
     indptr, heads, slots, node_index, link_index = network.csr()
     for role, node in (("origin", origin), ("destination", destination)):
@@ -491,6 +493,9 @@ def shortest_path(network: Network, origin: str, destination: str, link_costs=No
         missing = [lid for lid in network.links if lid not in link_costs]
         if missing:
             raise ValueError(f"link_costs has no cost for links {missing}")
+        unknown = [lid for lid in link_costs if lid not in network.links]
+        if unknown:
+            raise ValueError(f"link_costs names unknown links {unknown}")
         cost = np.array([link_costs[lid] for lid in network.links])
     else:
         cost = np.asarray(link_costs, dtype=float)

@@ -397,7 +397,7 @@ class TestWarmStart:
             for mask in masks:
                 target, sp = _all_or_nothing(prob, state, costs,
                                              np.where(mask, prob.dem, 0.0))
-            assert prob.warm[0].repeated == (len(masks) > 1)
+            assert state.warm[0].repeated == (len(masks) > 1)
             return sp.tobytes(), {
                 (state.path_class[g], state.path_od[g], state.paths[g]): target[g]
                 for g in np.flatnonzero(target)}
@@ -433,6 +433,55 @@ class TestWarmStart:
         # the warm block from its rescaled paths, the rest all-or-nothing
         np.testing.assert_allclose(state.block_sums(flows), dem, rtol=1e-12)
 
+    def test_warm_start_skips_blocks_it_cannot_use(self, grid3_case,
+                                                   monkeypatch):
+        # a pair the demand lacks, a block naming an unknown link and a
+        # block without flow add no path; the last two are routed
+        # all-or-nothing, and every other block keeps its warm paths
+        net, od, cfg = grid3_case
+        demand = split_demand(od, 0.5)
+        base = solve(net, demand, cfg, "bfw")
+        ghost, idle = ("gv", "A", "C"), ("ev", "A", "C")
+        assert len(base.paths[ghost]) > 1 and len(base.paths[idle]) > 1
+        paths = dict(base.paths)
+        *valid, (links, flow) = paths[ghost]
+        paths[ghost] = [*valid, (links + ("no-such-link",), flow)]
+        paths[idle] = [(links, 0.0) for links, _ in paths[idle]]
+        paths[("gv", "A", "nowhere")] = [(links, 5.0)]
+        prob = _Problem(net, demand, cfg, SolverOptions())
+        routed = []
+        all_or_nothing = equilibrium._all_or_nothing
+
+        def watched(p, *args):
+            routed.append(args[2].copy())
+            return all_or_nothing(p, *args)
+
+        monkeypatch.setattr(equilibrium, "_all_or_nothing", watched)
+        state = _PathState(prob)
+        flows = equilibrium._initial_flows(prob, state,
+                                           replace(base, paths=paths))
+
+        def block(key):
+            ci, oi = CLASSES.index(key[0]), prob.od_index[key[1:]]
+            return ci, oi, {state.paths[g]: flows[g]
+                            for g in range(state.n_paths)
+                            if (state.path_class[g], state.path_od[g]) == (ci, oi)}
+
+        skipped = np.zeros(prob.dem.shape, dtype=bool)
+        for key in (ghost, idle):
+            ci, oi, got = block(key)
+            skipped[ci, oi] = True
+            assert list(got.values()) == [prob.dem[ci, oi]]
+        (dem,) = routed
+        assert dem.tobytes() == np.where(skipped, prob.dem, 0.0).tobytes()
+        for key, entries in base.paths.items():
+            if key in (ghost, idle):
+                continue
+            _, _, got = block(key)
+            want = {tuple(prob.link_index[lid] for lid in links): f
+                    for links, f in entries}
+            assert got == pytest.approx(want, rel=1e-12)
+
     def test_warm_start_across_methods(self, dual_case):
         net, od, cfg = dual_case
         base = solve(net, split_demand(od, 0.5), cfg, "bfw")
@@ -441,6 +490,12 @@ class TestWarmStart:
 
 
 class TestEdgeCases:
+    def test_link_flow_of_unknown_link(self, dual_solution_mixed):
+        flows = dual_solution_mixed.link_flows
+        assert flows.flow("a") == flows.aggregate()[flows.link_ids.index("a")]
+        with pytest.raises(ValueError, match="unknown link 'nope'"):
+            flows.flow("nope")
+
     def test_zero_demand_is_trivial(self, dual_case):
         net, od, cfg = dual_case
         empty = ODMatrix([("A", "B", 0.0)])

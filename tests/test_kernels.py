@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from mueflow import _kernels
+from mueflow.analysis import run_sweep
 from mueflow.cost import bpr_time, vehicle_costs
 from mueflow.demand import split_demand
 from mueflow.equilibrium import solve
@@ -491,3 +492,34 @@ class TestDispatch:
         indptr, heads, slots, cost, _ = grid_csr()
         _kernels.batch_dijkstra(indptr, heads, slots, cost, [0, 1])
         assert not calls
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        # perfbench/child.py times the layers by replacing these module
+        # attributes; a caller that bound a kernel under another name
+        # would run untimed
+        calls = {"batch_dijkstra": 0, "project_blocks": 0}
+        for name in calls:
+            def counted(*args, _name=name, _kernel=getattr(_kernels, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(_kernels, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("method", ["fw", "bfw", "pd", "eg"])
+    def test_solvers_call_the_wrapped_kernels(self, method, kernel_calls):
+        build, config = FIXTURES["grid3x3"]
+        net, od = build()
+        solve(net, split_demand(od, 0.5), config(), method)
+        assert kernel_calls["batch_dijkstra"] > 0
+        assert (kernel_calls["project_blocks"] > 0) == (method in ("pd", "eg"))
+
+    def test_sweep_calls_the_wrapped_batch_kernel(self, kernel_calls):
+        build, config = FIXTURES["grid3x3"]
+        net, od = build()
+        sweep = run_sweep(net, od, config(), [0.0, 0.5, 1.0])
+        # each solver iteration makes a batch call, and so does each
+        # level's metrics report
+        iterations = sum(r.solution.iterations for r in sweep.records)
+        assert kernel_calls["batch_dijkstra"] > iterations

@@ -173,6 +173,19 @@ class TestNetworkModel:
         with pytest.raises(NetworkValidationError, match="duplicate zone"):
             net.add_zone(Zone("z", 1.0, 1.0))
 
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, -math.inf)])
+    def test_non_finite_coordinates_rejected_in_memory(self, x, y):
+        # a NaN node would win every nearest-node search of
+        # generate_connectors, so it is refused on the way in
+        net = Network()
+        with pytest.raises(NetworkValidationError,
+                           match="non-finite coordinates for node 'a'"):
+            net.add_node(Node("a", x, y))
+        with pytest.raises(NetworkValidationError,
+                           match="non-finite coordinates for zone 'Z'"):
+            net.add_zone(Zone("Z", x, y))
+        assert not net.nodes and not net.zones
+
     def test_validate_rejects_self_loop(self):
         net = Network()
         net.add_node(Node("n1", 0.0, 0.0))
@@ -291,6 +304,12 @@ class TestShortestPath:
         net = self.make_net()
         with pytest.raises(ValueError, match=r"no cost for links \['s2'\]"):
             shortest_path(net, "n1", "n3", {"fast": 10.0, "s1": 1.0})
+
+    def test_cost_mapping_must_name_only_links(self):
+        net = self.make_net()
+        with pytest.raises(ValueError, match=r"unknown links \['typo'\]"):
+            shortest_path(net, "n1", "n3",
+                          {"fast": 1.0, "s1": 1.0, "s2": 1.0, "typo": -5.0})
 
     def test_nan_costs_rejected(self, dual_case):
         net = self.make_net()
