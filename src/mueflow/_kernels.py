@@ -2,8 +2,10 @@
 
 The hot loop of every solver is one-to-all shortest paths over the
 network's CSR adjacency, from every origin of a vehicle class, once per
-iteration.  Every kernel is numpy and runs in the calling thread.  Who
-calls what:
+iteration.  Every kernel is numpy and runs in the calling thread.  Link
+costs are nonnegative: label-setting Dijkstra is defined for no others,
+and :func:`batch_dijkstra` raises ValueError on a negative or NaN cost.
+Who calls what:
 
 * :func:`batch_dijkstra` builds every shortest-path tree: the solvers'
   all-or-nothing step (``equilibrium``, one batch per class and
@@ -14,9 +16,8 @@ calls what:
   a class whose trees came back unchanged starts its next batch from
   them.
 * :func:`dijkstra` is the :mod:`heapq` reference for one source.  The
-  batch kernel runs it for the trees its predecessor rule cannot settle
-  and on negative or NaN costs; the tests hold the batch kernel to it
-  bit for bit.
+  batch kernel runs it for the trees its predecessor rule cannot settle;
+  the tests hold the batch kernel to it bit for bit.
 * :func:`walk_paths` turns trees into link paths for the solvers and
   for ``network.shortest_path``.  It steps up the trees with
   :func:`_tree_parents`, as does the warm start's :func:`_tree_costs`;
@@ -200,25 +201,19 @@ def _tree_costs(preds, arc_tail, arc_cost, sources, depth=None):
     return np.ascontiguousarray(start.reshape(k, n).T), steps
 
 
-def walk_paths(preds, links, arc_tail, sources, rows, dests):
+def walk_paths(preds, links, arc_tail, rows, dests):
     """Link tuples of tree paths, one per pair (``rows[i]``, ``dests[i]``).
 
-    Path ``i`` runs in tree ``rows[i]`` of ``preds`` (rooted at
-    ``sources[rows[i]]``) from its root to node ``dests[i]``, which must
-    be reachable in that tree.  All paths step back from their
-    destinations together, one link per :func:`_tree_parents` step.  No
-    tree path has ``n_nodes`` links, so a walk still open after that
-    many steps is caught in a cycle of ``preds``: that raises
-    ``RuntimeError``.
+    Path ``i`` runs in tree ``rows[i]`` of ``preds`` from its root (the
+    node without a tree arc) to node ``dests[i]``, which must be
+    reachable in that tree.  All paths step back from their destinations
+    together, one link per :func:`_tree_parents` step.  No tree path has
+    ``n_nodes`` links, so a walk still open after that many steps is
+    caught in a cycle of ``preds``: that raises ``RuntimeError``.
     """
-    k, n = preds.shape
+    n = preds.shape[1]
     up = _tree_parents(preds, arc_tail)
     link = np.where(preds >= 0, links[preds], -1).ravel()
-    # walks end at the roots, even where a root has a tree arc of its
-    # own (trees found under a negative cost can loop back to it)
-    root = np.arange(k) * n + np.asarray(sources)
-    up[root] = root
-    link[root] = -1
     at = np.asarray(rows) * n + dests
     steps = []
     for _ in range(n):
@@ -251,15 +246,12 @@ class WarmStart:
     per chunk of sources, whether that call returned the same trees as
     the one before and, once measured, how deep those trees are.
     ``repeated`` is True when every chunk came back unchanged, so a
-    caller can reuse whatever it derived from the last trees.
+    caller can reuse whatever it derived from the last trees.  A call
+    that raises on a negative or NaN cost leaves the state as it was.
     """
 
     def __init__(self, slot, tail, arc_tail):
         self.slot, self.tail, self.arc_tail = slot, tail, arc_tail
-        self.forget()
-
-    def forget(self):
-        """Drop the last trees: the next call starts cold."""
         self.sources = self.preds = None
         self.same: list[bool] = []
         self.depth: dict[int, int] = {}
@@ -292,19 +284,19 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None):
     Same arguments as :func:`dijkstra` with ``sources`` in place of
     ``source``; returns (dists, preds) stacked in source order, each row
     bitwise equal to what :func:`dijkstra` gives for that source.
+    Raises ValueError if a cost is negative or NaN.
 
     Distances come from label-correcting relaxation of all arcs at once,
-    repeated until nothing changes.  With nonnegative costs the heap's
-    float64 distances are the greatest fixed point of
-    ``d[v] = min(d[u] + c)``, which any relaxation started from ``inf``
-    reaches bit for bit.  An arc is *tight* when ``d[u] + c == d[v]``;
-    the heap sets ``pred[v]`` when it relaxes the first tight arc into
-    ``v``, and it pops nodes in (distance, node) order whenever every
-    tight arc strictly increases the distance.  Then ``pred[v]`` is the
-    tight arc with the smallest (``d[tail]``, slot).  Trees that contain
-    a tight arc of zero increase (zero-cost arcs, or a cost below the
-    distance's rounding unit) can be popped in another order, and so
-    can inputs with a negative or NaN cost: those sources are solved by
+    repeated until nothing changes.  The heap's float64 distances are the
+    greatest fixed point of ``d[v] = min(d[u] + c)``, which any
+    relaxation started from ``inf`` reaches bit for bit.  An arc is
+    *tight* when ``d[u] + c == d[v]``; the heap sets ``pred[v]`` when it
+    relaxes the first tight arc into ``v``, and it pops nodes in
+    (distance, node) order whenever every tight arc strictly increases
+    the distance.  Then ``pred[v]`` is the tight arc with the smallest
+    (``d[tail]``, slot).  Trees that contain a tight arc of zero
+    increase (zero-cost arcs, or a cost below the distance's rounding
+    unit) can be popped in another order: those sources are solved by
     :func:`dijkstra` instead.
 
     ``warm`` (a :class:`WarmStart`) lets a chunk of sources whose trees
@@ -325,19 +317,14 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None):
     ``D``, and the predecessor rule and the zero-increase fallback then
     run on it as before.
     """
+    arc_cost = cost[links]
+    # NaN fails every comparison, so this also rejects NaN costs
+    if not np.all(arc_cost >= 0.0):
+        raise ValueError("link costs must be nonnegative and not NaN")
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
     n = indptr.shape[0] - 1
     dists = np.empty((sources.shape[0], n))
     preds = np.empty((sources.shape[0], n), dtype=np.int64)
-    arc_cost = cost[links]
-    if not np.all(arc_cost >= 0.0):
-        for i, s in enumerate(sources):
-            dists[i], preds[i] = dijkstra(indptr, heads, links, cost, s)
-        if warm is not None:
-            # trees found under a negative cost can loop back to their
-            # source, which no warm start may build on
-            warm.forget()
-        return dists, preds
     if warm is None:
         slot, tail, _ = _in_arcs(indptr, heads)
         warm_chunks = None

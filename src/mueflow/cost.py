@@ -71,8 +71,11 @@ class CostConfig:
 
     def __post_init__(self):
         for label in ("p_gas", "p_ele"):
-            if getattr(self, label) < 0.0:
+            if not getattr(self, label) >= 0.0:
                 raise CostConfigError(f"{label} must be nonnegative")
+        for label in ("gv_components", "ev_components"):
+            if not all(math.isfinite(v) for v in getattr(self, label).values()):
+                raise CostConfigError(f"{label} must be finite")
         for label in ("mpg_gv", "mpge_ev", "kappa_gal", "r_dis"):
             if not getattr(self, label) > 0.0:
                 raise CostConfigError(f"{label} must be positive")
@@ -103,6 +106,9 @@ def vehicle_costs(config: CostConfig) -> ClassCost:
         config.p_ele * config.kappa_gal / config.mpge_ev
         + sum(config.ev_components.values())
     )
+    # link costs must stay nonnegative for the shortest-path kernel
+    if gv_mile < 0.0:
+        raise CostConfigError("gv cost per mile must be nonnegative")
     if ev_mile < 0.0:
         raise CostConfigError("ev subsidy exceeds the other cost components")
     per_mile = {GV_CLASS: gv_mile, EV_CLASS: ev_mile}

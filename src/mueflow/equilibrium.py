@@ -69,7 +69,7 @@ class UnsupportedOperationError(SolverError):
 
 
 class UnknownPairError(SolverError):
-    """A solution's path joins an OD pair that the demand does not hold."""
+    """A solution's paths form a (class, OD) block the demand does not hold."""
 
 
 @dataclass(frozen=True)
@@ -447,8 +447,7 @@ def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndar
             idx = last[1]
         else:
             paths = _kernels.walk_paths(preds, prob.slots, prob.arc_tail,
-                                        prob.origin_nodes, prob.od_row[ods],
-                                        prob.od_dest[ods])
+                                        prob.od_row[ods], prob.od_dest[ods])
             idx = np.array([state.ensure(ci, oi, path)
                             for oi, path in zip(ods.tolist(), paths)],
                            dtype=np.int64)
@@ -576,16 +575,16 @@ def _per_pair(prob: _Problem, values: np.ndarray) -> dict:
 def _path_block(prob: _Problem, key: tuple, entries: list):
     """One ``solution.paths`` item as (class, OD, [(link indices, flow)]).
 
-    Raises :class:`UnknownPairError` for a pair the demand does not hold
-    and ValueError for a link the network does not hold.
+    Raises :class:`UnknownPairError` for a class or pair the demand does
+    not hold and ValueError for a link the network does not hold.
     """
     cls, origin, dest = key
-    ci = CLASSES.index(cls)
+    ci = CLASSES.index(cls) if cls in CLASSES else None
     oi = prob.od_index.get((origin, dest))
-    if oi is None:
+    if ci is None or oi is None:
         raise UnknownPairError(
             f"solution has {cls!r} paths from zone {origin!r} to zone "
-            f"{dest!r}, a pair the demand does not hold"
+            f"{dest!r}, a (class, OD) block the demand does not hold"
         )
     try:
         mapped = [(tuple(prob.link_index[lid] for lid in link_ids), f)
@@ -1086,9 +1085,9 @@ def wardrop_residual(network: Network, demand: ClassDemand, config: CostConfig,
     Costs are effective generalized costs (including any capacity
     multipliers carried by the solution), evaluated at the solution's
     flows; the mean used-path cost comes from the solution's paths.
-    Raises :class:`UnknownPairError` for a path whose OD pair is not in
-    ``demand``, and ValueError for a path or dual link that the network
-    does not hold.
+    Raises :class:`UnknownPairError` for a path whose class or OD pair is
+    not in ``demand``, and ValueError for a path or dual link that the
+    network does not hold.
     """
     if not solution.paths and any(
         d > 0.0 for c in demand.by_class.values() for d in c.values()

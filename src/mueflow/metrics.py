@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .network import Network
 
 FLOW_ACTIVE_TOL = 1e-9  # veh/h below this a link counts as unused
@@ -197,20 +198,23 @@ def avg_travel_time(solution, network: Network, od,
 
 def _sp_weighted_time(network: Network, link_times: np.ndarray, pairs, total):
     """Demand-weighted shortest-path time between zone centroids."""
-    from . import _kernels
-    from .network import centroid_node_id
-
     indptr, heads, slots, node_index, _ = network.csr()
+
+    def centroid(zone_id):
+        zone = network.zones.get(zone_id)
+        if zone is None or zone.centroid_node is None:
+            raise MetricsError(f"zone {zone_id!r} is unknown or has no centroid")
+        return node_index[zone.centroid_node]
+
     by_origin: dict = {}
     for r, s, q in pairs:
         by_origin.setdefault(r, []).append((s, q))
     dists, _ = _kernels.batch_dijkstra(
-        indptr, heads, slots, link_times,
-        [node_index[centroid_node_id(r)] for r in by_origin])
+        indptr, heads, slots, link_times, [centroid(r) for r in by_origin])
     weighted = 0.0
     for dist, (r, dests) in zip(dists, by_origin.items()):
         for s, q in dests:
-            d = dist[node_index[centroid_node_id(s)]]
+            d = dist[centroid(s)]
             if not math.isfinite(d):
                 raise MetricsError(f"no route between zones {r!r} and {s!r}")
             weighted += q * float(d)

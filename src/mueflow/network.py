@@ -503,15 +503,12 @@ def shortest_path(network: Network, origin: str, destination: str, link_costs=No
             raise ValueError(
                 f"link_costs has shape {cost.shape}, expected ({network.n_links},)"
             )
-    # NaN fails every comparison, so this also rejects NaN costs
-    if not np.all(cost >= 0.0):
-        raise ValueError("link costs must be nonnegative and not NaN")
     src = node_index[origin]
     dst = node_index[destination]
     dists, preds = _kernels.batch_dijkstra(indptr, heads, slots, cost, [src])
     if not np.isfinite(dists[0, dst]):
         return math.inf, []
     (path,) = _kernels.walk_paths(preds, slots, _kernels.arc_tails(indptr),
-                                  [src], [0], [dst])
+                                  [0], [dst])
     ids = network.link_ids
     return float(dists[0, dst]), [ids[li] for li in path]

@@ -73,6 +73,13 @@ class TestVehicleCosts:
         with pytest.raises(CostConfigError, match="subsidy"):
             vehicle_costs(cfg)
 
+    def test_gv_cost_cannot_be_negative(self):
+        cfg = CostConfig(p_gas=0.0, p_ele=0.0,
+                         gv_components={"flat": -0.5},
+                         ev_components={"flat": 0.2})
+        with pytest.raises(CostConfigError, match="gv cost per mile"):
+            vehicle_costs(cfg)
+
 
 class TestCostConfigValidation:
     def test_negative_prices_rejected(self):
@@ -80,6 +87,14 @@ class TestCostConfigValidation:
             CostConfig(p_gas=-1.0, p_ele=0.1)
         with pytest.raises(CostConfigError, match="p_ele"):
             CostConfig(p_gas=1.0, p_ele=-0.1)
+        with pytest.raises(CostConfigError, match="p_ele"):
+            CostConfig(p_gas=1.0, p_ele=math.nan)
+
+    def test_nonfinite_components_rejected(self):
+        with pytest.raises(CostConfigError, match="ev_components"):
+            CostConfig(p_gas=1.0, p_ele=0.1, ev_components={"flat": math.nan})
+        with pytest.raises(CostConfigError, match="gv_components"):
+            CostConfig(p_gas=1.0, p_ele=0.1, gv_components={"flat": math.inf})
 
     def test_nonpositive_efficiency_rejected(self):
         with pytest.raises(CostConfigError, match="mpg_gv"):

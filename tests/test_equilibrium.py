@@ -206,6 +206,11 @@ class TestStructuralInvariants:
                          if (o, d) != (origin, dest)])
         with pytest.raises(UnknownPairError, match=f"{origin!r} to zone {dest!r}"):
             wardrop_residual(net, split_demand(rest, 0.5), cfg, grid3_solution)
+        key, entries = next(iter(grid3_solution.paths.items()))
+        truck = replace(grid3_solution, paths={
+            **grid3_solution.paths, ("truck", *key[1:]): entries})
+        with pytest.raises(UnknownPairError, match="'truck' paths"):
+            wardrop_residual(net, split_demand(od, 0.5), cfg, truck)
 
     def test_residual_names_an_unknown_link(self, grid3_solution, grid3_case):
         net, od, cfg = grid3_case
@@ -435,8 +440,8 @@ class TestWarmStart:
 
     def test_warm_start_skips_blocks_it_cannot_use(self, grid3_case,
                                                    monkeypatch):
-        # a pair the demand lacks, a block naming an unknown link and a
-        # block without flow add no path; the last two are routed
+        # a pair or class the demand lacks, a block naming an unknown
+        # link and a block without flow add no path; the last two are routed
         # all-or-nothing, and every other block keeps its warm paths
         net, od, cfg = grid3_case
         demand = split_demand(od, 0.5)
@@ -448,6 +453,7 @@ class TestWarmStart:
         paths[ghost] = [*valid, (links + ("no-such-link",), flow)]
         paths[idle] = [(links, 0.0) for links, _ in paths[idle]]
         paths[("gv", "A", "nowhere")] = [(links, 5.0)]
+        paths[("truck", "A", "C")] = [(links, 5.0)]
         prob = _Problem(net, demand, cfg, SolverOptions())
         routed = []
         all_or_nothing = equilibrium._all_or_nothing

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mueflow.equilibrium import LinkFlows
+from mueflow.demand import ODMatrix, split_demand
+from mueflow.equilibrium import LinkFlows, solve
 from mueflow.fixtures import FIXTURES
 from mueflow.metrics import (
     DEFAULT_PROFILE_BINS,
@@ -116,6 +117,34 @@ class TestAvgTravelTime:
             ) / sum(q for _, _, q in pairs)
             got = avg_travel_time(sol, net, od, **kwargs)
             assert got == pytest.approx(want, rel=1e-12), kwargs
+
+    def test_zones_centred_on_road_nodes(self):
+        # zones may name existing nodes as centroids and need no
+        # connectors; the metrics find them as the solver does
+        net = Network()
+        net.add_node(Node("n1", 0.0, 0.0))
+        net.add_node(Node("n2", 1.0, 0.0))
+        net.add_link(Link("only", "n1", "n2", 1.0, 1400.0, 60.0))
+        net.add_zone(Zone("A", 0.0, 0.0, centroid_node="n1"))
+        net.add_zone(Zone("B", 1.0, 0.0, centroid_node="n2"))
+        od = ODMatrix([("A", "B", 10.0)])
+        sol = solve(net, split_demand(od, 0.5), FIXTURES["grid3x3"][1](),
+                    "bfw")
+        report = compute_report(sol, net, od)
+        assert report.avg_travel_time_ff == net.links["only"].free_flow_time
+        assert report.avg_travel_time_mue == float(sol.link_times[0])
+
+    def test_zone_without_a_centroid_is_named(self, dual_solution_gv,
+                                              dual_case):
+        net, _, _ = dual_case
+        unknown = SimpleNamespace(pairs=lambda: [(("A", "Q"), 1.0)])
+        with pytest.raises(MetricsError, match="zone 'Q' is unknown"):
+            avg_travel_time(dual_solution_gv, net, unknown, mode="free_flow")
+        bare = single_link_network()
+        bare.add_zone(Zone("C", 0.5, 0.0))
+        od = SimpleNamespace(pairs=lambda: [(("A", "C"), 1.0)])
+        with pytest.raises(MetricsError, match="zone 'C' is unknown or has no centroid"):
+            avg_travel_time(None, bare, od, mode="free_flow")
 
     def test_zero_demand_undefined(self, dual_solution_gv, dual_case):
         net, _, _ = dual_case
