@@ -90,8 +90,7 @@ class SweepResult:
     classification: dict | None = None
 
     @classmethod
-    def from_series(cls, levels, avg_times,
-                    epsilon: float = PLATEAU_EPSILON) -> "SweepResult":
+    def from_series(cls, levels, avg_times) -> "SweepResult":
         """Build a sweep skeleton from a travel-time series.
 
         No solutions are attached, so threshold detection is
@@ -108,8 +107,8 @@ class SweepResult:
             gradient=_forward_differences(levels, avg_times),
         )
         sweep.potential_savings, sweep.ps_diffs = _savings_series(avg_times)
-        sweep.plateau_intervals = detect_plateaus(sweep, epsilon)
-        sweep.transition_intervals = detect_transitions(sweep, epsilon)
+        sweep.plateau_intervals = detect_plateaus(sweep)
+        sweep.transition_intervals = detect_transitions(sweep)
         return sweep
 
 
@@ -279,13 +278,13 @@ def classify_city(sweep: SweepResult,
 
 def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
               method: str = "bfw", options: SolverOptions | None = None,
-              warm_start: bool = True,
-              epsilon: float = PLATEAU_EPSILON) -> SweepResult:
+              warm_start: bool = True) -> SweepResult:
     """Solve the equilibrium across penetration levels and diagnose.
 
     Each level warm-starts from the previous solution unless
     ``warm_start`` is False.  A level that fails or hits the iteration
-    cap raises :class:`SweepError` carrying the completed records.
+    cap raises :class:`SweepError` carrying the completed records; an
+    infeasible or unsupported problem raises its own error unwrapped.
     """
     levels = sorted(float(v) for v in levels)
     _check_levels(levels)
@@ -299,7 +298,7 @@ def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
                 network, demand, config, method, options,
                 warm_start=previous if warm_start else None,
             )
-        except InfeasibleProblemError:
+        except (InfeasibleProblemError, UnsupportedOperationError):
             raise  # structural, not a convergence failure
         except SolverError as exc:
             raise SweepError(
@@ -321,10 +320,10 @@ def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
         ))
         previous = solution
 
-    return sweep_from_records(records, epsilon)
+    return sweep_from_records(records)
 
 
-def sweep_from_records(records, epsilon: float = PLATEAU_EPSILON) -> SweepResult:
+def sweep_from_records(records) -> SweepResult:
     """Assemble a SweepResult (detectors included) from solved levels.
 
     Accepts any nonempty prefix of a sweep, which is how partial
@@ -344,15 +343,15 @@ def sweep_from_records(records, epsilon: float = PLATEAU_EPSILON) -> SweepResult
         sweep.potential_savings, sweep.ps_diffs = _savings_series(avg_times)
         for rec, ps in zip(records, sweep.potential_savings):
             rec.potential_savings = ps
-        sweep.plateau_intervals = detect_plateaus(sweep, epsilon)
-        sweep.transition_intervals = detect_transitions(sweep, epsilon)
+        sweep.plateau_intervals = detect_plateaus(sweep)
+        sweep.transition_intervals = detect_transitions(sweep)
         sweep.critical_thresholds = critical_thresholds(sweep)
     if (
         len(levels) >= 5
         and abs(levels[0]) <= 1e-9
         and abs(levels[-1] - 1.0) <= 1e-9
     ):
-        label = classify_city(sweep, epsilon)
+        label = classify_city(sweep)
         sweep.city_type = label.city_type
         sweep.classification = label.rationale
     return sweep

@@ -38,7 +38,6 @@ from .demand import DemandError, ODMatrix, load_od_csv, split_demand
 from .equilibrium import (
     METHODS,
     InfeasibleProblemError,
-    SolverError,
     SolverOptions,
     UnsupportedOperationError,
     solve,
@@ -408,14 +407,11 @@ def main(argv=None) -> int:
     except UnsupportedOperationError as exc:
         _emit_errors([exc])
         return EXIT_VALIDATION
-    except (ValueError, SolverError) as exc:
+    except ValueError as exc:
         # remaining ValueErrors are input problems (levels, formats,
-        # penetration range, metric preconditions); SolverError here is a
-        # non-convergence failure outside the iteration-cap path
-        code = EXIT_ITERATION_CAP if isinstance(exc, SolverError) \
-            else EXIT_VALIDATION
+        # penetration range, metric preconditions)
         _emit_errors([exc])
-        return code
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -328,32 +328,26 @@ class _PathState:
             pclass = np.array(self.path_class, dtype=np.int64)
             # each path's block key, class * n_od + OD
             block = pclass * self.prob.n_od + np.array(self.path_od, dtype=np.int64)
-            flat_class = np.repeat(pclass, lens)
-            self._flat = (concat, lens, offsets, block, flat_class)
+            # each entry's class link key, class * n_links + link
+            link_key = np.repeat(pclass, lens) * self.prob.n_links + concat
+            self._flat = (concat, lens, offsets, block, link_key)
         return self._flat
 
     def link_flows(self, flow_vec: np.ndarray) -> np.ndarray:
         """Per-class link flows implied by a per-path flow vector."""
-        concat, lens, _, _, flat_class = self.flat()
-        x = np.zeros((len(CLASSES), self.prob.n_links))
+        _, lens, _, _, link_key = self.flat()
+        shape = (len(CLASSES), self.prob.n_links)
         if flow_vec.size == 0:
-            return x
-        contrib = np.repeat(flow_vec, lens)
-        for ci in range(len(CLASSES)):
-            mask = flat_class == ci
-            if np.any(mask):
-                x[ci] = np.bincount(
-                    concat[mask], weights=contrib[mask], minlength=self.prob.n_links
-                )
-        return x
+            return np.zeros(shape)
+        return np.bincount(link_key, weights=np.repeat(flow_vec, lens),
+                           minlength=shape[0] * shape[1]).reshape(shape)
 
     def path_costs(self, class_link_costs: np.ndarray) -> np.ndarray:
         """Generalized cost of each path under (n_classes, n_links) costs."""
-        concat, lens, offsets, _, flat_class = self.flat()
+        _, _, offsets, _, link_key = self.flat()
         if not self.paths:
             return np.zeros(0)
-        entry = class_link_costs[flat_class, concat]
-        return np.add.reduceat(entry, offsets)
+        return np.add.reduceat(class_link_costs.ravel()[link_key], offsets)
 
     def block_sums(self, per_path: np.ndarray) -> np.ndarray:
         """Sum a per-path quantity into (n_classes, n_od) blocks."""
@@ -782,11 +776,8 @@ def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
         target_class = state.link_flows(target_vec)
 
         d_class = target_class - x_class
-        if float(np.max(np.abs(d_class))) == 0.0:
-            theta = 0.0
-        else:
-            theta = _line_search(prob, x_class, d_class)
-        if theta <= 0.0 and method == "bfw" and (b1 or b2):
+        theta = _line_search(prob, x_class, d_class)
+        if theta <= 0.0 and (b1 or b2):
             # conjugate target failed to descend; retry with plain target
             target_vec = y_vec
             target_class = y_class
@@ -853,37 +844,25 @@ def _lipschitz_estimate(prob: _Problem, state: _PathState, x_agg: np.ndarray,
         v = w / nrm
     l_f = min(cap_bound, est * safety) if est > 0.0 else cap_bound
 
-    if prob.constrained_idx.size:
-        on_constrained = np.isin(concat, prob.constrained_idx)
-        if np.any(on_constrained):
-            per_clink = np.bincount(concat[on_constrained], minlength=prob.n_links)
-            l_a2 = float(max_len * per_clink.max())
-        else:
-            l_a2 = 0.0
-    else:
-        l_a2 = 0.0
+    on_capped = concat[np.isin(concat, prob.constrained_idx)]
+    l_a2 = float(max_len * np.bincount(on_capped, minlength=prob.n_links).max())
     return l_f, l_a2
 
 
 def _effective_costs(prob: _Problem, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    costs = prob.class_costs(t)
-    if prob.constrained_idx.size:
-        bump = np.zeros(prob.n_links)
-        bump[prob.constrained_idx] = lam
-        costs = costs + bump[None, :]
-    return costs
+    bump = np.zeros(prob.n_links)
+    bump[prob.constrained_idx] = lam
+    return prob.class_costs(t) + bump[None, :]
 
 
 def _dual_update(prob: _Problem, lam: np.ndarray, x_agg: np.ndarray,
                  step: float) -> np.ndarray:
-    if not prob.constrained_idx.size:
-        return lam
     grad = x_agg[prob.constrained_idx] - prob.constrained_cap
     return np.maximum(0.0, lam + step * grad)
 
 
 def _check_duals(prob: _Problem, lam: np.ndarray):
-    if lam.size and float(np.max(lam)) > prob.options.dual_bound:
+    if float(np.max(lam, initial=0.0)) > prob.options.dual_bound:
         raise InfeasibleProblemError(
             "capacity multipliers diverged; the caps are likely infeasible "
             "for the given demand"
@@ -894,10 +873,12 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
     opts = prob.options
     state = _PathState(prob)
     flows = _initial_flows(prob, state, warm)
-    lam = np.zeros(prob.constrained_idx.size)
-    if warm is not None and warm.duals:
-        for j, li in enumerate(prob.constrained_idx):
-            lam[j] = warm.duals.get(prob.link_ids[int(li)], 0.0)
+    # a capped link without a usable warm multiplier (none, negative or
+    # NaN) starts at 0
+    duals = warm.duals if warm is not None else {}
+    lam = np.array([duals.get(prob.link_ids[li], 0.0)
+                    for li in prob.constrained_idx.tolist()], dtype=float)
+    lam[~(lam >= 0.0)] = 0.0
 
     trace: list = []
     converged = False
@@ -941,19 +922,15 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
 
         if method == "pd":
             merit_before = objective + float(
-                np.dot(lam, x_agg[prob.constrained_idx] - prob.constrained_cap)
-            ) if lam.size else objective
+                np.dot(lam, x_agg[prob.constrained_idx] - prob.constrained_cap))
             step = 0.9 / (l_f + l_a2 / opts.dual_step + 1e-12)
             for attempt in range(21):
                 new_flows = state.project(flows - step * path_costs)
                 x_class = state.link_flows(new_flows)
                 new_agg = x_class.sum(axis=0)
                 objective = prob.beckmann(x_class)
-                merit_after = objective
-                if lam.size:
-                    merit_after += float(
-                        np.dot(lam, new_agg[prob.constrained_idx] - prob.constrained_cap)
-                    )
+                merit_after = objective + float(
+                    np.dot(lam, new_agg[prob.constrained_idx] - prob.constrained_cap))
                 if merit_after <= merit_before + 1e-12 * max(1.0, abs(merit_before)):
                     break
                 if attempt == 20:
@@ -975,9 +952,8 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
             record["step"] = step
             x_class = None
 
-        g_sq = float(np.sum((new_flows - flows) ** 2))
-        if lam.size:
-            g_sq += float(np.sum((new_lam - lam) ** 2))
+        g_sq = float(np.sum((new_flows - flows) ** 2)) + float(
+            np.sum((new_lam - lam) ** 2))
         flows = new_flows
         lam = new_lam
         _check_duals(prob, lam)
@@ -1087,7 +1063,7 @@ def wardrop_residual(network: Network, demand: ClassDemand, config: CostConfig,
     flows; the mean used-path cost comes from the solution's paths.
     Raises :class:`UnknownPairError` for a path whose class or OD pair is
     not in ``demand``, and ValueError for a path or dual link that the
-    network does not hold.
+    network does not hold or for a negative or NaN dual.
     """
     if not solution.paths and any(
         d > 0.0 for c in demand.by_class.values() for d in c.values()
@@ -1107,6 +1083,10 @@ def wardrop_residual(network: Network, demand: ClassDemand, config: CostConfig,
         li = prob.link_index.get(lid)
         if li is None:
             raise ValueError(f"solution dual names unknown link {lid!r}")
+        if not value >= 0.0:
+            raise ValueError(
+                f"solution dual on link {lid!r} is {value!r}; "
+                "multipliers must be nonnegative")
         lam[li] = value
     eff = prob.class_costs(t) + lam[None, :]
     *_, gaps = _measure(prob, state, flows, eff)

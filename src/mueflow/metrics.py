@@ -173,8 +173,7 @@ def avg_travel_time(solution, network: Network, od,
         raise MetricsError("average travel time undefined for zero demand")
 
     if mode == "free_flow":
-        times = np.array([link.free_flow_time for link in network.links.values()])
-        return _sp_weighted_time(network, times, pairs, total)
+        return _sp_weighted_time(network, network.free_flow_times(), pairs, total)
 
     times = np.asarray(solution.link_times, dtype=float)
     if rule == "min_time":

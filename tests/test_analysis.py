@@ -366,16 +366,18 @@ class TestSweepMechanics:
         assert err.value.failed_level == 0.5
         assert [rec.penetration for rec in err.value.completed] == [0.0, 0.25]
 
-    def test_infeasible_problem_propagates_unwrapped(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "error", [InfeasibleProblemError, UnsupportedOperationError])
+    def test_infeasible_problem_propagates_unwrapped(self, monkeypatch, error):
         import mueflow.analysis as analysis
 
         def failing(*args, **kwargs):
-            raise InfeasibleProblemError("no route")
+            raise error("structural")
 
         monkeypatch.setattr(analysis, "solve", failing)
         net, od = fixtures.dual_route()
         cfg = fixtures.dual_route_config()
-        with pytest.raises(InfeasibleProblemError):
+        with pytest.raises(error):
             run_sweep(net, od, cfg, [0.0, 0.5])
 
     def test_unconverged_level_raises_sweep_error(self):

@@ -335,6 +335,25 @@ class TestSweep:
         )
         assert code == EXIT_VALIDATION
 
+    def test_capacity_constraints_need_path_solver(self, case, tmp_path,
+                                                   capsys):
+        # the same exit code and message as the solve subcommand
+        caps = tmp_path / "caps.json"
+        caps.write_text('{"a": 25.0}\n')
+        out = tmp_path / "refused"
+        code = main(
+            ["sweep"] + base_args(case)
+            + ["--cost-config", str(case["cost"]), "--method", "bfw",
+               "--capacity-constraints", str(caps), "--levels", "0,1",
+               "--out", str(out)]
+        )
+        assert code == EXIT_VALIDATION
+        payload = last_json_line(capsys.readouterr())
+        assert payload["errors"] == [
+            "explicit capacity constraints need a path-based solver "
+            "('pd' or 'eg')"]
+        assert not (out / "sweep.csv").exists()
+
     def test_unconverged_first_level_fails_without_artifacts(
             self, grid_case, tmp_path, capsys):
         out = tmp_path / "failed"

@@ -337,6 +337,56 @@ class TestCapacityConstraints:
             solve(net, split_demand(od, 0.0), cfg, "pd",
                   SolverOptions(capacity_constraints={"a": 0.0}))
 
+    @pytest.mark.parametrize("method", ["pd", "eg"])
+    def test_cap_on_an_unused_link_changes_nothing(self, method):
+        # a cap no path can reach keeps its multiplier at 0, and adding a
+        # zero multiplier to every cost and merit leaves each bit alone
+        net, od = fixtures.dual_route()
+        net.add_node(Node("far1", 500.0, 500.0))
+        net.add_node(Node("far2", 501.0, 500.0))
+        net.add_link(Link("iso", "far1", "far2", length_km=1.0,
+                          capacity=50.0, speed_kmh=50.0))
+        cfg = fixtures.dual_route_config()
+        demand = split_demand(od, 0.3)
+        free = solve(net, demand, cfg, method)
+        capped = solve(net, demand, cfg, method,
+                       SolverOptions(capacity_constraints={"iso": 10.0}))
+        for cls in CLASSES:
+            assert (capped.link_flows.class_flows[cls].tobytes()
+                    == free.link_flows.class_flows[cls].tobytes())
+        assert capped.paths == free.paths
+        assert capped.gap_trace == free.gap_trace
+        assert capped.iterations == free.iterations
+        assert free.duals == {} and free.complementarity == {}
+        assert capped.duals == {"iso": 0.0}
+        assert capped.complementarity == {"iso": 0.0}
+
+    def test_residual_rejects_a_negative_or_nan_dual(self, dual_case):
+        net, od, cfg = dual_case
+        demand = split_demand(od, 0.0)
+        sol = solve(net, demand, cfg, "pd",
+                    SolverOptions(capacity_constraints={"a": 40.0}, max_iters=100))
+        for bad in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="dual on link 'a' is"):
+                wardrop_residual(net, demand, cfg, replace(sol, duals={"a": bad}))
+
+    def test_warm_start_drops_a_negative_or_nan_dual(self, dual_case):
+        net, od, cfg = dual_case
+        options = SolverOptions(capacity_constraints={"a": 40.0})
+        base = solve(net, split_demand(od, 0.0), cfg, "pd", options)
+        assert base.duals["a"] > 0.0
+
+        def warm(value):
+            sol = solve(net, split_demand(od, 0.1), cfg, "pd",
+                        replace(options, max_iters=100),
+                        warm_start=replace(base, duals={"a": value}))
+            return (sol.link_flows.aggregate().tobytes(), sol.paths,
+                    sol.duals, sol.gap_trace, sol.iterations)
+
+        zero = warm(0.0)
+        for bad in (math.nan, -1e6):
+            assert warm(bad) == zero
+
     def test_infeasible_caps_diagnosed(self):
         # both routes capped far below total demand: duals must diverge
         net, od = fixtures.dual_route()
