@@ -12,15 +12,20 @@ Who calls what:
   iteration, with a :class:`WarmStart` per class owned by the solve's
   path state), ``metrics`` (every demand origin at once) and
   ``network.shortest_path`` (one source).
-  It solves all sources of a batch together with array operations, and
-  a class whose trees came back unchanged starts its next batch from
-  them.
+  It relaxes all sources of a chunk together over one in-arc layout
+  without padding (:func:`_in_arcs`, built once per graph): nodes in
+  descending in-degree order, row ``r`` the ``r``-th in-arc of every
+  node that has one, all rows in one flat array.  A round is one
+  gather into a buffer made once per chunk, one add and a fold of the
+  shorter rows into row 0.  Chunks whose trees came back unchanged
+  start from them, their old tree paths costed level by level
+  (:func:`_tree_levels`, :func:`_fold_levels`).
 * :func:`dijkstra` is the :mod:`heapq` reference for one source.  The
   batch kernel runs it for the trees its predecessor rule cannot settle;
   the tests hold the batch kernel to it bit for bit.
 * :func:`walk_paths` turns trees into link paths for the solvers and
   for ``network.shortest_path``.  It steps up the trees with
-  :func:`_tree_parents`, as does the warm start's :func:`_tree_costs`;
+  :func:`_tree_parents`, as does the warm start's :func:`_tree_levels`;
   both take arc tails from :func:`arc_tails`.
 * :func:`project_blocks` is the path-based solvers' simplex projection.
 """
@@ -28,6 +33,7 @@ Who calls what:
 from __future__ import annotations
 
 import heapq
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,15 +92,16 @@ def dijkstra(indptr, heads, links, cost, source):
     return dist, pred
 
 
-# The batch kernel's relaxation arrays hold (max in-degree x nodes x
-# sources) float64 entries; sources are taken in chunks that keep them
-# near this size, which bounds the kernel's extra memory.
+# The batch kernel relaxes sources in chunks of about this many
+# (max in-degree x nodes x sources) entries, which bounds its extra
+# memory.  Chunks sized from the arc count instead (27 sources rather
+# than 19 on mini_city) measured no faster.
 _BATCH_ENTRIES = 1 << 16
 
 
-def _chunk_size(slot):
-    """Sources per chunk of the batch kernel, for in-arc layout ``slot``."""
-    return max(1, _BATCH_ENTRIES // slot.size)
+def _chunk_size(arcs):
+    """Sources per chunk of the batch kernel, for in-arc layout ``arcs``."""
+    return max(1, _BATCH_ENTRIES // (len(arcs.rows) * arcs.pos.size))
 
 
 def arc_tails(indptr):
@@ -102,62 +109,98 @@ def arc_tails(indptr):
     return np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
 
 
-def _in_arcs(indptr, heads):
-    """Incoming arc slots of every node, padded to the largest in-degree.
+class _InArcs(NamedTuple):
+    """Every node's incoming arcs, in rows without padding.
 
-    Returns (slot, tail, arc_tail).  ``slot`` and ``tail`` are shaped
-    (max in-degree, n_nodes): row ``r`` holds each node's ``r``-th
-    incoming slot, in ascending slot order, and that slot's tail node.
-    Padding points at the dummy slot ``n_arcs``.  ``arc_tail`` is
-    :func:`arc_tails`.
+    Nodes take *positions* in descending in-degree order (stable).  Row
+    ``r`` holds the ``r``-th incoming slot, in ascending slot order, of
+    each node with more than ``r`` in-arcs: a prefix of the positions,
+    so each row is a prefix of row 0.  The rows are flattened one after
+    another; every arc slot is one entry.
     """
+
+    pos: np.ndarray        # position of each node
+    rows: tuple            # (first entry, length) per row; at least one
+    slot: np.ndarray       # arc slot of each entry
+    tail: np.ndarray       # position of each entry's tail node
+    head: np.ndarray       # position of each entry's head node
+    arc_tail: np.ndarray   # tail node of every arc slot (arc_tails)
+
+
+def _in_arcs(indptr, heads):
+    """The :class:`_InArcs` layout of the CSR graph (indptr, heads)."""
     n = indptr.shape[0] - 1
     m = heads.shape[0]
     indeg = np.bincount(heads, minlength=n)
+    node = np.argsort(-indeg, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[node] = np.arange(n)
+    n_rows = max(int(indeg.max(initial=0)), 1)
+    # rows[r]: the nodes with more than r in-arcs
+    at_least = np.cumsum(np.bincount(indeg, minlength=n_rows + 1)[::-1])[::-1]
+    rows = at_least[1:n_rows + 1]
+    offsets = np.cumsum(rows) - rows
     order = np.argsort(heads, kind="stable")
     rank = np.arange(m) - (np.cumsum(indeg) - indeg)[heads[order]]
-    slot = np.full((max(int(indeg.max(initial=0)), 1), n), m, dtype=np.int64)
-    slot[rank, heads[order]] = order
+    slot = np.empty(m, dtype=np.int64)
+    slot[offsets[rank] + pos[heads[order]]] = order
     arc_tail = arc_tails(indptr)
-    tail = np.append(arc_tail, 0)[slot]
-    return slot, tail, arc_tail
+    head = np.arange(m) - np.repeat(offsets, rows)
+    return _InArcs(pos, tuple(zip(offsets.tolist(), rows.tolist())), slot,
+                   pos[arc_tail[slot]], head, arc_tail)
 
 
-def _relax_chunk(slot, tail, arc_cost, sources, start=None):
-    """Shortest paths from a few sources at once, node-major.
+def _relax_chunk(arcs, entry_cost, sources, start=None):
+    """Shortest paths from a few sources at once, position-major.
 
-    ``arc_cost`` is the padded in-arc cost, shaped like ``slot``.
-    Relaxation starts from ``start`` (n_nodes, sources), which it may
-    overwrite, or from ``inf`` with the sources at 0 when it is None.
-    Returns (dist, pred, ties): dist and pred shaped (n_nodes, sources),
-    and a per-source flag for trees whose predecessors the rule in
-    :func:`batch_dijkstra` cannot vouch for.
+    ``entry_cost`` is the cost of each entry of ``arcs`` (its arc
+    slot's cost).  Relaxation starts from ``start`` (positions,
+    sources), which it may overwrite, or from ``inf`` with the sources
+    at 0 when it is None.  Each round gathers every entry's tail value
+    into one buffer, adds the entry costs and folds rows 1.. into the
+    prefix of row 0 with in-place minimums, so a round allocates
+    nothing.  Returns (dist, pred, ties): dist and pred shaped
+    (positions, sources), and a per-source flag for trees whose
+    predecessors the rule in :func:`batch_dijkstra` cannot vouch for.
     """
-    n = slot.shape[1]
-    k = sources.shape[0]
+    n, m, k = arcs.pos.size, arcs.slot.size, sources.shape[0]
     # repeated per source up front: a contiguous add is several times
     # faster than one broadcast over the short source axis
-    cost = np.repeat(arc_cost[:, :, None], k, axis=2)
+    cost = np.repeat(entry_cost[:, None], k, axis=1)
     if start is None:
         dist = np.full((n, k), np.inf)
-        dist[sources, np.arange(k)] = 0.0
+        dist[arcs.pos[sources], np.arange(k)] = 0.0
     else:
         dist = start
+    cand = np.empty((m, k))
+    n_in = arcs.rows[0][1]  # the nodes with an in-arc
+    best, dist_in = cand[:n_in], dist[:n_in]
+    folds = [(cand[:size], cand[lo:lo + size]) for lo, size in arcs.rows[1:]]
+    lower = np.empty((n_in, k), dtype=bool)
     while True:
-        cand = np.take(dist, tail, axis=0)  # (max in-degree, n, k)
+        # every index is in range, and "clip" spares take a buffered out
+        np.take(dist, arcs.tail, axis=0, out=cand, mode="clip")
         cand += cost
-        best = np.minimum.reduce(cand, axis=0)
-        if not np.less(best, dist).any():
+        for lead, row in folds:
+            np.minimum(lead, row, out=lead)
+        np.less(best, dist_in, out=lower)
+        if not lower.any():
             break
-        np.minimum(dist, best, out=dist)
-    via = np.take(dist, tail, axis=0)
-    tight = (cand == dist) & np.isfinite(dist)
-    ties = (tight & (via == dist)).any(axis=(0, 1))
+        np.minimum(dist_in, best, out=dist_in)
+    via = np.take(dist, arcs.tail, axis=0)
+    at = np.take(dist, arcs.head, axis=0)
+    np.add(via, cost, out=cand)
+    tight = (cand == at) & np.isfinite(at)
+    ties = (tight & (via == at)).any(axis=0)
     key = np.where(tight, via, np.inf)
-    first = tight & (key == np.minimum.reduce(key, axis=0))
+    low = key[:n_in].copy()
+    for lo, size in arcs.rows[1:]:
+        np.minimum(low[:size], key[lo:lo + size], out=low[:size])
+    first = tight & (key == np.take(low, arcs.head, axis=0))
     pred = np.full((n, k), -1, dtype=np.int64)
-    for rank in range(slot.shape[0] - 1, -1, -1):  # lowest rank = lowest slot
-        np.copyto(pred, slot[rank][:, None], where=first[rank])
+    for lo, size in arcs.rows[::-1]:  # lowest row = lowest slot
+        np.copyto(pred[:size], arcs.slot[lo:lo + size, None],
+                  where=first[lo:lo + size])
     return dist, pred, ties
 
 
@@ -174,31 +217,51 @@ def _tree_parents(preds, arc_tail):
     return np.where(preds >= 0, entry - entry % n + arc_tail[preds], entry).ravel()
 
 
-def _tree_costs(preds, arc_tail, arc_cost, sources, depth=None):
-    """Cost of every tree path under ``arc_cost``, node-major.
+def _tree_levels(preds, arcs):
+    """The trees ``preds`` of one chunk, sorted level by level.
 
-    ``preds`` (sources, n_nodes) are trees rooted at ``sources``, as the
-    kernels return them.  Each step sets every node to its tree parent's
-    value plus its tree arc's cost, so step ``t`` settles the nodes ``t``
-    arcs below their source: the path is summed from the source, left
-    to right, as the heap sums it.  Nodes off the tree stay ``inf``.
-    Runs ``depth`` steps, or, when it is None, steps until nothing
-    changes.  Returns (costs, steps run that changed something).
+    ``preds`` (sources, n_nodes) are trees as the kernels return them.
+    Every tree node's depth comes from pointer doubling over
+    :func:`_tree_parents`; one stable sort by depth orders the entries.
+    Returns (target, parent, slot, bounds): per entry, its index and
+    its tree parent's index in a (positions, sources) array flattened,
+    and its tree arc; level ``d`` is entries ``bounds[d - 1]:bounds[d]``.
     """
     k, n = preds.shape
-    parent = _tree_parents(preds, arc_tail)
-    step_cost = np.where(preds >= 0, arc_cost[preds], 0.0).ravel()
-    start = np.full(k * n, np.inf)
-    start[np.arange(k) * n + sources] = 0.0
-    steps = 0
-    while depth is None or steps < depth:
-        nxt = start[parent]
-        nxt += step_cost
-        if depth is None and np.array_equal(nxt, start):
+    jump = _tree_parents(preds, arcs.arc_tail)
+    depth = (preds >= 0).ravel().astype(np.int64)
+    while True:  # depth[e]: arcs from e up to jump[e]
+        above = depth[jump]
+        if not above.any():
             break
-        start = nxt
-        steps += 1
-    return np.ascontiguousarray(start.reshape(k, n).T), steps
+        depth += above
+        jump = jump[jump]
+    entries = np.flatnonzero(preds >= 0)
+    entries = entries[np.argsort(depth[entries], kind="stable")]
+    bounds = np.cumsum(np.bincount(depth[entries])).tolist()
+    row, v = np.divmod(entries, n)
+    slot = preds.ravel()[entries]
+    return (arcs.pos[v] * k + row, arcs.pos[arcs.arc_tail[slot]] * k + row,
+            slot, bounds)
+
+
+def _fold_levels(levels, arcs, arc_cost, sources):
+    """Cost of every tree path under ``arc_cost``, position-major.
+
+    ``levels`` are the old trees of ``sources``, from
+    :func:`_tree_levels`.  Level by level, each node takes its tree
+    parent's value plus its tree arc's cost: the path is summed from
+    the source, left to right, as the heap sums it.  Nodes off the
+    tree stay ``inf``.
+    """
+    target, parent, slot, bounds = levels
+    k = sources.shape[0]
+    costs = np.full(arcs.pos.size * k, np.inf)
+    costs[arcs.pos[sources] * k + np.arange(k)] = 0.0
+    step = arc_cost[slot]
+    for lo, hi in zip(bounds, bounds[1:]):
+        costs[target[lo:hi]] = costs[parent[lo:hi]] + step[lo:hi]
+    return costs.reshape(-1, k)
 
 
 def walk_paths(preds, links, arc_tail, rows, dests):
@@ -240,21 +303,23 @@ class WarmStart:
     exactly the trees of the call before.  Pass one state per such
     series of calls as ``warm=`` to :func:`batch_dijkstra`; in the
     solvers, a solve's path state (``equilibrium._PathState``) owns one
-    per vehicle class.  It holds the graph's padded in-arc layout (see
-    :func:`_in_arcs`), the sources and the ``preds`` array the last call
+    per vehicle class.  It holds the graph's in-arc layout (see
+    :class:`_InArcs`), the sources and the ``preds`` array the last call
     returned (referenced, not copied: callers must not modify it), and,
     per chunk of sources, whether that call returned the same trees as
-    the one before and, once measured, how deep those trees are.
-    ``repeated`` is True when every chunk came back unchanged, so a
-    caller can reuse whatever it derived from the last trees.  A call
-    that raises on a negative or NaN cost leaves the state as it was.
+    the one before and, once a chunk has started from them, those
+    trees sorted level by level (:func:`_tree_levels`), kept until they
+    change.  ``repeated`` is True when every chunk came back unchanged,
+    so a caller can reuse whatever it derived from the last trees.  A
+    call that raises on a negative or NaN cost leaves the state as it
+    was.
     """
 
-    def __init__(self, slot, tail, arc_tail):
-        self.slot, self.tail, self.arc_tail = slot, tail, arc_tail
+    def __init__(self, arcs):
+        self.arcs = arcs
         self.sources = self.preds = None
         self.same: list[bool] = []
-        self.depth: dict[int, int] = {}
+        self.levels: dict[int, tuple] = {}
         self.repeated = False
 
     def warm_chunks(self, sources):
@@ -266,13 +331,13 @@ class WarmStart:
     def record(self, sources, preds):
         """Keep the trees just returned and compare them with the last."""
         last = self.warm_chunks(sources)
-        step = _chunk_size(self.slot)
+        step = _chunk_size(self.arcs)
         self.same = [
             last is not None and np.array_equal(
                 self.preds[lo:lo + step], preds[lo:lo + step])
             for lo in range(0, len(sources), step)
         ]
-        self.depth = {c: d for c, d in self.depth.items() if self.same[c]}
+        self.levels = {c: lv for c, lv in self.levels.items() if self.same[c]}
         self.repeated = last is not None and all(self.same)
         self.sources = np.array(sources, dtype=np.int64)
         self.preds = preds
@@ -287,35 +352,40 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None):
     Raises ValueError if a cost is negative or NaN.
 
     Distances come from label-correcting relaxation of all arcs at once,
-    repeated until nothing changes.  The heap's float64 distances are the
-    greatest fixed point of ``d[v] = min(d[u] + c)``, which any
-    relaxation started from ``inf`` reaches bit for bit.  An arc is
-    *tight* when ``d[u] + c == d[v]``; the heap sets ``pred[v]`` when it
-    relaxes the first tight arc into ``v``, and it pops nodes in
-    (distance, node) order whenever every tight arc strictly increases
-    the distance.  Then ``pred[v]`` is the tight arc with the smallest
-    (``d[tail]``, slot).  Trees that contain a tight arc of zero
-    increase (zero-cost arcs, or a cost below the distance's rounding
-    unit) can be popped in another order: those sources are solved by
-    :func:`dijkstra` instead.
+    repeated until nothing changes (:func:`_relax_chunk`; a minimum is
+    exact in any order, so folding rows into row 0 changes no bit).  The
+    heap's float64 distances are the greatest fixed point of
+    ``d[v] = min(d[u] + c)``, which any relaxation started from ``inf``
+    reaches bit for bit.  An arc is *tight* when ``d[u] + c == d[v]``;
+    the heap sets ``pred[v]`` when it relaxes the first tight arc into
+    ``v``, and it pops nodes in (distance, node) order whenever every
+    tight arc strictly increases the distance.  Then ``pred[v]`` is the
+    tight arc with the smallest (``d[tail]``, slot).  Trees that contain
+    a tight arc of zero increase (zero-cost arcs, or a cost below the
+    distance's rounding unit) can be popped in another order: those
+    sources are solved by :func:`dijkstra` instead.
 
     ``warm`` (a :class:`WarmStart`) lets a chunk of sources whose trees
     came back unchanged on the last call start from those trees: each
     node starts at its old tree path's cost under the new costs, summed
-    left to right from the source (:func:`_tree_costs`), instead of at
-    ``inf``.  The result is the same bit for bit.  Let ``D`` be the
-    heap's distances.  The heap relaxes every arc out of every node it
-    settles and never raises a distance, so ``D[v] <= D[u] + c`` holds
-    in float64 on every arc.  Float addition is monotone, so along any
-    walk from the source the left-to-right sum of its costs never drops
-    below ``D`` at the walk's end.  Every finite value of the start is
-    such a sum, and relaxation only extends sums by one arc, so the
-    distances never drop below ``D``.  Relaxation stops when
-    ``d[v] <= d[u] + c`` on every arc; from the source (at 0) along the
-    heap's own tree path, whose left-to-right sums are ``D``, the same
-    monotonicity gives ``d <= D``.  So warm and cold starts both end on
-    ``D``, and the predecessor rule and the zero-increase fallback then
-    run on it as before.
+    left to right from the source, instead of at ``inf``.  The old trees
+    are sorted by depth once per streak of unchanged calls
+    (:func:`_tree_levels`); each call then fills them one level at a
+    time, parent plus arc (:func:`_fold_levels`).  Chunks whose trees
+    changed start cold: costing new trees level by level takes about
+    what the rounds it saves are worth.  The result is the same bit for
+    bit.  Let ``D`` be the heap's distances.  The heap relaxes every arc
+    out of every node it settles and never raises a distance, so
+    ``D[v] <= D[u] + c`` holds in float64 on every arc.  Float addition
+    is monotone, so along any walk from the source the left-to-right
+    sum of its costs never drops below ``D`` at the walk's end.  Every
+    finite value of the start is such a sum, and relaxation only extends
+    sums by one arc, so the distances never drop below ``D``.
+    Relaxation stops when ``d[v] <= d[u] + c`` on every arc; from the
+    source (at 0) along the heap's own tree path, whose left-to-right
+    sums are ``D``, the same monotonicity gives ``d <= D``.  So warm and
+    cold starts both end on ``D``, and the predecessor rule and the
+    zero-increase fallback then run on it as before.
     """
     arc_cost = cost[links]
     # NaN fails every comparison, so this also rejects NaN costs
@@ -326,23 +396,22 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None):
     dists = np.empty((sources.shape[0], n))
     preds = np.empty((sources.shape[0], n), dtype=np.int64)
     if warm is None:
-        slot, tail, _ = _in_arcs(indptr, heads)
-        warm_chunks = None
+        arcs, warm_chunks = _in_arcs(indptr, heads), None
     else:
-        slot, tail = warm.slot, warm.tail
-        warm_chunks = warm.warm_chunks(sources)
-    padded_cost = np.append(arc_cost, np.inf)[slot]
-    step = _chunk_size(slot)
+        arcs, warm_chunks = warm.arcs, warm.warm_chunks(sources)
+    entry_cost = arc_cost[arcs.slot]
+    step = _chunk_size(arcs)
     for c, lo in enumerate(range(0, sources.shape[0], step)):
         chunk = sources[lo:lo + step]
         start = None
         if warm_chunks is not None and warm_chunks[c]:
-            start, warm.depth[c] = _tree_costs(
-                warm.preds[lo:lo + step], warm.arc_tail, arc_cost, chunk,
-                warm.depth.get(c))
-        dist, pred, ties = _relax_chunk(slot, tail, padded_cost, chunk, start)
-        dists[lo:lo + step] = dist.T
-        preds[lo:lo + step] = pred.T
+            if c not in warm.levels:
+                warm.levels[c] = _tree_levels(warm.preds[lo:lo + step], arcs)
+            start = _fold_levels(warm.levels[c], arcs, arc_cost, chunk)
+        dist, pred, ties = _relax_chunk(arcs, entry_cost, chunk, start)
+        # back from positions to nodes, then the transposing copy
+        dists[lo:lo + step] = np.take(dist, arcs.pos, axis=0).T
+        preds[lo:lo + step] = np.take(pred, arcs.pos, axis=0).T
         for j in np.flatnonzero(ties):
             dists[lo + j], preds[lo + j] = dijkstra(
                 indptr, heads, links, cost, chunk[j])

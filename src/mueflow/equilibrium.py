@@ -80,7 +80,8 @@ class SolverOptions:
     start: ``"aon"`` or ``"uniform"``).  pd and eg also take
     ``capacity_constraints`` ({link_id: cap}), pd's multiplier step
     ``dual_step``, and ``dual_bound``, above which a multiplier raises
-    :class:`InfeasibleProblemError`; their primal steps come from a
+    :class:`InfeasibleProblemError` (a warm-start multiplier above it
+    starts at 0 instead); their primal steps come from a
     Lipschitz estimate.  ``seed`` is kept for interface stability; no
     step is randomized.
     """
@@ -235,9 +236,9 @@ class _Problem:
         self.od_row = np.array(
             [origin_row[o_node] for _, _, o_node, _ in self.od], dtype=np.int64)
         self.od_dest = np.array([od[3] for od in self.od], dtype=np.int64)
-        # the padded in-arc layout every warm start reads, and arc tails
+        # the in-arc layout every warm start reads, and arc tails
         self.in_arcs = _kernels._in_arcs(self.indptr, self.heads)
-        self.arc_tail = self.in_arcs[2]
+        self.arc_tail = self.in_arcs.arc_tail
 
         self.constrained_idx = np.zeros(0, dtype=np.int64)
         self.constrained_cap = np.zeros(0)
@@ -294,7 +295,7 @@ class _PathState:
         self._lookup: dict[tuple[int, int, tuple[int, ...]], int] = {}
         self._flat = None
         self._blocks = None
-        self.warm = [_kernels.WarmStart(*prob.in_arcs) for _ in CLASSES]
+        self.warm = [_kernels.WarmStart(prob.in_arcs) for _ in CLASSES]
         self.last_walk: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -873,12 +874,12 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
     opts = prob.options
     state = _PathState(prob)
     flows = _initial_flows(prob, state, warm)
-    # a capped link without a usable warm multiplier (none, negative or
-    # NaN) starts at 0
+    # a capped link without a usable warm multiplier (none, negative,
+    # NaN, infinite or above ``dual_bound``) starts at 0
     duals = warm.duals if warm is not None else {}
     lam = np.array([duals.get(prob.link_ids[li], 0.0)
                     for li in prob.constrained_idx.tolist()], dtype=float)
-    lam[~(lam >= 0.0)] = 0.0
+    lam[~(np.isfinite(lam) & (lam >= 0.0) & (lam <= opts.dual_bound))] = 0.0
 
     trace: list = []
     converged = False

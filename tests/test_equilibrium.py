@@ -370,22 +370,32 @@ class TestCapacityConstraints:
             with pytest.raises(ValueError, match="dual on link 'a' is"):
                 wardrop_residual(net, demand, cfg, replace(sol, duals={"a": bad}))
 
-    def test_warm_start_drops_a_negative_or_nan_dual(self, dual_case):
+    @staticmethod
+    def warm_from_duals(dual_case, values):
+        """pd at penetration 0.1 warm from the 0.0 solve, its dual on ``a``
+        replaced by each of ``values``; what each run returns."""
         net, od, cfg = dual_case
         options = SolverOptions(capacity_constraints={"a": 40.0})
         base = solve(net, split_demand(od, 0.0), cfg, "pd", options)
         assert base.duals["a"] > 0.0
-
-        def warm(value):
+        runs = []
+        for value in values:
             sol = solve(net, split_demand(od, 0.1), cfg, "pd",
                         replace(options, max_iters=100),
                         warm_start=replace(base, duals={"a": value}))
-            return (sol.link_flows.aggregate().tobytes(), sol.paths,
-                    sol.duals, sol.gap_trace, sol.iterations)
+            runs.append((sol.link_flows.aggregate().tobytes(), sol.paths,
+                         sol.duals, sol.gap_trace, sol.iterations))
+        return runs
 
-        zero = warm(0.0)
-        for bad in (math.nan, -1e6):
-            assert warm(bad) == zero
+    def test_warm_start_drops_a_negative_or_nan_dual(self, dual_case):
+        zero, *bad = self.warm_from_duals(dual_case, (0.0, math.nan, -1e6))
+        assert bad == [zero, zero]
+
+    def test_warm_start_drops_a_dual_above_the_bound(self, dual_case):
+        # read as it is, such a multiplier raises "diverged" on caps
+        # that hold
+        zero, *bad = self.warm_from_duals(dual_case, (0.0, math.inf, 1e300))
+        assert bad == [zero, zero]
 
     def test_infeasible_caps_diagnosed(self):
         # both routes capped far below total demand: duals must diverge

@@ -120,12 +120,11 @@ class TestBatchDijkstra:
         # while the smallest-(distance, slot) rule would pick 1 -> 4
         arcs = [(0, 3, 1.0), (1, 4, 1.0), (3, 1, 0.0), (3, 4, 1.0)]
         indptr, heads, links, cost = csr_from_arcs(5, arcs)
-        slot, tail, _ = _kernels._in_arcs(indptr, heads)
-        padded = np.append(cost[links], np.inf)[slot]
+        layout = _kernels._in_arcs(indptr, heads)
         _, rule_pred, ties = _kernels._relax_chunk(
-            slot, tail, padded, np.array([0]))
+            layout, cost[links][layout.slot], np.array([0]))
         assert ties[0]
-        assert arcs[links[rule_pred[4, 0]]][:2] == (1, 4)
+        assert arcs[links[rule_pred[layout.pos[4], 0]]][:2] == (1, 4)
         dists, preds = _kernels.batch_dijkstra(
             indptr, heads, links, cost, [0])
         assert arcs[links[preds[0, 4]]][:2] == (3, 4)
@@ -149,7 +148,7 @@ class TestBatchDijkstra:
 
 
 def warm_state(indptr, heads):
-    return _kernels.WarmStart(*_kernels._in_arcs(indptr, heads))
+    return _kernels.WarmStart(_kernels._in_arcs(indptr, heads))
 
 
 def open_gate(warm, indptr, heads, links, cost, sources):
@@ -174,21 +173,22 @@ def loaded_costs(name, seed):
     return indptr, heads, slots, cost, rng
 
 
+@pytest.fixture
+def warm_calls(monkeypatch):
+    """Count the chunks that start from earlier trees."""
+    calls = []
+    fold_levels = _kernels._fold_levels
+
+    def counted(*args):
+        calls.append(args)
+        return fold_levels(*args)
+
+    monkeypatch.setattr(_kernels, "_fold_levels", counted)
+    return calls
+
+
 class TestWarmStart:
     """Batches started from earlier trees, against cold and heap runs."""
-
-    @pytest.fixture
-    def warm_calls(self, monkeypatch):
-        """Count the chunks that start from earlier trees."""
-        calls = []
-        tree_costs = _kernels._tree_costs
-
-        def counted(*args):
-            calls.append(args)
-            return tree_costs(*args)
-
-        monkeypatch.setattr(_kernels, "_tree_costs", counted)
-        return calls
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_perturbed_costs_on_every_fixture(self, name, warm_calls):
@@ -248,6 +248,38 @@ class TestWarmStart:
                 batch=lambda *args: _kernels.batch_dijkstra(
                     *args, warm=warm))
             assert len(warm_calls) - calls == warm_chunks
+
+    def test_changed_trees_drop_their_level_memo(self, monkeypatch):
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = list(node_index.values())[:12]
+        monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 1)  # one per chunk
+        warm = warm_state(indptr, heads)
+        open_gate(warm, indptr, heads, slots, cost, sources)
+        assert warm.levels == {}
+        # same trees under new costs: every chunk sorts its trees once
+        cost = cost * 1.0000001
+        _kernels.batch_dijkstra(indptr, heads, slots, cost, sources,
+                                warm=warm)
+        assert warm.repeated and sorted(warm.levels) == list(range(12))
+        memo = dict(warm.levels)
+        # a dearer arc on source 0's tree changes the trees that use it
+        before = warm.preds
+        bumped = cost.copy()
+        bumped[slots[before[0, int(np.argmax(before[0] >= 0))]]] += 50.0
+        _, preds = _kernels.batch_dijkstra(
+            indptr, heads, slots, bumped, sources, warm=warm)
+        kept = [c for c in range(12) if np.array_equal(before[c], preds[c])]
+        assert 0 < len(kept) < 12
+        assert sorted(warm.levels) == kept
+        assert all(warm.levels[c] is memo[c] for c in kept)
+        # changed trees start cold once, then sort their new trees
+        for memo_chunks in (kept, list(range(12))):
+            assert_batch_matches_heap(
+                indptr, heads, slots, bumped, sources,
+                batch=lambda *args: _kernels.batch_dijkstra(*args, warm=warm))
+            assert sorted(warm.levels) == memo_chunks
+        assert [warm.levels[c] is memo[c] for c in range(12)] == [
+            c in kept for c in range(12)]
 
     def test_zero_costs(self, warm_calls):
         # zero-cost arcs route tied trees through the heap, warm or cold
@@ -328,6 +360,109 @@ class TestWarmStart:
         assert warm.pi == cold.pi
         for cls, flows in warm.link_flows.class_flows.items():
             assert flows.tobytes() == cold.link_flows.class_flows[cls].tobytes()
+
+
+def hub_graph():
+    """Node 0 takes an arc from each of nine leaves, each leaf one from 0."""
+    arcs = []
+    for leaf in range(1, 10):
+        arcs += [(leaf, 0, 0.5 * leaf), (0, leaf, 10.0 - leaf)]
+    return 10, arcs, range(10)
+
+
+def graph_with_unreached_roots():
+    """Nodes 5 and 6 have no in-arcs and are not sources."""
+    arcs = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.5), (2, 3, 1.0), (5, 3, 0.5),
+            (6, 4, 1.0), (5, 6, 2.0), (3, 4, 1.0), (4, 0, 2.0)]
+    return 7, arcs, [0, 2, 3]
+
+
+def graph_with_parallel_arcs():
+    """Pairs joined by several arcs, of equal and of different costs."""
+    arcs = [(0, 1, 2.0), (0, 1, 1.5), (0, 1, 1.5), (1, 2, 1.0), (1, 2, 1.0),
+            (0, 2, 3.0), (2, 0, 1.0), (2, 3, 4.0), (2, 3, 2.5), (3, 1, 0.5)]
+    return 4, arcs, range(4)
+
+
+SMALL_GRAPHS = {
+    "hub": hub_graph,
+    "unreached_roots": graph_with_unreached_roots,
+    "parallel_arcs": graph_with_parallel_arcs,
+}
+
+
+def layout_cases():
+    for name in sorted(FIXTURES):
+        net, _ = FIXTURES[name][0]()
+        indptr, heads, _, _, _ = net.csr()
+        yield pytest.param(indptr, heads, id=name)
+    for name, build in sorted(SMALL_GRAPHS.items()):
+        n, arcs, _ = build()
+        indptr, heads, _, _ = csr_from_arcs(n, arcs)
+        yield pytest.param(indptr, heads, id=name)
+    yield pytest.param(np.zeros(4, dtype=np.int64),
+                       np.zeros(0, dtype=np.int64), id="no_arcs")
+
+
+class TestInArcs:
+    """The in-arc layout the batch kernel relaxes over."""
+
+    @pytest.mark.parametrize("indptr,heads", layout_cases())
+    def test_layout_invariants(self, indptr, heads):
+        n, m = indptr.shape[0] - 1, heads.shape[0]
+        arcs = _kernels._in_arcs(indptr, heads)
+        indeg = np.bincount(heads, minlength=n)
+        # positions: descending in-degree, stable
+        assert sorted(arcs.pos.tolist()) == list(range(n))
+        node = np.argsort(arcs.pos)  # node at each position
+        assert node.tolist() == sorted(range(n), key=lambda v: -indeg[v])
+        # every arc slot is exactly one entry
+        assert sorted(arcs.slot.tolist()) == list(range(m))
+        assert arcs.arc_tail.tolist() == _kernels.arc_tails(indptr).tolist()
+        assert len(arcs.rows) >= 1
+        end = 0
+        for r, (lo, size) in enumerate(arcs.rows):
+            # row r: the r-th in-arc of each node with more than r
+            assert lo == end and size == np.count_nonzero(indeg > r)
+            row = arcs.slot[lo:lo + size]
+            assert heads[row].tolist() == node[:size].tolist()
+            assert arcs.head[lo:lo + size].tolist() == list(range(size))
+            if r:  # each node's in-arcs in ascending slot order
+                assert np.all(row > previous[:size])
+            previous, end = row, lo + size
+        assert end == m
+        assert arcs.tail.tolist() == arcs.pos[
+            arcs.arc_tail[arcs.slot]].tolist()
+        # every gather index is in range, so "clip" never clips
+        for index, bound in ((arcs.slot, m), (arcs.tail, n),
+                             (arcs.head, arcs.rows[0][1])):
+            assert index.dtype == np.int64
+            assert index.size == 0 or (index.min() >= 0
+                                       and index.max() < bound)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+    def test_batch_equals_heap_cold_and_warm(self, name, warm_calls):
+        n, arcs, sources = SMALL_GRAPHS[name]()
+        indptr, heads, links, cost = csr_from_arcs(n, arcs)
+        assert_batch_matches_heap(indptr, heads, links, cost, sources)
+        # no cost here is zero: the rule settles every tree, no heap
+        layout = _kernels._in_arcs(indptr, heads)
+        dist, pred, ties = _kernels._relax_chunk(
+            layout, cost[links][layout.slot], np.array(list(sources)))
+        assert not ties.any()
+        assert_batch_matches_heap(
+            indptr, heads, links, cost, sources,
+            batch=lambda *args: (dist[layout.pos].T, pred[layout.pos].T))
+        rng = np.random.default_rng(3)
+        for scale in (1e-3, 0.5, 2.0):
+            warm = warm_state(indptr, heads)
+            open_gate(warm, indptr, heads, links, cost, sources)
+            changed = cost * (1.0 + scale * rng.uniform(-0.5, 1.0, cost.size))
+            before = len(warm_calls)
+            assert_batch_matches_heap(
+                indptr, heads, links, changed, sources,
+                batch=lambda *args: _kernels.batch_dijkstra(*args, warm=warm))
+            assert len(warm_calls) > before
 
 
 def tree_paths_loop(pred, links, link_tail, source):
