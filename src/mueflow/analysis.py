@@ -106,9 +106,7 @@ class SweepResult:
             avg_times=avg_times,
             gradient=_forward_differences(levels, avg_times),
         )
-        sweep.potential_savings, sweep.ps_diffs = _savings_series(avg_times)
-        sweep.plateau_intervals = detect_plateaus(sweep)
-        sweep.transition_intervals = detect_transitions(sweep)
+        _derive_series(sweep)
         return sweep
 
 
@@ -117,8 +115,8 @@ def _check_levels(levels) -> None:
         raise AnalysisError("need at least two penetration levels")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise AnalysisError("levels must be strictly increasing")
-    if levels[0] < 0.0 or levels[-1] > 1.0:
-        raise AnalysisError("levels must lie within [0, 1]")
+    if not all(0.0 <= v <= 1.0 for v in levels):
+        raise AnalysisError("levels must be finite and lie within [0, 1]")
 
 
 def _forward_differences(levels, values) -> list:
@@ -128,13 +126,17 @@ def _forward_differences(levels, values) -> list:
     ]
 
 
-def _savings_series(avg_times):
-    """Potential savings per level, or Nones when the series is flat."""
-    t_max, t_min = max(avg_times), min(avg_times)
-    if t_max <= t_min:
-        return [None] * len(avg_times), [None] * (len(avg_times) - 1)
-    ps = [potential_savings(t, t_max, t_min) for t in avg_times]
-    return ps, potential_savings_diff(ps)
+def _derive_series(sweep: SweepResult) -> None:
+    """Fill potential savings (None if flat) and plateau/transition spans."""
+    t_max, t_min = max(sweep.avg_times), min(sweep.avg_times)
+    if t_max > t_min:
+        ps = [potential_savings(t, t_max, t_min) for t in sweep.avg_times]
+        sweep.potential_savings, sweep.ps_diffs = ps, potential_savings_diff(ps)
+    else:
+        sweep.potential_savings = [None] * len(sweep.levels)
+        sweep.ps_diffs = [None] * len(sweep.gradient)
+    sweep.plateau_intervals = detect_plateaus(sweep)
+    sweep.transition_intervals = detect_transitions(sweep)
 
 
 def _mask_intervals(levels, mask) -> list:
@@ -340,11 +342,9 @@ def sweep_from_records(records) -> SweepResult:
         records=list(records),
     )
     if len(records) > 1:
-        sweep.potential_savings, sweep.ps_diffs = _savings_series(avg_times)
+        _derive_series(sweep)
         for rec, ps in zip(records, sweep.potential_savings):
             rec.potential_savings = ps
-        sweep.plateau_intervals = detect_plateaus(sweep)
-        sweep.transition_intervals = detect_transitions(sweep)
         sweep.critical_thresholds = critical_thresholds(sweep)
     if (
         len(levels) >= 5

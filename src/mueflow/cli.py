@@ -50,7 +50,6 @@ from .network import (
     load_network,
 )
 from .reports import (
-    metrics_to_dict,
     write_metrics_csv,
     write_metrics_json,
     write_solution_csv,
@@ -275,16 +274,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     outdir = _outdir(args)
     written = _write_solution_artifacts(formats, outdir, solution,
                                         inputs.network, report)
-    summary = metrics_to_dict(report)
     print(
         f"penetration={args.penetration:g} method={solution.method} "
         f"converged={solution.converged} iterations={solution.iterations} "
         f"wardrop_gap={solution.wardrop_gap!r}"
     )
     print(
-        f"T_MUE={summary['avg_travel_time_mue']!r} "
-        f"T_FF={summary['avg_travel_time_ff']!r} "
-        f"VOC_total={summary['voc_total']!r} RUR={summary['rur']!r}"
+        f"T_MUE={report.avg_travel_time_mue!r} "
+        f"T_FF={report.avg_travel_time_ff!r} "
+        f"VOC_total={report.voc_total!r} RUR={report.rur!r}"
     )
     for path in written:
         print(f"wrote {path}")

@@ -102,6 +102,8 @@ class SolverOptions:
             raise ValueError("max_iters must be at least 1")
         if not self.dual_step > 0.0:
             raise ValueError("dual_step must be positive")
+        if not self.dual_bound > 0.0:
+            raise ValueError("dual_bound must be positive")
         if self.init not in ("aon", "uniform"):
             raise ValueError(f"init must be 'aon' or 'uniform', got {self.init!r}")
 

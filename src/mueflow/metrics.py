@@ -5,6 +5,10 @@ metrics (volume/capacity, delay factor, congested time), and comparison
 helpers between a baseline and a scenario solution.  Connector links are
 synthetic plumbing and are excluded from every per-link metric and from
 the aggregate VOC/utilization counts.
+
+Per-link metrics read a solution's flows and times by position: they
+require ``solution.link_flows.link_ids == network.link_ids`` (same ids,
+same order, as every solver returns them) and raise MetricsError if not.
 """
 
 from __future__ import annotations
@@ -63,54 +67,47 @@ class ProfileBin:
         return self.count == 0
 
 
-def _road_links(network: Network):
-    """(link, index) pairs for non-connector links, insertion order."""
+def _road(solution, network: Network) -> list:
+    """(link, flow, time) per non-connector link, in network order."""
+    if list(solution.link_flows.link_ids) != network.link_ids:
+        raise MetricsError("solution link set does not match the network "
+                           "(same link ids in the same order required)")
+    flows = solution.link_flows.aggregate().tolist()
     return [
-        (link, i)
-        for i, link in enumerate(network.links.values())
+        (link, flow, float(time))
+        for link, flow, time in zip(network.links.values(), flows,
+                                    solution.link_times)
         if not link.connector
     ]
 
 
-def _aggregate_flows(solution, network: Network) -> np.ndarray:
-    flows = solution.link_flows.aggregate()
-    if len(solution.link_flows.link_ids) != len(network.links):
-        raise MetricsError("solution link set does not match the network")
-    return flows
-
-
 def link_congested_times(solution, network: Network) -> dict:
     """Per-link travel time at equilibrium flow, minutes (no connectors)."""
-    _aggregate_flows(solution, network)  # validates the link sets agree
-    times = dict(zip(solution.link_flows.link_ids, solution.link_times))
-    return {link.id: float(times[link.id]) for link, _ in _road_links(network)}
+    return {link.id: time for link, _, time in _road(solution, network)}
 
 
 def voc(solution, network: Network) -> tuple[dict, float]:
     """Volume/capacity per non-connector link and their sum."""
-    flows = _aggregate_flows(solution, network)
     per_link = {
-        link.id: float(flows[i]) / link.capacity for link, i in _road_links(network)
+        link.id: flow / link.capacity for link, flow, _ in _road(solution, network)
     }
     return per_link, float(sum(per_link.values()))
 
 
 def road_utilization(solution, network: Network) -> float:
     """Fraction of non-connector links carrying positive flow."""
-    road = _road_links(network)
+    road = _road(solution, network)
     if not road:
         raise MetricsError("network has no road links")
-    flows = _aggregate_flows(solution, network)
-    used = sum(1 for _, i in road if flows[i] > FLOW_ACTIVE_TOL)
+    used = sum(1 for _, flow, _ in road if flow > FLOW_ACTIVE_TOL)
     return used / len(road)
 
 
 def delay_factors(solution, network: Network) -> dict:
     """Per-link congested/free-flow time ratio, >= 1."""
-    times = link_congested_times(solution, network)
     return {
-        link.id: times[link.id] / link.free_flow_time
-        for link, _ in _road_links(network)
+        link.id: time / link.free_flow_time
+        for link, _, time in _road(solution, network)
     }
 
 
@@ -228,14 +225,10 @@ def link_congested_time_profile(solution, network: Network,
         raise MetricsError("need at least two bin edges")
     if any(lo >= hi for lo, hi in zip(edges, edges[1:])):
         raise MetricsError("bin edges must be strictly increasing")
-    times = link_congested_times(solution, network)
+    road = _road(solution, network)
     out = []
     for lo, hi in zip(edges, edges[1:]):
-        members = [
-            times[link.id]
-            for link, _ in _road_links(network)
-            if lo <= link.length_km < hi
-        ]
+        members = [time for link, _, time in road if lo <= link.length_km < hi]
         mean = float(np.mean(members)) if members else None
         out.append(ProfileBin(lo, hi, len(members), mean))
     return out

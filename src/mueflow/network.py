@@ -237,6 +237,14 @@ def _parse_positive(raw, what, where):
     return value
 
 
+def _hierarchy_default(defaults, hierarchy, what, where) -> float:
+    """A hierarchy's default ``what`` (capacity or free_flow_speed)."""
+    if hierarchy not in defaults:
+        raise NetworkValidationError(
+            f"{where}: blank {what} and no default for hierarchy {hierarchy!r}")
+    return float(defaults[hierarchy][("capacity", "free_flow_speed").index(what)])
+
+
 def _require_finite(what, x, y):
     if not (math.isfinite(x) and math.isfinite(y)):
         raise NetworkValidationError(f"non-finite coordinates for {what}: x={x!r}, y={y!r}")
@@ -331,12 +339,8 @@ def load_network(
             if cap_raw:
                 capacity = _parse_positive(cap_raw, "capacity", where)
             else:
-                if hierarchy not in hierarchy_defaults:
-                    raise NetworkValidationError(
-                        f"{where}: blank capacity and no default for "
-                        f"hierarchy {hierarchy!r}"
-                    )
-                capacity = float(hierarchy_defaults[hierarchy][0])
+                capacity = _hierarchy_default(
+                    hierarchy_defaults, hierarchy, "capacity", where)
             if speed_raw:
                 speed = _parse_positive(speed_raw, "free_flow_speed", where)
                 speed_unit = row["speed_unit"].strip()
@@ -347,12 +351,8 @@ def load_network(
                         f"{where}: speed_unit must be 'kmh' or 'mph', got {speed_unit!r}"
                     )
             else:
-                if hierarchy not in hierarchy_defaults:
-                    raise NetworkValidationError(
-                        f"{where}: blank free_flow_speed and no default for "
-                        f"hierarchy {hierarchy!r}"
-                    )
-                speed = float(hierarchy_defaults[hierarchy][1])
+                speed = _hierarchy_default(
+                    hierarchy_defaults, hierarchy, "free_flow_speed", where)
             net.add_link(
                 Link(
                     id=lid,

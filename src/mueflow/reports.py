@@ -21,6 +21,9 @@ METRICS_SUMMARY_FIELDS = [
     "avg_travel_time_mue", "avg_travel_time_ff", "voc_total", "rur",
 ]
 METRICS_LINK_FIELDS = ["voc", "congested_time", "delay_factor"]
+#: sweep plot-series file name -> the sweep column it holds
+_SERIES = {"t_vs_re": "t_mue", "ps_vs_re": "ps", "voc_vs_re": "voc_total",
+           "rur_vs_re": "rur"}
 
 
 def _write_rows(path, header, rows) -> None:
@@ -163,22 +166,25 @@ def read_metrics_csv(path) -> tuple[dict, dict]:
 # -- sweep artifacts -----------------------------------------------------
 
 
+def _sweep_columns(sweep) -> dict:
+    """Per-level values keyed by ``SWEEP_COLUMNS``, None where undefined."""
+    n = len(sweep.levels)
+    records = sweep.records or []
+    return {
+        "penetration": sweep.levels,
+        "t_mue": sweep.avg_times,
+        "ps": sweep.potential_savings or [None] * n,
+        "dps": [None, *sweep.ps_diffs] if sweep.ps_diffs else [None] * n,
+        "voc_total": [r.report.voc_total for r in records] or [None] * n,
+        "rur": [r.report.rur for r in records] or [None] * n,
+    }
+
+
 def write_sweep_csv(sweep, path) -> None:
     """One row per level: penetration, T, PS, step dPS, VOC total, RUR."""
-    rows = []
-    for i, level in enumerate(sweep.levels):
-        rec = sweep.records[i] if sweep.records else None
-        ps = sweep.potential_savings[i] if sweep.potential_savings else None
-        dps = sweep.ps_diffs[i - 1] if i and sweep.ps_diffs else None
-        rows.append([
-            _fmt(level),
-            _fmt(sweep.avg_times[i]),
-            _fmt(ps),
-            _fmt(dps),
-            _fmt(rec.report.voc_total) if rec else "",
-            _fmt(rec.report.rur) if rec else "",
-        ])
-    _write_rows(path, SWEEP_COLUMNS, rows)
+    columns = _sweep_columns(sweep)
+    rows = zip(*(columns[c] for c in SWEEP_COLUMNS))
+    _write_rows(path, SWEEP_COLUMNS, [[_fmt(v) for v in row] for row in rows])
 
 
 def read_sweep_csv(path) -> list[dict]:
@@ -223,24 +229,12 @@ def write_sweep_json(sweep, path) -> None:
 
 def write_sweep_series(sweep, outdir) -> dict:
     """Plot-ready two-column series files; returns {name: path}."""
-    outdir = Path(outdir)
-    series = {
-        "t_vs_re": sweep.avg_times,
-        "ps_vs_re": sweep.potential_savings or [None] * len(sweep.levels),
-        "voc_vs_re": [r.report.voc_total for r in sweep.records]
-        if sweep.records else [None] * len(sweep.levels),
-        "rur_vs_re": [r.report.rur for r in sweep.records]
-        if sweep.records else [None] * len(sweep.levels),
-    }
+    columns = _sweep_columns(sweep)
     paths = {}
-    for name, values in series.items():
-        path = outdir / f"{name}.csv"
-        _write_rows(
-            path,
-            ["penetration", "value"],
-            [[_fmt(lv), _fmt(v)] for lv, v in zip(sweep.levels, values)],
-        )
-        paths[name] = path
+    for name, column in _SERIES.items():
+        paths[name] = Path(outdir) / f"{name}.csv"
+        _write_rows(paths[name], ["penetration", "value"], [
+            [_fmt(lv), _fmt(v)] for lv, v in zip(sweep.levels, columns[column])])
     return paths
 
 

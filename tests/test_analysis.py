@@ -7,6 +7,7 @@ whose threshold structure is known in closed form.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -130,6 +131,13 @@ class TestFromSeries:
             SweepResult.from_series([0.0, 1.2], [10.0, 10.0])
         with pytest.raises(AnalysisError, match="one travel time per level"):
             SweepResult.from_series([0.0, 1.0], [10.0])
+
+    @pytest.mark.parametrize("levels", [
+        [math.nan, 1.0], [0.0, math.nan], [-math.inf, 1.0], [0.0, math.inf],
+    ])
+    def test_non_finite_levels_rejected(self, levels):
+        with pytest.raises(AnalysisError, match="finite"):
+            SweepResult.from_series(levels, [10.0, 9.0])
 
     def test_gradient_and_savings(self):
         sweep = SweepResult.from_series([0.0, 0.5, 1.0], [20.0, 15.0, 10.0])
@@ -346,6 +354,18 @@ class TestSweepMechanics:
             run_sweep(net, od, cfg, [0.5])
         with pytest.raises(AnalysisError, match="within"):
             run_sweep(net, od, cfg, [0.0, 1.5])
+
+    def test_nan_level_rejected_before_any_solve(self, monkeypatch):
+        import mueflow.analysis as analysis
+
+        def never(*args, **kwargs):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(analysis, "solve", never)
+        net, od = fixtures.dual_route()
+        cfg = fixtures.dual_route_config()
+        with pytest.raises(AnalysisError, match="finite"):
+            run_sweep(net, od, cfg, [0.0, math.nan, 0.5])
 
     def test_failed_level_raises_partial_error(self, monkeypatch):
         import mueflow.analysis as analysis

@@ -629,6 +629,9 @@ class TestEdgeCases:
         for field in ("rel_gap_tol", "dual_step"):
             with pytest.raises(ValueError, match=field):
                 SolverOptions(**{field: nan})
+        for bad in (0.0, -1.0, nan):
+            with pytest.raises(ValueError, match="dual_bound"):
+                SolverOptions(dual_bound=bad)
 
 
 class TestGapDecay:

@@ -53,6 +53,20 @@ def stub_solution(network, class_flows, link_times, paths=None):
     )
 
 
+def dual_route_b_first():
+    """The dual-route network rebuilt with link b added before link a."""
+    src, _ = FIXTURES["dual_route"][0]()
+    net = Network()
+    for nid in ("n1", "n2"):
+        net.add_node(src.nodes[nid])
+    for lid in ("b", "a"):
+        net.add_link(src.links[lid])
+    net.add_zone(Zone("A", 0.0, 0.0))
+    net.add_zone(Zone("B", 9.654, 0.0))
+    generate_connectors(net)
+    return net
+
+
 def single_link_network(length_km=1.0, capacity=1400.0):
     net = Network()
     net.add_node(Node("n1", 0.0, 0.0))
@@ -300,6 +314,20 @@ class TestVocAndUtilization:
         )
         with pytest.raises(MetricsError, match="does not match"):
             voc(sol, net)
+
+    @pytest.mark.parametrize("metric", [
+        voc, road_utilization, link_congested_times, delay_factors,
+        link_congested_time_profile,
+    ])
+    def test_reordered_link_ids_rejected(self, metric, dual_solution_gv):
+        # flows are read by position: b's flow must not be divided by
+        # a's capacity just because the link counts agree
+        net = dual_route_b_first()
+        solved_ids = list(dual_solution_gv.link_flows.link_ids)
+        assert sorted(net.link_ids) == sorted(solved_ids)
+        assert net.link_ids != solved_ids
+        with pytest.raises(MetricsError, match="same order"):
+            metric(dual_solution_gv, net)
 
 
 class TestDelayFactors:

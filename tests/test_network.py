@@ -131,7 +131,16 @@ class TestLoadErrors:
     def test_blank_attributes_need_known_hierarchy(self, tmp_path):
         bad = LINKS_CSV.replace("6.0,mi,120,30,mph,highway", "6.0,mi,,,,alley")
         paths = write_inputs(tmp_path, links=bad)
-        with pytest.raises(NetworkValidationError, match="hierarchy"):
+        with pytest.raises(NetworkValidationError,
+                           match="blank capacity and no default for "
+                                 "hierarchy 'alley'"):
+            load_network(paths["nodes"], paths["links"])
+        # a given capacity leaves the blank speed to fail on its own
+        bad = LINKS_CSV.replace("6.0,mi,120,30,mph,highway", "6.0,mi,120,,,alley")
+        paths = write_inputs(tmp_path, links=bad)
+        with pytest.raises(NetworkValidationError,
+                           match="blank free_flow_speed and no default for "
+                                 "hierarchy 'alley'"):
             load_network(paths["nodes"], paths["links"])
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from mueflow import fixtures
-from mueflow.analysis import SweepResult, run_sweep
+from mueflow.analysis import SweepResult, run_sweep, sweep_from_records
 from mueflow.metrics import compute_report
 from mueflow.reports import (
     METRICS_LINK_FIELDS,
@@ -40,6 +40,20 @@ def small_sweep():
     net, od = fixtures.dual_route()
     cfg = fixtures.dual_route_config()
     return run_sweep(net, od, cfg, [0.0, 0.25, 0.5, 0.75, 1.0], method="pd")
+
+
+@pytest.fixture(scope="module")
+def one_level_sweep(small_sweep):
+    """A partial sweep of one solved level: no savings axis at all."""
+    sweep = sweep_from_records(small_sweep.records[:1])
+    assert sweep.potential_savings is None
+    return sweep
+
+
+@pytest.fixture(scope="module")
+def flat_sweep():
+    """A flat travel-time series: savings are defined as all None."""
+    return SweepResult.from_series([0.0, 0.5, 1.0], [12.0, 12.0, 12.0])
 
 
 @pytest.fixture(scope="module")
@@ -239,3 +253,42 @@ class TestSweepFiles:
         write_sweep_csv(small_sweep, a)
         write_sweep_csv(small_sweep, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_level_partial_sweep(self, one_level_sweep, tmp_path):
+        report = one_level_sweep.records[0].report
+        write_sweep_csv(one_level_sweep, tmp_path / "sweep.csv")
+        assert read_sweep_csv(tmp_path / "sweep.csv") == [{
+            "penetration": 0.0, "t_mue": report.avg_travel_time_mue,
+            "ps": None, "dps": None,
+            "voc_total": report.voc_total, "rur": report.rur,
+        }]
+        write_sweep_json(one_level_sweep, tmp_path / "sweep.json")
+        payload = json.loads((tmp_path / "sweep.json").read_text())
+        assert payload["gradient"] == []
+        assert payload["potential_savings"] == []
+        assert payload["potential_savings_diff"] == []
+        assert payload["voc_total"] == [report.voc_total]
+        assert payload["rur"] == [report.rur]
+        assert payload["overlap_ratio"] == [None]  # no EV class at 0.0
+        paths = write_sweep_series(one_level_sweep, tmp_path)
+        assert read_series_csv(paths["ps_vs_re"]) == [(0.0, None)]
+        assert read_series_csv(paths["voc_vs_re"]) == [(0.0, report.voc_total)]
+        assert read_series_csv(paths["rur_vs_re"]) == [(0.0, report.rur)]
+
+    def test_flat_series_sweep(self, flat_sweep, tmp_path):
+        write_sweep_csv(flat_sweep, tmp_path / "sweep.csv")
+        rows = read_sweep_csv(tmp_path / "sweep.csv")
+        assert [r["t_mue"] for r in rows] == [12.0, 12.0, 12.0]
+        for column in ("ps", "dps", "voc_total", "rur"):
+            assert [r[column] for r in rows] == [None, None, None], column
+        write_sweep_json(flat_sweep, tmp_path / "sweep.json")
+        payload = json.loads((tmp_path / "sweep.json").read_text())
+        assert payload["potential_savings"] == [None, None, None]
+        assert payload["potential_savings_diff"] == [None, None]
+        assert "voc_total" not in payload and "rur" not in payload
+        paths = write_sweep_series(flat_sweep, tmp_path)
+        assert read_series_csv(paths["t_vs_re"]) == [
+            (0.0, 12.0), (0.5, 12.0), (1.0, 12.0)]
+        for name in ("ps_vs_re", "voc_vs_re", "rur_vs_re"):
+            assert read_series_csv(paths[name]) == [
+                (0.0, None), (0.5, None), (1.0, None)], name
