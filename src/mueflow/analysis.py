@@ -8,7 +8,7 @@ two classes, and the city's congestion-response type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cost import CostConfig, GV_CLASS, EV_CLASS
 from .demand import ODMatrix, split_demand
@@ -329,7 +329,9 @@ def sweep_from_records(records) -> SweepResult:
     """Assemble a SweepResult (detectors included) from solved levels.
 
     Accepts any nonempty prefix of a sweep, which is how partial
-    results are reported after a mid-sweep failure.
+    results are reported after a mid-sweep failure.  The result holds
+    copies of ``records`` with this prefix's potential savings; the
+    given records are left as they are.
     """
     if not records:
         raise AnalysisError("no solved levels to assemble")
@@ -339,13 +341,11 @@ def sweep_from_records(records) -> SweepResult:
         levels=levels,
         avg_times=avg_times,
         gradient=_forward_differences(levels, avg_times),
-        records=list(records),
     )
-    if len(records) > 1:
-        _derive_series(sweep)
-        for rec, ps in zip(records, sweep.potential_savings):
-            rec.potential_savings = ps
-        sweep.critical_thresholds = critical_thresholds(sweep)
+    _derive_series(sweep)
+    sweep.records = [replace(rec, potential_savings=ps)
+                     for rec, ps in zip(records, sweep.potential_savings)]
+    sweep.critical_thresholds = critical_thresholds(sweep)
     if (
         len(levels) >= 5
         and abs(levels[0]) <= 1e-9

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
@@ -172,20 +171,7 @@ def generalized_link_cost(link, flow, cls, config: CostConfig,
 
 # -- configuration files -------------------------------------------------
 
-_CONFIG_KEYS = {
-    "p_gas",
-    "p_ele",
-    "mpg_gv",
-    "mpge_ev",
-    "kappa_gal",
-    "gv_components",
-    "ev_components",
-    "r_dis",
-    "vot",
-    "bpr_alpha",
-    "bpr_beta",
-    "name",
-}
+_CONFIG_KEYS = {f.name for f in fields(CostConfig)}
 
 
 def cost_config_from_dict(payload: dict) -> CostConfig:

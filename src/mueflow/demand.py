@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost import CLASSES, EV_CLASS, GV_CLASS
+from .cost import EV_CLASS, GV_CLASS
 
 
 class DemandError(ValueError):
@@ -110,8 +110,10 @@ class ClassDemand:
 def split_demand(od: ODMatrix, penetration: float) -> ClassDemand:
     """Split every OD pair by electric-vehicle share ``penetration``.
 
-    ev demand is ``penetration * d``, gv demand the remainder, pair by
-    pair, so both class matrices conserve the total exactly.
+    ev demand is ``penetration * d`` and gv demand ``(1 - penetration) *
+    d``, pair by pair.  Each product is rounded on its own, so the two
+    class demands of a pair sum to ``d`` only up to rounding (for
+    ``penetration = 0.05`` and ``d = 196.5`` the sum is an ulp short).
     """
     if not 0.0 <= penetration <= 1.0:
         raise DemandError(f"penetration must be in [0, 1], got {penetration}")

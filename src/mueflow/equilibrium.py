@@ -483,27 +483,38 @@ def _measure(prob: _Problem, state: _PathState, flows: np.ndarray,
     """Gap of per-path ``flows`` against the best paths under ``costs``.
 
     Runs the all-or-nothing assignment, which may grow the path
-    universe.  Returns (shortest costs sp, ``flows`` grown to the
-    universe, path costs, per-block gaps (see :func:`_block_gaps`)).
+    universe.  Returns (all-or-nothing target, shortest costs sp,
+    ``flows`` grown to the universe, path costs, per-block gaps (see
+    :func:`_block_gaps`), worst block gap).
     """
-    _, sp = _all_or_nothing(prob, state, costs)
+    target, sp = _all_or_nothing(prob, state, costs)
     flows = state.grow(flows)
     path_costs = state.path_costs(costs)
-    return sp, flows, path_costs, _block_gaps(prob, state, flows, path_costs, sp)
+    gaps = _block_gaps(prob, state, flows, path_costs, sp)
+    return target, sp, flows, path_costs, gaps, _worst_gap(gaps)
 
 
 # -- shared assembly ------------------------------------------------------
 
 
-def _trim_paths(prob: _Problem, state: _PathState, flows: np.ndarray):
-    """Drop numerically dead paths and renormalize each block's demand."""
-    out = flows.copy()
+def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndarray,
+              trace: list, converged: bool, iterations: int, method: str,
+              wardrop_gap: float, sp: np.ndarray) -> EquilibriumSolution:
+    """Build the solution from per-path ``flows`` in one pass over blocks.
+
+    Each block with demand drops its paths below ``_PATH_DROP_TOL`` of
+    the demand (keeping the largest if none is left), rescales the rest
+    to the demand and lists its paths that carry flow; blocks without
+    demand are zeroed and listed nowhere.
+    """
+    flows = flows.copy()
+    paths: dict = {}
     for ci, oi, block in state.members():
         d = prob.dem[ci, oi]
         if d <= 0.0:
-            out[block] = 0.0
+            flows[block] = 0.0
             continue
-        f = out[block]
+        f = flows[block]
         keep = f >= _PATH_DROP_TOL * d
         if not np.any(keep):
             keep = f == f.max()
@@ -511,30 +522,14 @@ def _trim_paths(prob: _Problem, state: _PathState, flows: np.ndarray):
         scaled = np.zeros_like(f)
         if kept_sum > 0.0:
             scaled[keep] = f[keep] * (d / kept_sum)
-        out[block] = scaled
-    return out
-
-
-def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndarray,
-              trace: list, converged: bool, iterations: int, method: str,
-              wardrop_gap: float, sp: np.ndarray) -> EquilibriumSolution:
-    flows = _trim_paths(prob, state, flows)
+        flows[block] = scaled
+        origin, dest, _, _ = prob.od[oi]
+        paths[(CLASSES[ci], origin, dest)] = [
+            (tuple(prob.link_ids[li] for li in state.paths[g]), f_g)
+            for g, f_g in zip(block.tolist(), scaled.tolist()) if f_g > 0.0
+        ]
     x_class = state.link_flows(flows)
     x_agg = x_class.sum(axis=0)
-    times = prob.times(x_agg)
-
-    paths: dict = {}
-    for ci, oi, block in state.members():
-        if prob.dem[ci, oi] <= 0.0:
-            continue
-        origin, dest, _, _ = prob.od[oi]
-        entries = []
-        for g in block.tolist():
-            if flows[g] <= 0.0:
-                continue
-            link_ids = tuple(prob.link_ids[li] for li in state.paths[g])
-            entries.append((link_ids, float(flows[g])))
-        paths[(CLASSES[ci], origin, dest)] = entries
 
     duals = {}
     comp = {}
@@ -556,7 +551,7 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
         method=method,
         wardrop_gap=float(wardrop_gap),
         objective=float(prob.beckmann(x_class)),
-        link_times=times,
+        link_times=prob.times(x_agg),
         skipped_intrazonal=prob.skipped_intrazonal,
     )
 
@@ -738,13 +733,16 @@ def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
     theta_prev = None
     trace: list = []
     converged = False
-    wardrop_gap = math.inf
     iteration = 0
 
-    for iteration in range(1, opts.max_iters + 1):
+    # each pass prices and measures the current flows; the pass after
+    # the last step only measures, for the returned gap
+    while True:
         costs = prob.class_costs(prob.times(x_class.sum(axis=0)))
-        y_vec, sp = _all_or_nothing(prob, state, costs)
-        flows = state.grow(flows)
+        y_vec, sp, flows, _, _, wardrop_gap = _measure(prob, state, flows, costs)
+        if iteration == opts.max_iters:
+            break
+        iteration += 1
         y_class = state.link_flows(y_vec)
 
         assigned = float(np.sum(costs * x_class))
@@ -757,8 +755,6 @@ def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
             "objective": float(prob.beckmann(x_class)),
         }
         if agg_gap <= opts.rel_gap_tol:
-            wardrop_gap = _worst_gap(_block_gaps(
-                prob, state, flows, state.path_costs(costs), sp))
             record["wardrop_gap"] = float(wardrop_gap)
             if wardrop_gap <= opts.rel_gap_tol:
                 trace.append(record)
@@ -796,12 +792,6 @@ def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
         s2 = s1
         s1 = (target_vec, target_class)
         theta_prev = theta
-
-    if not converged:
-        # final measurement for the returned gap
-        costs = prob.class_costs(prob.times(x_class.sum(axis=0)))
-        sp, flows, _, gaps = _measure(prob, state, flows, costs)
-        wardrop_gap = _worst_gap(gaps)
 
     return _assemble(
         prob, state, flows, np.zeros(0), trace, converged, iteration, method,
@@ -885,7 +875,6 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
 
     trace: list = []
     converged = False
-    wardrop_gap = math.inf
     g_sq = math.inf
     iteration = 0
     lip_safety = 1.15 if method == "pd" else 1.35
@@ -893,10 +882,12 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
     lip_paths = -1
     lip_iter = 0
     # class link flows of ``flows`` and their objective; pd carries its
-    # accepted candidate's into the next iteration
+    # accepted candidate's into the next pass
     x_class = None
 
-    for iteration in range(1, opts.max_iters + 1):
+    # each pass prices and measures the current flows; the pass after
+    # the last step only measures, for the returned gap
+    while True:
         if x_class is None:
             x_class = state.link_flows(flows)
             objective = prob.beckmann(x_class)
@@ -904,8 +895,11 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
         eff = _effective_costs(prob, prob.times(x_agg), lam)
 
         # column generation: bring in each block's current best path
-        sp, flows, path_costs, gaps = _measure(prob, state, flows, eff)
-        wardrop_gap = _worst_gap(gaps)
+        _, sp, flows, path_costs, _, wardrop_gap = _measure(
+            prob, state, flows, eff)
+        if iteration == opts.max_iters:
+            break
+        iteration += 1
         record = {
             "iteration": iteration,
             "rel_gap": float(wardrop_gap),
@@ -961,12 +955,6 @@ def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | N
         lam = new_lam
         _check_duals(prob, lam)
         trace.append(record)
-
-    if not converged:
-        x_agg = state.link_flows(flows).sum(axis=0)
-        eff = _effective_costs(prob, prob.times(x_agg), lam)
-        sp, flows, _, gaps = _measure(prob, state, flows, eff)
-        wardrop_gap = _worst_gap(gaps)
 
     return _assemble(
         prob, state, flows, lam, trace, converged, iteration, method,
@@ -1092,5 +1080,5 @@ def wardrop_residual(network: Network, demand: ClassDemand, config: CostConfig,
                 "multipliers must be nonnegative")
         lam[li] = value
     eff = prob.class_costs(t) + lam[None, :]
-    *_, gaps = _measure(prob, state, flows, eff)
-    return _per_pair(prob, gaps), _worst_gap(gaps)
+    *_, gaps, worst = _measure(prob, state, flows, eff)
+    return _per_pair(prob, gaps), worst

@@ -62,7 +62,7 @@ def time_only_config(*, alpha: float = 1.0, beta: float = 1.0,
 # -- two parallel routes -------------------------------------------------
 
 
-def dual_route(beta: float = 1.0) -> tuple[Network, ODMatrix]:
+def dual_route() -> tuple[Network, ODMatrix]:
     """Two parallel routes between one OD pair, 100 veh/h.
 
     Route a: 6.0 mi at 30 mph (12.0 min free flow), capacity 120.
@@ -70,7 +70,6 @@ def dual_route(beta: float = 1.0) -> tuple[Network, ODMatrix]:
     beta=1 the time-only split is (31.2, 68.8) at 15.12 min and the
     0.6 $/mi, 0.3 $/min case moves it to (50.4, 49.6).
     """
-    del beta  # shape comes from the cost config, kept for call symmetry
     net = Network()
     net.add_node(Node("n1", 0.0, 0.0))
     net.add_node(Node("n2", 9.654, 0.0))

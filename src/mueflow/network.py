@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -441,30 +441,19 @@ def generate_connectors(
         dist = max(dist, MIN_LINK_LENGTH_KM)
         cid = centroid_node_id(zone.id)
         network.add_node(Node(cid, zone.x, zone.y))
-        network.add_link(
-            Link(
-                id=f"connector:{zone.id}:out",
-                from_node=cid,
-                to_node=nearest,
-                length_km=dist,
-                capacity=capacity,
-                speed_kmh=speed_kmh,
-                hierarchy="connector",
-                connector=True,
+        for suffix, tail, head in (("out", cid, nearest), ("in", nearest, cid)):
+            network.add_link(
+                Link(
+                    id=f"connector:{zone.id}:{suffix}",
+                    from_node=tail,
+                    to_node=head,
+                    length_km=dist,
+                    capacity=capacity,
+                    speed_kmh=speed_kmh,
+                    hierarchy="connector",
+                    connector=True,
+                )
             )
-        )
-        network.add_link(
-            Link(
-                id=f"connector:{zone.id}:in",
-                from_node=nearest,
-                to_node=cid,
-                length_km=dist,
-                capacity=capacity,
-                speed_kmh=speed_kmh,
-                hierarchy="connector",
-                connector=True,
-            )
-        )
         zone.attached_node = nearest
         zone.centroid_node = cid
     network.validate()

@@ -173,8 +173,8 @@ def _sweep_columns(sweep) -> dict:
     return {
         "penetration": sweep.levels,
         "t_mue": sweep.avg_times,
-        "ps": sweep.potential_savings or [None] * n,
-        "dps": [None, *sweep.ps_diffs] if sweep.ps_diffs else [None] * n,
+        "ps": sweep.potential_savings,
+        "dps": [None, *sweep.ps_diffs],
         "voc_total": [r.report.voc_total for r in records] or [None] * n,
         "rur": [r.report.rur for r in records] or [None] * n,
     }

@@ -431,13 +431,29 @@ class TestSweepFromRecords:
         assert partial.city_type is None  # does not span [0, 1]
 
     def test_single_record_has_no_derived_series(self, dual_case):
+        # one level is a flat series: savings undefined, no steps
         net, od, cfg = dual_case
         sweep = run_sweep(net, od, cfg, [0.0, 0.5], method="pd")
         lone = sweep_from_records(sweep.records[:1])
         assert lone.levels == [0.0]
         assert lone.gradient == []
-        assert lone.potential_savings is None
+        assert lone.potential_savings == [None]
+        assert lone.ps_diffs == []
+        assert lone.records[0].potential_savings is None
         assert lone.plateau_intervals == []
+        assert lone.critical_thresholds == []
+
+    def test_partial_view_leaves_the_sweep_alone(self, dual_case):
+        net, od, cfg = dual_case
+        full = run_sweep(net, od, cfg, grid_levels(5), method="pd")
+        before = [rec.potential_savings for rec in full.records]
+        assert before == full.potential_savings
+        partial = sweep_from_records(full.records[:3])
+        assert [rec.potential_savings for rec in full.records] == before
+        assert [rec.potential_savings for rec in partial.records] == \
+            partial.potential_savings
+        assert partial.potential_savings[-1] == pytest.approx(100.0)
+        assert partial.potential_savings != before[:3]
 
     def test_empty_records_rejected(self):
         with pytest.raises(AnalysisError, match="no solved levels"):

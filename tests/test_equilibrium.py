@@ -410,22 +410,6 @@ class TestCapacityConstraints:
 
 
 class TestInitializationAndDeterminism:
-    def test_cold_starts_agree(self):
-        # beta = 1.5 keeps the equilibrium strictly convex in link flows
-        net, od = fixtures.grid10x10()
-        cfg = fixtures.grid10x10_config()
-        demand = split_demand(od, 0.5)
-        tol = 1e-4
-        for method in ("bfw", "pd"):
-            options_aon = SolverOptions(rel_gap_tol=tol, init="aon")
-            options_uni = SolverOptions(rel_gap_tol=tol, init="uniform")
-            a = solve(net, demand, cfg, method, options_aon)
-            b = solve(net, demand, cfg, method, options_uni)
-            agg_a = a.link_flows.aggregate()
-            agg_b = b.link_flows.aggregate()
-            rel = np.abs(agg_a - agg_b).sum() / agg_a.sum()
-            assert rel <= 10.0 * tol, method
-
     @pytest.mark.parametrize("method", ["pd", "eg"])
     def test_repeat_runs_bitwise_identical(self, grid3_case, method):
         net, od, cfg = grid3_case

@@ -44,9 +44,10 @@ def small_sweep():
 
 @pytest.fixture(scope="module")
 def one_level_sweep(small_sweep):
-    """A partial sweep of one solved level: no savings axis at all."""
+    """A partial sweep of one solved level: savings undefined, no steps."""
     sweep = sweep_from_records(small_sweep.records[:1])
-    assert sweep.potential_savings is None
+    assert sweep.potential_savings == [None]
+    assert sweep.ps_diffs == []
     return sweep
 
 
@@ -265,7 +266,7 @@ class TestSweepFiles:
         write_sweep_json(one_level_sweep, tmp_path / "sweep.json")
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert payload["gradient"] == []
-        assert payload["potential_savings"] == []
+        assert payload["potential_savings"] == [None]
         assert payload["potential_savings_diff"] == []
         assert payload["voc_total"] == [report.voc_total]
         assert payload["rur"] == [report.rur]
