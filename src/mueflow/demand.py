@@ -11,6 +11,9 @@ import numpy as np
 
 from .cost import EV_CLASS, GV_CLASS
 
+#: header of the OD file :func:`load_od_csv` reads
+OD_COLUMNS = ["origin_zone", "destination_zone", "demand"]
+
 
 class DemandError(ValueError):
     """Raised for malformed OD data or invalid penetration levels."""
@@ -66,13 +69,12 @@ class ODMatrix:
 
 
 def load_od_csv(path) -> ODMatrix:
-    """Read ``origin_zone,destination_zone,demand`` rows into an ODMatrix."""
+    """Read an OD file with the columns of :data:`OD_COLUMNS` into an ODMatrix."""
     path = Path(path)
     od = ODMatrix()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = ["origin_zone", "destination_zone", "demand"]
-        missing = [c for c in required if c not in (reader.fieldnames or [])]
+        missing = [c for c in OD_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise DemandError(f"{path}: missing required columns {missing}")
         for row in reader:

@@ -131,6 +131,8 @@ class LinkFlows:
             raise ValueError(f"unknown link {link_id!r}")
         if cls is None:
             return float(sum(arr[i] for arr in self.class_flows.values()))
+        if cls not in self.class_flows:
+            raise ValueError(f"unknown class {cls!r}")
         return float(self.class_flows[cls][i])
 
 
@@ -662,9 +664,7 @@ def _line_search(prob: _Problem, x_class: np.ndarray, d_class: np.ndarray) -> fl
     if slope(1.0) <= 0.0:
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(60):
-        if hi - lo <= _LINE_SEARCH_TOL:
-            break
+    while hi - lo > _LINE_SEARCH_TOL:
         mid = 0.5 * (lo + hi)
         if slope(mid) > 0.0:
             hi = mid

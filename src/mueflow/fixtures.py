@@ -3,7 +3,8 @@
 Every builder returns ``(network, od)`` with connectors already
 generated; the matching cost-config builders live alongside.  Numbers
 are frozen by hand so equilibria are known in closed form where the
-tests need them.
+tests need them.  ``grid10x10`` and ``mini_city`` both build their
+roads and zones with ``_grid``; each draws its own seeded OD matrix.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .cost import CostConfig, dump_cost_config
-from .demand import ODMatrix
+from .demand import OD_COLUMNS, ODMatrix
 from .network import (
     DEFAULT_ROAD_ATTRIBUTES,
+    LINK_COLUMNS,
+    NODE_COLUMNS,
+    ZONE_COLUMNS,
     Link,
     Network,
     Node,
@@ -163,46 +167,51 @@ def grid3x3_config() -> CostConfig:
                             r_dis=1.0, name="grid3x3")
 
 
-# -- 10x10 bidirectional grid --------------------------------------------
+# -- bidirectional grids ------------------------------------------------
+
+
+def _grid(n, step, width, road, length, zone_cells) -> Network:
+    """Bidirectional ``n`` x ``n`` grid, ``step`` km between neighbours.
+
+    Node ``(i, j)`` is ``n{i}{j}`` (each index formatted with ``width``)
+    at ``(step * j, -step * i)``.  Every horizontal neighbour pair, then
+    every vertical one, gets a ``>`` and a ``<`` link named after the
+    pair's first node; its hierarchy is ``road(i, j, horizontal)``, its
+    length ``length(i, j)``, its capacity and speed the hierarchy's
+    :data:`DEFAULT_ROAD_ATTRIBUTES`.  A zone ``z{i}{j}`` sits on each of
+    ``zone_cells``, in that order.
+    """
+    def cell(i, j):
+        return f"{i:{width}}{j:{width}}"
+
+    net = Network()
+    for i in range(n):
+        for j in range(n):
+            net.add_node(Node(f"n{cell(i, j)}", step * j, -step * i))
+    for kind, di, dj in (("h", 0, 1), ("v", 1, 0)):
+        for i in range(n - di):
+            for j in range(n - dj):
+                h = road(i, j, kind == "h")
+                cap, speed = DEFAULT_ROAD_ATTRIBUTES[h]
+                lid, lk = f"{kind}{cell(i, j)}", length(i, j)
+                a, b = f"n{cell(i, j)}", f"n{cell(i + di, j + dj)}"
+                net.add_link(Link(f"{lid}>", a, b, lk, cap, speed, h))
+                net.add_link(Link(f"{lid}<", b, a, lk, cap, speed, h))
+    for i, j in zone_cells:
+        net.add_zone(Zone(f"z{cell(i, j)}", step * j, -step * i))
+    return net
 
 
 def grid10x10() -> tuple[Network, ODMatrix]:
     """Bidirectional 10x10 grid, 20 zones, 50 OD pairs (seeded)."""
-    net = Network()
-    for i in range(10):
-        for j in range(10):
-            net.add_node(Node(f"n{i}{j}", float(j), -float(i)))
 
     def road(i, j, horizontal):
-        if horizontal:
-            return "expressway" if i % 3 == 0 else "highway"
-        return "expressway" if j % 3 == 0 else "highway"
+        return "expressway" if (i if horizontal else j) % 3 == 0 else "highway"
 
-    for i in range(10):
-        for j in range(9):
-            h = road(i, j, True)
-            cap, speed = DEFAULT_ROAD_ATTRIBUTES[h]
-            net.add_link(Link(f"h{i}{j}>", f"n{i}{j}", f"n{i}{j + 1}", 1.0,
-                              cap, speed, h))
-            net.add_link(Link(f"h{i}{j}<", f"n{i}{j + 1}", f"n{i}{j}", 1.0,
-                              cap, speed, h))
-    for i in range(9):
-        for j in range(10):
-            h = road(i, j, False)
-            cap, speed = DEFAULT_ROAD_ATTRIBUTES[h]
-            net.add_link(Link(f"v{i}{j}>", f"n{i}{j}", f"n{i + 1}{j}", 1.0,
-                              cap, speed, h))
-            net.add_link(Link(f"v{i}{j}<", f"n{i + 1}{j}", f"n{i}{j}", 1.0,
-                              cap, speed, h))
-
-    zone_nodes = [
-        (i, j) for i, j in itertools.product((0, 2, 4, 7, 9), (0, 3, 6, 9))
-    ]
-    for i, j in zone_nodes:
-        net.add_zone(Zone(f"z{i}{j}", float(j), -float(i)))
-
+    net = _grid(10, 1.0, "", road, lambda i, j: 1.0,
+                itertools.product((0, 2, 4, 7, 9), (0, 3, 6, 9)))
     rng = np.random.default_rng(11)
-    zone_ids = [f"z{i}{j}" for i, j in zone_nodes]
+    zone_ids = list(net.zones)
     pairs: list[tuple[str, str]] = []
     while len(pairs) < 50:
         a, b = rng.choice(len(zone_ids), size=2, replace=False)
@@ -221,18 +230,10 @@ def grid10x10_config() -> CostConfig:
                             name="grid10x10")
 
 
-# -- mini city -----------------------------------------------------------
-
-
 def mini_city() -> tuple[Network, ODMatrix]:
     """24x24 bidirectional grid: 2208 road links, 100 zones, 250 OD pairs."""
-    n = 24
-    net = Network()
-    for i in range(n):
-        for j in range(n):
-            net.add_node(Node(f"n{i:02d}{j:02d}", 0.7 * j, -0.7 * i))
 
-    def road(i, j):
+    def road(i, j, horizontal):
         if i % 6 == 0 or j % 6 == 0:
             return "expressway"
         if (i + j) % 2 == 1:
@@ -242,29 +243,8 @@ def mini_city() -> tuple[Network, ODMatrix]:
     def length(i, j):
         return 0.5 + 0.25 * ((i + j) % 3)
 
-    for i in range(n):
-        for j in range(n - 1):
-            h = road(i, j)
-            cap, speed = DEFAULT_ROAD_ATTRIBUTES[h]
-            lk = length(i, j)
-            net.add_link(Link(f"h{i:02d}{j:02d}>", f"n{i:02d}{j:02d}",
-                              f"n{i:02d}{j + 1:02d}", lk, cap, speed, h))
-            net.add_link(Link(f"h{i:02d}{j:02d}<", f"n{i:02d}{j + 1:02d}",
-                              f"n{i:02d}{j:02d}", lk, cap, speed, h))
-    for i in range(n - 1):
-        for j in range(n):
-            h = road(i, j)
-            cap, speed = DEFAULT_ROAD_ATTRIBUTES[h]
-            lk = length(i, j)
-            net.add_link(Link(f"v{i:02d}{j:02d}>", f"n{i:02d}{j:02d}",
-                              f"n{i + 1:02d}{j:02d}", lk, cap, speed, h))
-            net.add_link(Link(f"v{i:02d}{j:02d}<", f"n{i + 1:02d}{j:02d}",
-                              f"n{i:02d}{j:02d}", lk, cap, speed, h))
-
-    for i in range(1, 20, 2):
-        for j in range(1, 20, 2):
-            net.add_zone(Zone(f"z{i:02d}{j:02d}", 0.7 * j, -0.7 * i))
-
+    net = _grid(24, 0.7, "02d", road, length,
+                itertools.product(range(1, 20, 2), repeat=2))
     rng = np.random.default_rng(23)
     zone_ids = list(net.zones)
     seen = set()
@@ -296,6 +276,14 @@ FIXTURES = {
 # -- file emission for the CLI -------------------------------------------
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows``, with ``csv.writer``'s CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_fixture_files(name: str, outdir) -> dict:
     """Materialize a bundled fixture as the documented CSV/JSON files.
 
@@ -319,37 +307,18 @@ def write_fixture_files(name: str, outdir) -> dict:
         "cost": outdir / "cost.json",
     }
 
-    with open(paths["nodes"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node_id", "x", "y", "coord_system"])
-        for node in network.nodes.values():
-            if node.id.startswith("centroid:"):
-                continue
-            w.writerow([node.id, repr(node.x), repr(node.y),
-                        network.coord_system])
-
-    with open(paths["links"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["link_id", "from", "to", "length", "length_unit",
-                    "capacity", "free_flow_speed", "speed_unit", "hierarchy"])
-        for link in network.links.values():
-            if link.connector:
-                continue
-            w.writerow([link.id, link.from_node, link.to_node,
-                        repr(link.length_km), "km", repr(link.capacity),
-                        repr(link.speed_kmh), "kmh", link.hierarchy])
-
-    with open(paths["zones"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["zone_id", "x", "y"])
-        for zone in network.zones.values():
-            w.writerow([zone.id, repr(zone.x), repr(zone.y)])
-
-    with open(paths["od"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["origin_zone", "destination_zone", "demand"])
-        for (origin, dest), demand in od.pairs():
-            w.writerow([origin, dest, repr(demand)])
-
+    _write_csv(paths["nodes"], NODE_COLUMNS, (
+        [node.id, repr(node.x), repr(node.y), network.coord_system]
+        for node in network.nodes.values()
+        if not node.id.startswith("centroid:")))
+    _write_csv(paths["links"], LINK_COLUMNS, (
+        [link.id, link.from_node, link.to_node, repr(link.length_km), "km",
+         repr(link.capacity), repr(link.speed_kmh), "kmh", link.hierarchy]
+        for link in network.links.values() if not link.connector))
+    _write_csv(paths["zones"], ZONE_COLUMNS, (
+        [zone.id, repr(zone.x), repr(zone.y)]
+        for zone in network.zones.values()))
+    _write_csv(paths["od"], OD_COLUMNS, (
+        [origin, dest, repr(demand)] for (origin, dest), demand in od.pairs()))
     dump_cost_config(config, paths["cost"])
     return paths

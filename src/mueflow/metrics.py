@@ -67,11 +67,16 @@ class ProfileBin:
         return self.count == 0
 
 
-def _road(solution, network: Network) -> list:
-    """(link, flow, time) per non-connector link, in network order."""
+def _check_link_ids(solution, network: Network) -> None:
+    """Raise :class:`MetricsError` unless the solution's links are the network's."""
     if list(solution.link_flows.link_ids) != network.link_ids:
         raise MetricsError("solution link set does not match the network "
                            "(same link ids in the same order required)")
+
+
+def _road(solution, network: Network) -> list:
+    """(link, flow, time) per non-connector link, in network order."""
+    _check_link_ids(solution, network)
     flows = solution.link_flows.aggregate().tolist()
     return [
         (link, flow, float(time))

@@ -34,6 +34,12 @@ DEFAULT_ROAD_ATTRIBUTES = {
     "local": (1400.0, 40.0),
 }
 
+#: header of each input file :func:`load_network` reads
+NODE_COLUMNS = ["node_id", "x", "y", "coord_system"]
+LINK_COLUMNS = ["link_id", "from", "to", "length", "length_unit", "capacity",
+                "free_flow_speed", "speed_unit", "hierarchy"]
+ZONE_COLUMNS = ["zone_id", "x", "y"]
+
 
 class NetworkValidationError(ValueError):
     """Raised when a network or its source files violate the schema."""
@@ -120,10 +126,6 @@ class Network:
     @property
     def link_ids(self) -> list[str]:
         return list(self.links)
-
-    @property
-    def node_ids(self) -> list[str]:
-        return list(self.nodes)
 
     def lengths_km(self) -> np.ndarray:
         return np.array([l.length_km for l in self.links.values()])
@@ -266,13 +268,12 @@ def load_network(
 ) -> Network:
     """Build a validated :class:`Network` from the documented CSV schemas.
 
-    nodes: ``node_id,x,y,coord_system`` with coord_system in {lonlat, km}
-    (one consistent value per file).  links: ``link_id,from,to,length,
-    length_unit,capacity,free_flow_speed,speed_unit,hierarchy`` with
-    units in {km, mi} and {kmh, mph}; blank capacity/speed fall back to
-    ``hierarchy_defaults`` (default :data:`DEFAULT_ROAD_ATTRIBUTES`).
-    zones: ``zone_id,x,y``.  Raises :class:`NetworkValidationError` on
-    any schema or referential problem.
+    Each file must have the columns of :data:`NODE_COLUMNS`,
+    :data:`LINK_COLUMNS` or :data:`ZONE_COLUMNS`.  A nodes file holds one
+    coord_system, lonlat or km.  Links give units in {km, mi} and
+    {kmh, mph}; blank capacity/speed fall back to ``hierarchy_defaults``
+    (default :data:`DEFAULT_ROAD_ATTRIBUTES`).  Raises
+    :class:`NetworkValidationError` on any schema or referential problem.
     """
     if hierarchy_defaults is None:
         hierarchy_defaults = DEFAULT_ROAD_ATTRIBUTES
@@ -280,7 +281,7 @@ def load_network(
     nodes_path = Path(nodes_csv)
     with open(nodes_path, newline="") as fh:
         reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, ["node_id", "x", "y", "coord_system"], nodes_path)
+        _require_columns(reader.fieldnames, NODE_COLUMNS, nodes_path)
         rows = list(reader)
     if not rows:
         raise NetworkValidationError(f"{nodes_path}: no nodes")
@@ -305,21 +306,7 @@ def load_network(
     links_path = Path(links_csv)
     with open(links_path, newline="") as fh:
         reader = csv.DictReader(fh)
-        _require_columns(
-            reader.fieldnames,
-            [
-                "link_id",
-                "from",
-                "to",
-                "length",
-                "length_unit",
-                "capacity",
-                "free_flow_speed",
-                "speed_unit",
-                "hierarchy",
-            ],
-            links_path,
-        )
+        _require_columns(reader.fieldnames, LINK_COLUMNS, links_path)
         for row in reader:
             lid = row["link_id"].strip()
             where = f"{links_path}: link {lid!r}"
@@ -369,7 +356,7 @@ def load_network(
         zones_path = Path(zones_csv)
         with open(zones_path, newline="") as fh:
             reader = csv.DictReader(fh)
-            _require_columns(reader.fieldnames, ["zone_id", "x", "y"], zones_path)
+            _require_columns(reader.fieldnames, ZONE_COLUMNS, zones_path)
             for row in reader:
                 zid = row["zone_id"].strip()
                 if not zid:
@@ -410,16 +397,13 @@ def centroid_node_id(zone_id: str) -> str:
     return f"centroid:{zone_id}"
 
 
-def generate_connectors(
-    network: Network,
-    capacity: float = CONNECTOR_CAPACITY,
-    speed_kmh: float = CONNECTOR_SPEED_KMH,
-) -> Network:
+def generate_connectors(network: Network) -> Network:
     """Attach every zone to the graph through a centroid + connector pair.
 
     Each zone gets one new centroid node at its coordinates and a
-    bidirectional pair of connector links to the nearest non-connector
-    node (straight-line distance, ties broken by smallest node id).
+    bidirectional pair of connector links (:data:`CONNECTOR_CAPACITY`,
+    :data:`CONNECTOR_SPEED_KMH`) to the nearest non-connector node
+    (straight-line distance, ties broken by smallest node id).
     Zero distances are clamped to 1e-6 km so free-flow times stay
     positive.  Idempotent: zones that already have a centroid are left
     alone.  Returns the network for chaining.
@@ -448,8 +432,8 @@ def generate_connectors(
                     from_node=tail,
                     to_node=head,
                     length_km=dist,
-                    capacity=capacity,
-                    speed_kmh=speed_kmh,
+                    capacity=CONNECTOR_CAPACITY,
+                    speed_kmh=CONNECTOR_SPEED_KMH,
                     hierarchy="connector",
                     connector=True,
                 )

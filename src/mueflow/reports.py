@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .cost import EV_CLASS, GV_CLASS
-from .metrics import MetricsReport
+from .metrics import MetricsReport, _check_link_ids
 from .network import Network
 
 SOLUTION_COLUMNS = ["link_id", "flow_gv", "flow_ev", "flow_total", "time", "voc"]
@@ -43,7 +43,12 @@ def _fmt(value) -> str:
 
 
 def solution_records(solution, network: Network) -> list[dict]:
-    """Per-link flow/time/voc rows in network link order."""
+    """Per-link flow/time/voc rows in network link order.
+
+    Raises :class:`~mueflow.metrics.MetricsError` unless the solution's
+    link ids are the network's, in the same order.
+    """
+    _check_link_ids(solution, network)
     ids = solution.link_flows.link_ids
     gv = solution.link_flows.class_flows.get(GV_CLASS)
     ev = solution.link_flows.class_flows.get(EV_CLASS)

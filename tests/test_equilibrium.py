@@ -545,6 +545,8 @@ class TestEdgeCases:
         assert flows.flow("a") == flows.aggregate()[flows.link_ids.index("a")]
         with pytest.raises(ValueError, match="unknown link 'nope'"):
             flows.flow("nope")
+        with pytest.raises(ValueError, match="unknown class 'truck'"):
+            flows.flow("a", "truck")
 
     def test_zero_demand_is_trivial(self, dual_case):
         net, od, cfg = dual_case

@@ -1,8 +1,9 @@
-"""Every module-level import in the package is used in its module.
+"""Every module-level import in the package is used in its module, and
+every module-level private name is used somewhere in the package.
 
-No linter ships with the project, so this ``ast`` walk stands in for an
-unused-import check.  ``__init__.py`` is left out: its imports are the
-package's public re-exports.
+No linter ships with the project, so these ``ast`` walks stand in for
+unused-import and dead-code checks.  ``__init__.py`` is left out of the
+import check: its imports are the package's public re-exports.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import pytest
 
 import mueflow
 
-MODULES = sorted(p for p in Path(mueflow.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(mueflow.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -44,3 +45,49 @@ def test_checker_flags_an_unused_import():
 def test_every_module_level_import_is_used(path):
     unused = _unused_imports(path.read_text())
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level ``_name`` no module reads.
+
+    ``sources`` maps module names to their source.  A name counts as read
+    where it is loaded as a bare name or as an attribute.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{mod}.{name}" for name in names
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in read]
+    return sorted(dead)
+
+
+def test_checker_flags_a_dead_private_name():
+    sources = {
+        "a": "_LIMIT = 3\n_unused = 4\ndef _helper():\n    return _LIMIT\n"
+             "class _Gone:\n    pass\n",
+        "b": "from . import a\nVALUE = a._helper()\n",
+    }
+    assert _dead_private_names(sources) == ["a._Gone", "a._unused"]
+
+
+def test_every_private_name_is_used():
+    dead = _dead_private_names({p.stem: p.read_text() for p in PACKAGE})
+    assert not dead, f"private names nothing in the package reads: {dead}"

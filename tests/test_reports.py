@@ -12,7 +12,7 @@ import pytest
 
 from mueflow import fixtures
 from mueflow.analysis import SweepResult, run_sweep, sweep_from_records
-from mueflow.metrics import compute_report
+from mueflow.metrics import MetricsError, compute_report
 from mueflow.reports import (
     METRICS_LINK_FIELDS,
     METRICS_SUMMARY_FIELDS,
@@ -116,6 +116,19 @@ class TestSolutionFiles:
         assert payload["gap_trace"][-1]["rel_gap"] <= 1e-4
         assert payload["duals"] == {}
         assert payload["skipped_intrazonal_demand"] == 0.0
+
+    @pytest.mark.parametrize("write", [None, write_solution_csv,
+                                       write_solution_json],
+                             ids=["records", "csv", "json"])
+    def test_solution_of_another_network_rejected(self, write,
+                                                  dual_solution_mixed,
+                                                  tmp_path):
+        other, _ = fixtures.braess()
+        with pytest.raises(MetricsError, match="does not match the network"):
+            if write is None:
+                solution_records(dual_solution_mixed, other)
+            else:
+                write(dual_solution_mixed, other, tmp_path / "solution.out")
 
     def test_writes_are_deterministic(self, dual_solution_mixed, dual_case,
                                       tmp_path):
