@@ -30,6 +30,7 @@ from .analysis import (
 from .cost import (
     CostConfig,
     CostConfigError,
+    _read_json_object,
     bundled_cities,
     bundled_config,
     load_cost_config,
@@ -192,11 +193,8 @@ def _resolve_cost_config(source: str) -> CostConfig:
 
 
 def _load_capacity_constraints(path, network: Network) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CostConfigError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(payload, dict) or not payload:
+    payload = _read_json_object(path)
+    if not payload:
         raise CostConfigError(
             f"{path}: expected a non-empty JSON object of link_id -> capacity"
         )

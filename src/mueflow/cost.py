@@ -135,8 +135,6 @@ def bpr_time_derivative(t0, capacity, alpha, beta, flow):
     t0 = np.asarray(t0, dtype=float)
     capacity = np.asarray(capacity, dtype=float)
     ratio = np.asarray(flow, dtype=float) / capacity
-    if beta == 1.0:
-        return t0 * alpha / capacity * np.ones_like(ratio)
     return t0 * alpha * beta / capacity * ratio ** (beta - 1.0)
 
 
@@ -186,15 +184,20 @@ def cost_config_from_dict(payload: dict) -> CostConfig:
         raise CostConfigError(str(exc)) from None
 
 
-def load_cost_config(path) -> CostConfig:
-    """Read a cost config JSON file (keys mirror :class:`CostConfig`)."""
+def _read_json_object(path) -> dict:
+    """The JSON object in file ``path``; :class:`CostConfigError` otherwise."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise CostConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise CostConfigError(f"{path}: expected a JSON object")
-    return cost_config_from_dict(payload)
+    return payload
+
+
+def load_cost_config(path) -> CostConfig:
+    """Read a cost config JSON file (keys mirror :class:`CostConfig`)."""
+    return cost_config_from_dict(_read_json_object(path))
 
 
 def dump_cost_config(config: CostConfig, path) -> None:

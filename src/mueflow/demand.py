@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost import EV_CLASS, GV_CLASS
+from .cost import CLASSES, EV_CLASS, GV_CLASS
 
 #: header of the OD file :func:`load_od_csv` reads
 OD_COLUMNS = ["origin_zone", "destination_zone", "demand"]
@@ -94,10 +94,31 @@ def load_od_csv(path) -> ODMatrix:
 
 @dataclass(frozen=True)
 class ClassDemand:
-    """Per-class OD demand produced by :func:`split_demand`."""
+    """Per-class OD demand produced by :func:`split_demand`.
+
+    Raises :class:`DemandError` unless it holds exactly the classes of
+    ``cost.CLASSES``, each over the same OD pairs, with every demand
+    finite and at least 0.
+    """
 
     by_class: dict  # {class name: {(origin, dest): veh/h}}
     penetration: float
+
+    def __post_init__(self):
+        if sorted(self.by_class) != sorted(CLASSES):
+            raise DemandError(
+                f"class demand needs exactly the classes {list(CLASSES)}, "
+                f"got {sorted(self.by_class)}"
+            )
+        pairs = set(self.by_class[CLASSES[0]])
+        for cls in CLASSES:
+            table = self.by_class[cls]
+            if set(table) != pairs:
+                raise DemandError("every class must have the same OD pairs")
+            for key, d in table.items():
+                if not (math.isfinite(d) and d >= 0.0):
+                    raise DemandError(
+                        f"{cls} demand for {key} must be finite and >= 0")
 
     def demand(self, cls: str, origin: str, dest: str) -> float:
         return self.by_class[cls][(origin, dest)]

@@ -504,26 +504,19 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
               wardrop_gap: float, sp: np.ndarray) -> EquilibriumSolution:
     """Build the solution from per-path ``flows`` in one pass over blocks.
 
-    Each block with demand drops its paths below ``_PATH_DROP_TOL`` of
-    the demand (keeping the largest if none is left), rescales the rest
-    to the demand and lists its paths that carry flow; blocks without
-    demand are zeroed and listed nowhere.
+    Each block drops its paths below ``_PATH_DROP_TOL`` of its demand,
+    rescales the rest to the demand and lists its paths that carry flow.
+    A path only enters a block with positive demand, and a block's flows
+    sum to its demand, so at least one path of each block is kept.
     """
     flows = flows.copy()
     paths: dict = {}
     for ci, oi, block in state.members():
         d = prob.dem[ci, oi]
-        if d <= 0.0:
-            flows[block] = 0.0
-            continue
         f = flows[block]
         keep = f >= _PATH_DROP_TOL * d
-        if not np.any(keep):
-            keep = f == f.max()
-        kept_sum = float(f[keep].sum())
         scaled = np.zeros_like(f)
-        if kept_sum > 0.0:
-            scaled[keep] = f[keep] * (d / kept_sum)
+        scaled[keep] = f[keep] * (d / float(f[keep].sum()))
         flows[block] = scaled
         origin, dest, _, _ = prob.od[oi]
         paths[(CLASSES[ci], origin, dest)] = [
@@ -639,8 +632,6 @@ def _initial_flows(prob: _Problem, state: _PathState, warm: EquilibriumSolution 
     flows = np.zeros(state.n_paths)
     for ci, oi, block in state.members():
         d = prob.dem[ci, oi]
-        if d <= 0.0:
-            continue
         active = block[(target0[block] > 0.0) | (target1[block] > 0.0)]
         flows[active] = d / len(active)
     return flows
@@ -815,27 +806,21 @@ def _lipschitz_estimate(prob: _Problem, state: _PathState, x_agg: np.ndarray,
     """
     tprime = prob.times_derivative(x_agg)
     concat, lens, offsets, _, _ = state.flat()
-    if not concat.size or not tprime.size:
-        return 0.0, 0.0
     d = prob.gamma * tprime
     max_len = int(lens.max())
     per_link = np.bincount(concat, minlength=prob.n_links)
     cap_bound = float(d.max()) * max_len * int(per_link.max())
 
     v = np.ones(len(lens))
-    est = 0.0
     for _ in range(8):
         load = np.bincount(
             concat, weights=np.repeat(v, lens), minlength=prob.n_links
         )
         w = np.add.reduceat((d * load)[concat], offsets)
         nrm = float(np.linalg.norm(w))
-        if nrm <= 0.0:
-            est = 0.0
-            break
         est = nrm / float(np.linalg.norm(v))
         v = w / nrm
-    l_f = min(cap_bound, est * safety) if est > 0.0 else cap_bound
+    l_f = min(cap_bound, est * safety)
 
     on_capped = concat[np.isin(concat, prob.constrained_idx)]
     l_a2 = float(max_len * np.bincount(on_capped, minlength=prob.n_links).max())

@@ -221,12 +221,16 @@ class Network:
 # -- CSV ingestion -----------------------------------------------------
 
 
-def _require_columns(fieldnames, required, path):
-    missing = [c for c in required if c not in (fieldnames or [])]
-    if missing:
-        raise NetworkValidationError(
-            f"{path}: missing required columns {missing}"
-        )
+def _read_rows(path, columns):
+    """Yield the rows of CSV ``path`` once its header has ``columns``."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise NetworkValidationError(
+                f"{path}: missing required columns {missing}"
+            )
+        yield from reader
 
 
 def _parse_positive(raw, what, where):
@@ -279,10 +283,7 @@ def load_network(
         hierarchy_defaults = DEFAULT_ROAD_ATTRIBUTES
 
     nodes_path = Path(nodes_csv)
-    with open(nodes_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, NODE_COLUMNS, nodes_path)
-        rows = list(reader)
+    rows = list(_read_rows(nodes_path, NODE_COLUMNS))
     if not rows:
         raise NetworkValidationError(f"{nodes_path}: no nodes")
     systems = {row["coord_system"].strip() for row in rows}
@@ -304,65 +305,59 @@ def load_network(
         net.add_node(Node(nid, x, y))
 
     links_path = Path(links_csv)
-    with open(links_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, LINK_COLUMNS, links_path)
-        for row in reader:
-            lid = row["link_id"].strip()
-            where = f"{links_path}: link {lid!r}"
-            if not lid:
-                raise NetworkValidationError(f"{links_path}: empty link_id")
-            length = _parse_positive(row["length"], "length", where)
-            unit = row["length_unit"].strip()
-            if unit == "mi":
-                length *= MILES_TO_KM
-            elif unit != "km":
-                raise NetworkValidationError(
-                    f"{where}: length_unit must be 'km' or 'mi', got {unit!r}"
-                )
-            hierarchy = row["hierarchy"].strip()
-            cap_raw = (row["capacity"] or "").strip()
-            speed_raw = (row["free_flow_speed"] or "").strip()
-            if cap_raw:
-                capacity = _parse_positive(cap_raw, "capacity", where)
-            else:
-                capacity = _hierarchy_default(
-                    hierarchy_defaults, hierarchy, "capacity", where)
-            if speed_raw:
-                speed = _parse_positive(speed_raw, "free_flow_speed", where)
-                speed_unit = row["speed_unit"].strip()
-                if speed_unit == "mph":
-                    speed *= MILES_TO_KM
-                elif speed_unit != "kmh":
-                    raise NetworkValidationError(
-                        f"{where}: speed_unit must be 'kmh' or 'mph', got {speed_unit!r}"
-                    )
-            else:
-                speed = _hierarchy_default(
-                    hierarchy_defaults, hierarchy, "free_flow_speed", where)
-            net.add_link(
-                Link(
-                    id=lid,
-                    from_node=row["from"].strip(),
-                    to_node=row["to"].strip(),
-                    length_km=length,
-                    capacity=capacity,
-                    speed_kmh=speed,
-                    hierarchy=hierarchy,
-                )
+    for row in _read_rows(links_path, LINK_COLUMNS):
+        lid = row["link_id"].strip()
+        where = f"{links_path}: link {lid!r}"
+        if not lid:
+            raise NetworkValidationError(f"{links_path}: empty link_id")
+        length = _parse_positive(row["length"], "length", where)
+        unit = row["length_unit"].strip()
+        if unit == "mi":
+            length *= MILES_TO_KM
+        elif unit != "km":
+            raise NetworkValidationError(
+                f"{where}: length_unit must be 'km' or 'mi', got {unit!r}"
             )
+        hierarchy = row["hierarchy"].strip()
+        cap_raw = (row["capacity"] or "").strip()
+        speed_raw = (row["free_flow_speed"] or "").strip()
+        if cap_raw:
+            capacity = _parse_positive(cap_raw, "capacity", where)
+        else:
+            capacity = _hierarchy_default(
+                hierarchy_defaults, hierarchy, "capacity", where)
+        if speed_raw:
+            speed = _parse_positive(speed_raw, "free_flow_speed", where)
+            speed_unit = row["speed_unit"].strip()
+            if speed_unit == "mph":
+                speed *= MILES_TO_KM
+            elif speed_unit != "kmh":
+                raise NetworkValidationError(
+                    f"{where}: speed_unit must be 'kmh' or 'mph', got {speed_unit!r}"
+                )
+        else:
+            speed = _hierarchy_default(
+                hierarchy_defaults, hierarchy, "free_flow_speed", where)
+        net.add_link(
+            Link(
+                id=lid,
+                from_node=row["from"].strip(),
+                to_node=row["to"].strip(),
+                length_km=length,
+                capacity=capacity,
+                speed_kmh=speed,
+                hierarchy=hierarchy,
+            )
+        )
 
     if zones_csv is not None:
         zones_path = Path(zones_csv)
-        with open(zones_path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            _require_columns(reader.fieldnames, ZONE_COLUMNS, zones_path)
-            for row in reader:
-                zid = row["zone_id"].strip()
-                if not zid:
-                    raise NetworkValidationError(f"{zones_path}: empty zone_id")
-                x, y = _parse_coords(row, zones_path, f"zone {zid!r}")
-                net.add_zone(Zone(zid, x, y))
+        for row in _read_rows(zones_path, ZONE_COLUMNS):
+            zid = row["zone_id"].strip()
+            if not zid:
+                raise NetworkValidationError(f"{zones_path}: empty zone_id")
+            x, y = _parse_coords(row, zones_path, f"zone {zid!r}")
+            net.add_zone(Zone(zid, x, y))
 
     net.validate()
     return net

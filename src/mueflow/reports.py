@@ -2,7 +2,8 @@
 
 All writers are deterministic byte-for-byte for identical inputs (no
 timestamps, fixed row ordering, repr float formatting), and every CSV
-written here has a matching reader that round-trips exactly.
+written here has a matching reader that round-trips exactly.  Each
+reader raises ``ValueError`` on a file whose header is not its writer's.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ METRICS_SUMMARY_FIELDS = [
     "avg_travel_time_mue", "avg_travel_time_ff", "voc_total", "rur",
 ]
 METRICS_LINK_FIELDS = ["voc", "congested_time", "delay_factor"]
+METRICS_COLUMNS = ["kind", "link_id"] + METRICS_SUMMARY_FIELDS + METRICS_LINK_FIELDS
+SERIES_COLUMNS = ["penetration", "value"]
 #: sweep plot-series file name -> the sweep column it holds
 _SERIES = {"t_vs_re": "t_mue", "ps_vs_re": "ps", "voc_vs_re": "voc_total",
            "rur_vs_re": "rur"}
@@ -33,10 +36,27 @@ def _write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _read_rows(path, columns) -> list[dict]:
+    """The rows of CSV ``path``, whose header must equal ``columns``."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != columns:
+            raise ValueError(
+                f"{path}: expected columns {','.join(columns)}, "
+                f"got {','.join(reader.fieldnames or [])}"
+            )
+        return list(reader)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
     return repr(float(value))
+
+
+def _parse(cell: str) -> float | None:
+    """Inverse of :func:`_fmt`: a blank cell is None."""
+    return float(cell) if cell != "" else None
 
 
 # -- solution dumps ------------------------------------------------------
@@ -91,20 +111,13 @@ def write_solution_csv(solution, network: Network, path) -> None:
 
 
 def read_solution_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SOLUTION_COLUMNS:
-            raise ValueError(
-                f"{path}: expected columns {SOLUTION_COLUMNS}, "
-                f"got {reader.fieldnames}"
-            )
-        return [
-            {
-                "link_id": row["link_id"],
-                **{c: float(row[c]) for c in SOLUTION_COLUMNS[1:]},
-            }
-            for row in reader
-        ]
+    return [
+        {
+            "link_id": row["link_id"],
+            **{c: float(row[c]) for c in SOLUTION_COLUMNS[1:]},
+        }
+        for row in _read_rows(path, SOLUTION_COLUMNS)
+    ]
 
 
 # -- metrics reports -----------------------------------------------------
@@ -128,7 +141,6 @@ def write_metrics_json(report: MetricsReport, path) -> None:
 
 def write_metrics_csv(report: MetricsReport, path) -> None:
     """One summary row for the scalars, then one row per road link."""
-    header = (["kind", "link_id"] + METRICS_SUMMARY_FIELDS + METRICS_LINK_FIELDS)
     summary = (
         ["summary", ""]
         + [_fmt(getattr(report, f)) for f in METRICS_SUMMARY_FIELDS]
@@ -145,26 +157,22 @@ def write_metrics_csv(report: MetricsReport, path) -> None:
                 _fmt(report.delay_factor[lid]),
             ]
         )
-    _write_rows(path, header, rows)
+    _write_rows(path, METRICS_COLUMNS, rows)
 
 
 def read_metrics_csv(path) -> tuple[dict, dict]:
     """Returns (scalars, per-link rows keyed by link id)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        scalars = {}
-        links = {}
-        for row in reader:
-            if row["kind"] == "summary":
-                scalars = {
-                    f: float(row[f]) for f in METRICS_SUMMARY_FIELDS
-                }
-            elif row["kind"] == "link":
-                links[row["link_id"]] = {
-                    f: float(row[f]) for f in METRICS_LINK_FIELDS
-                }
-            else:
-                raise ValueError(f"{path}: unknown row kind {row['kind']!r}")
+    scalars = {}
+    links = {}
+    for row in _read_rows(path, METRICS_COLUMNS):
+        if row["kind"] == "summary":
+            scalars = {f: float(row[f]) for f in METRICS_SUMMARY_FIELDS}
+        elif row["kind"] == "link":
+            links[row["link_id"]] = {
+                f: float(row[f]) for f in METRICS_LINK_FIELDS
+            }
+        else:
+            raise ValueError(f"{path}: unknown row kind {row['kind']!r}")
     return scalars, links
 
 
@@ -193,19 +201,10 @@ def write_sweep_csv(sweep, path) -> None:
 
 
 def read_sweep_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SWEEP_COLUMNS:
-            raise ValueError(
-                f"{path}: expected columns {SWEEP_COLUMNS}, got {reader.fieldnames}"
-            )
-        out = []
-        for row in reader:
-            out.append({
-                c: (float(row[c]) if row[c] != "" else None)
-                for c in SWEEP_COLUMNS
-            })
-        return out
+    return [
+        {c: _parse(row[c]) for c in SWEEP_COLUMNS}
+        for row in _read_rows(path, SWEEP_COLUMNS)
+    ]
 
 
 def sweep_to_dict(sweep) -> dict:
@@ -238,20 +237,13 @@ def write_sweep_series(sweep, outdir) -> dict:
     paths = {}
     for name, column in _SERIES.items():
         paths[name] = Path(outdir) / f"{name}.csv"
-        _write_rows(paths[name], ["penetration", "value"], [
+        _write_rows(paths[name], SERIES_COLUMNS, [
             [_fmt(lv), _fmt(v)] for lv, v in zip(sweep.levels, columns[column])])
     return paths
 
 
 def read_series_csv(path) -> list[tuple[float, float | None]]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["penetration", "value"]:
-            raise ValueError(f"{path}: expected penetration,value columns")
-        return [
-            (
-                float(row["penetration"]),
-                float(row["value"]) if row["value"] != "" else None,
-            )
-            for row in reader
-        ]
+    return [
+        (float(row["penetration"]), _parse(row["value"]))
+        for row in _read_rows(path, SERIES_COLUMNS)
+    ]

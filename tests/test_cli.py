@@ -300,6 +300,26 @@ class TestSolve:
         assert "unknown link 'ghost'" in payload["errors"][0]
         assert "non-positive capacity for link 'a'" in payload["errors"][0]
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "invalid JSON"),
+        ("[25.0]", "expected a JSON object"),
+        ("{}", "expected a non-empty JSON object"),
+        ('{"a": "wide"}', "non-numeric capacity for link 'a'"),
+    ], ids=["invalid-json", "array", "empty", "non-numeric"])
+    def test_bad_capacity_file_named_in_error(self, case, tmp_path, capsys,
+                                              text, message):
+        caps = tmp_path / "caps.json"
+        caps.write_text(text + "\n")
+        code = main(
+            ["solve"] + base_args(case)
+            + ["--cost-config", str(case["cost"]),
+               "--capacity-constraints", str(caps)]
+        )
+        assert code == EXIT_VALIDATION
+        error = last_json_line(capsys.readouterr())["errors"][0]
+        assert error.startswith(f"{caps}: ")
+        assert message in error
+
 
 class TestSweep:
     def test_full_span_sweep(self, case, tmp_path, capsys):

@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from mueflow import fixtures
 from mueflow.demand import (
     ClassDemand,
     DemandError,
@@ -15,6 +16,7 @@ from mueflow.demand import (
     load_od_csv,
     split_demand,
 )
+from mueflow.equilibrium import solve
 from mueflow.network import Network, Node, Zone
 
 
@@ -119,6 +121,21 @@ class TestSplitDemand:
         assert split.total("ev") == pytest.approx(10.0)
         assert split.total("gv") == pytest.approx(30.0)
         assert split.penetration == 0.25
+
+
+class TestClassDemand:
+    @pytest.mark.parametrize("by_class", [
+        {"gv": {("A", "B"): 100.0}},
+        {},
+        {"gv": {("A", "B"): 100.0}, "ev": {}},
+        {"gv": {("A", "B"): 100.0}, "ev": {("A", "B"): -5.0}},
+        {"gv": {("A", "B"): math.nan}, "ev": {("A", "B"): 0.0}},
+    ], ids=["no-ev", "no-class", "ev-lacks-pair", "negative", "nan"])
+    def test_malformed_demand_rejected_before_solving(self, by_class):
+        net, _ = fixtures.dual_route()
+        with pytest.raises(DemandError):
+            solve(net, ClassDemand(by_class=by_class, penetration=0.5),
+                  fixtures.dual_route_config())
 
 
 class TestCommuteStats:

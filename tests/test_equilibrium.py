@@ -290,9 +290,9 @@ class TestCapacityConstraints:
         cfg = fixtures.time_only_config()
         options = SolverOptions(capacity_constraints={"a": 25.0},
                                 max_iters=20000)
+        demand = split_demand(od, 0.0)
         for method in ("pd", "eg"):
-            sol = solve(net, split_demand(od, 0.0), cfg, method=method,
-                        options=options)
+            sol = solve(net, demand, cfg, method=method, options=options)
             assert sol.converged, method
             flow_a, flow_b = route_flows(sol)
             assert flow_a == pytest.approx(25.0, abs=1e-3)
@@ -300,6 +300,13 @@ class TestCapacityConstraints:
             assert sol.duals["a"] == pytest.approx(0.96875, abs=1e-3)
             # complementary slackness at solver tolerance
             assert abs(sol.complementarity["a"]) <= 1e-6 * 25.0
+            # the residual prices the multiplier in, as the solver does;
+            # without it route a looks a dual's worth too cheap
+            _, worst = wardrop_residual(net, demand, cfg, sol)
+            assert worst == pytest.approx(sol.wardrop_gap, rel=1e-6), method
+            _, unpriced = wardrop_residual(net, demand, cfg,
+                                           replace(sol, duals={}))
+            assert unpriced > 1e-2, method
 
     def test_loose_cap_has_zero_multiplier(self):
         net, od = fixtures.dual_route()

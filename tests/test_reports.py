@@ -6,11 +6,12 @@ for exact equality, and writing twice must produce identical bytes.
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
-from mueflow import fixtures
+from mueflow import fixtures, reports
 from mueflow.analysis import SweepResult, run_sweep, sweep_from_records
 from mueflow.metrics import MetricsError, compute_report
 from mueflow.reports import (
@@ -185,6 +186,17 @@ class TestMetricsFiles:
         path.write_text(header + "\ntotals,,1,1,1,1,,,\n")
         with pytest.raises(ValueError, match="unknown row kind"):
             read_metrics_csv(path)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, fn in inspect.getmembers(reports, inspect.isfunction)
+    if name.startswith("read_")))
+def test_every_reader_rejects_a_foreign_header(name, tmp_path):
+    path = tmp_path / "foreign.csv"
+    path.write_text("x,y\n1,2\n")
+    with pytest.raises(ValueError, match="expected columns") as info:
+        getattr(reports, name)(path)
+    assert str(path) in str(info.value)
 
 
 class TestSweepFiles:
