@@ -21,12 +21,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import (
-    AnalysisError,
-    SweepError,
-    run_sweep,
-    sweep_from_records,
-)
+from .analysis import SweepError, run_sweep, sweep_from_records
 from .cost import (
     CostConfig,
     CostConfigError,
@@ -35,7 +30,7 @@ from .cost import (
     bundled_config,
     load_cost_config,
 )
-from .demand import DemandError, ODMatrix, load_od_csv, split_demand
+from .demand import ODMatrix, load_od_csv, split_demand
 from .equilibrium import (
     METHODS,
     InfeasibleProblemError,
@@ -43,13 +38,8 @@ from .equilibrium import (
     UnsupportedOperationError,
     solve,
 )
-from .metrics import MetricsError, compute_report
-from .network import (
-    Network,
-    NetworkValidationError,
-    generate_connectors,
-    load_network,
-)
+from .metrics import compute_report
+from .network import Network, generate_connectors, load_network
 from .reports import (
     write_metrics_csv,
     write_metrics_json,
@@ -67,14 +57,7 @@ EXIT_INFEASIBLE = 4
 
 FORMATS = ("csv", "json")
 
-_INPUT_ERRORS = (
-    NetworkValidationError,
-    DemandError,
-    CostConfigError,
-    MetricsError,
-    AnalysisError,
-    OSError,
-)
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 @dataclass
@@ -400,10 +383,7 @@ def main(argv=None) -> int:
     except InfeasibleProblemError as exc:
         _emit_errors([exc])
         return EXIT_INFEASIBLE
-    except UnsupportedOperationError as exc:
-        _emit_errors([exc])
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (UnsupportedOperationError, ValueError) as exc:
         # remaining ValueErrors are input problems (levels, formats,
         # penetration range, metric preconditions)
         _emit_errors([exc])

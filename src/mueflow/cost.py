@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -19,6 +21,8 @@ import numpy as np
 GV_CLASS = "gv"
 EV_CLASS = "ev"
 CLASSES = (GV_CLASS, EV_CLASS)
+
+MILES_TO_KM = 1.609
 
 #: non-energy operating cost components, $/mile
 _DEFAULT_GV_COMPONENTS = {
@@ -44,6 +48,10 @@ class CostConfigError(ValueError):
     """Raised for malformed cost configuration values or files."""
 
 
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class CostConfig:
     """Economic and congestion parameters for one scenario.
@@ -52,7 +60,8 @@ class CostConfig:
     gallon, ``mpge_ev`` miles per gallon-equivalent with ``kappa_gal``
     kWh per gallon-equivalent.  Component tables are $/mile.  ``vot``
     is the value of time in $/min; ``bpr_alpha``/``bpr_beta`` shape the
-    volume-delay function.  ``r_dis`` converts miles to km.
+    volume-delay function.  ``r_dis`` converts miles to km.  Every number
+    must be finite, or :class:`CostConfigError` names its field.
     """
 
     p_gas: float
@@ -62,19 +71,26 @@ class CostConfig:
     kappa_gal: float = 33.7
     gv_components: dict = field(default_factory=lambda: dict(_DEFAULT_GV_COMPONENTS))
     ev_components: dict = field(default_factory=lambda: dict(_DEFAULT_EV_COMPONENTS))
-    r_dis: float = 1.609
+    r_dis: float = MILES_TO_KM
     vot: float = 0.3
     bpr_alpha: float = 0.5
     bpr_beta: float = 1.5
     name: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not _is_finite(value):
+                raise CostConfigError(
+                    f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "dict" and not (
+                    isinstance(value, Mapping)
+                    and all(_is_finite(v) for v in value.values())):
+                raise CostConfigError(
+                    f"{f.name} must map component names to finite numbers")
         for label in ("p_gas", "p_ele"):
             if not getattr(self, label) >= 0.0:
                 raise CostConfigError(f"{label} must be nonnegative")
-        for label in ("gv_components", "ev_components"):
-            if not all(math.isfinite(v) for v in getattr(self, label).values()):
-                raise CostConfigError(f"{label} must be finite")
         for label in ("mpg_gv", "mpge_ev", "kappa_gal", "r_dis"):
             if not getattr(self, label) > 0.0:
                 raise CostConfigError(f"{label} must be positive")
@@ -98,7 +114,8 @@ def vehicle_costs(config: CostConfig) -> ClassCost:
 
     Energy cost/mile is price over efficiency (for electric, kWh per
     gallon-equivalent converts the price to $/gallon-equivalent first);
-    the non-energy components add on top.
+    the non-energy components add on top.  A class cost that is negative
+    or overflows raises :class:`CostConfigError`.
     """
     gv_mile = config.p_gas / config.mpg_gv + sum(config.gv_components.values())
     ev_mile = (
@@ -112,6 +129,8 @@ def vehicle_costs(config: CostConfig) -> ClassCost:
         raise CostConfigError("ev subsidy exceeds the other cost components")
     per_mile = {GV_CLASS: gv_mile, EV_CLASS: ev_mile}
     per_km = {k: v / config.r_dis for k, v in per_mile.items()}
+    if not all(math.isfinite(v) for v in per_km.values()):
+        raise CostConfigError(f"class cost overflows: {per_km} $/km")
     if ev_mile > 0.0:
         ratio = gv_mile / ev_mile
     else:
@@ -178,10 +197,7 @@ def cost_config_from_dict(payload: dict) -> CostConfig:
         raise CostConfigError(f"unknown cost config keys: {sorted(unknown)}")
     if "p_gas" not in payload or "p_ele" not in payload:
         raise CostConfigError("cost config requires p_gas and p_ele")
-    try:
-        return CostConfig(**payload)
-    except TypeError as exc:
-        raise CostConfigError(str(exc)) from None
+    return CostConfig(**payload)
 
 
 def _read_json_object(path) -> dict:

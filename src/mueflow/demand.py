@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -10,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost import CLASSES, EV_CLASS, GV_CLASS
+from .network import _read_rows
 
 #: header of the OD file :func:`load_od_csv` reads
 OD_COLUMNS = ["origin_zone", "destination_zone", "demand"]
@@ -69,26 +69,24 @@ class ODMatrix:
 
 
 def load_od_csv(path) -> ODMatrix:
-    """Read an OD file with the columns of :data:`OD_COLUMNS` into an ODMatrix."""
+    """Read an OD file with the columns of :data:`OD_COLUMNS` into an ODMatrix.
+
+    Cells are stripped; :class:`DemandError` names the file at the first
+    missing column, ragged row, empty zone id or bad demand.
+    """
     path = Path(path)
     od = ODMatrix()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in OD_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise DemandError(f"{path}: missing required columns {missing}")
-        for row in reader:
-            origin = row["origin_zone"].strip()
-            dest = row["destination_zone"].strip()
-            if not origin or not dest:
-                raise DemandError(f"{path}: empty zone id in row {row}")
-            try:
-                demand = float(row["demand"])
-            except (TypeError, ValueError):
-                raise DemandError(
-                    f"{path}: bad demand {row['demand']!r} for ({origin}, {dest})"
-                ) from None
-            od.add(origin, dest, demand)
+    for row in _read_rows(path, OD_COLUMNS, DemandError):
+        origin, dest = row["origin_zone"], row["destination_zone"]
+        if not origin or not dest:
+            raise DemandError(f"{path}: empty zone id in row {row}")
+        try:
+            demand = float(row["demand"])
+        except ValueError:
+            raise DemandError(
+                f"{path}: bad demand {row['demand']!r} for ({origin}, {dest})"
+            ) from None
+        od.add(origin, dest, demand)
     return od
 
 

@@ -186,7 +186,6 @@ class _Problem:
 
     def __init__(self, network: Network, demand: ClassDemand, config: CostConfig,
                  options: SolverOptions):
-        network.validate()
         self.options = options
         self.indptr, self.heads, self.slots, self.node_index, self.link_index = (
             network.csr()
@@ -214,9 +213,10 @@ class _Problem:
                 zone = network.zones.get(zid)
                 if zone is None:
                     raise InfeasibleProblemError(f"OD references unknown zone {zid!r}")
-                if zone.centroid_node is None:
+                if zone.centroid_node not in self.node_index:
                     raise InfeasibleProblemError(
-                        f"zone {zid!r} has no centroid; run generate_connectors first"
+                        f"zone {zid!r} has no centroid node in the network; "
+                        "run generate_connectors first"
                     )
             o_node = self.node_index[network.zones[origin].centroid_node]
             d_node = self.node_index[network.zones[dest].centroid_node]

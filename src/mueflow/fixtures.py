@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost import CostConfig, dump_cost_config
+from .cost import MILES_TO_KM, CostConfig, dump_cost_config
 from .demand import OD_COLUMNS, ODMatrix
 from .network import (
     DEFAULT_ROAD_ATTRIBUTES,
@@ -31,17 +31,12 @@ from .network import (
 
 
 def _finish(net: Network, entries) -> tuple[Network, ODMatrix]:
-    net.validate()
-    generate_connectors(net)
-    od = ODMatrix()
-    for origin, dest, demand in entries:
-        od.add(origin, dest, demand)
-    return net, od
+    return generate_connectors(net), ODMatrix(entries)
 
 
 def flat_cost_config(gv_per_mile: float, ev_per_mile: float, *,
                      vot: float = 0.3, alpha: float = 1.0, beta: float = 1.0,
-                     r_dis: float = 1.609, name: str = "") -> CostConfig:
+                     r_dis: float = MILES_TO_KM, name: str = "") -> CostConfig:
     """Config whose class costs are single flat per-mile numbers."""
     return CostConfig(
         p_gas=0.0,
@@ -77,11 +72,11 @@ def dual_route() -> tuple[Network, ODMatrix]:
     net = Network()
     net.add_node(Node("n1", 0.0, 0.0))
     net.add_node(Node("n2", 9.654, 0.0))
-    net.add_link(Link("a", "n1", "n2", length_km=6.0 * 1.609,
-                      capacity=120.0, speed_kmh=30.0 * 1.609,
+    net.add_link(Link("a", "n1", "n2", length_km=6.0 * MILES_TO_KM,
+                      capacity=120.0, speed_kmh=30.0 * MILES_TO_KM,
                       hierarchy="highway"))
-    net.add_link(Link("b", "n1", "n2", length_km=7.5 * 1.609,
-                      capacity=200.0, speed_kmh=40.0 * 1.609,
+    net.add_link(Link("b", "n1", "n2", length_km=7.5 * MILES_TO_KM,
+                      capacity=200.0, speed_kmh=40.0 * MILES_TO_KM,
                       hierarchy="highway"))
     net.add_zone(Zone("A", 0.0, 0.0))
     net.add_zone(Zone("B", 9.654, 0.0))

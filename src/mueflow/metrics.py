@@ -203,7 +203,7 @@ def _sp_weighted_time(network: Network, link_times: np.ndarray, pairs, total):
 
     def centroid(zone_id):
         zone = network.zones.get(zone_id)
-        if zone is None or zone.centroid_node is None:
+        if zone is None or zone.centroid_node not in node_index:
             raise MetricsError(f"zone {zone_id!r} is unknown or has no centroid")
         return node_index[zone.centroid_node]
 

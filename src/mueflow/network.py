@@ -1,8 +1,8 @@
 """Road network model: nodes, directed links, zones, and adjacency.
 
 Internal units are kilometres, minutes, and veh/h throughout.  CSV
-ingestion converts miles and mph at the door (1 mile = 1.609 km) so no
-other module ever sees imperial units.  Zones couple travel demand to
+ingestion converts miles and mph at the door (``cost.MILES_TO_KM``) so
+no other module ever sees imperial units.  Zones couple travel demand to
 the graph through generated centroid nodes and connector links.
 """
 
@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-
-MILES_TO_KM = 1.609
+from .cost import MILES_TO_KM
 EARTH_RADIUS_KM = 6371.0
 
 CONNECTOR_CAPACITY = 1.0e6  # veh/h, effectively uncongested
@@ -79,7 +78,12 @@ class Zone:
 
 
 class Network:
-    """Directed network with insertion-ordered nodes, links, and zones."""
+    """Directed network with insertion-ordered nodes, links, and zones.
+
+    Each part is checked once, by the ``add_*`` method that adds it; the
+    ``nodes``, ``links`` and ``zones`` dicts are not written directly.
+    Add the nodes before the links and zones that name them.
+    """
 
     def __init__(self, coord_system: str = "km"):
         if coord_system not in ("km", "lonlat"):
@@ -102,15 +106,33 @@ class Network:
         self._csr = None
 
     def add_link(self, link: Link) -> None:
+        """Add ``link``; its end nodes must be distinct nodes already added
+        and its length, capacity and speed positive and finite."""
         if link.id in self.links:
             raise NetworkValidationError(f"duplicate link id {link.id!r}")
+        for role, node in (("from", link.from_node), ("to", link.to_node)):
+            if node not in self.nodes:
+                raise NetworkValidationError(
+                    f"link {link.id!r}: unknown {role} node {node!r}")
+        if link.from_node == link.to_node:
+            raise NetworkValidationError(f"link {link.id!r}: self loop")
+        for what in ("length_km", "capacity", "speed_kmh"):
+            value = getattr(link, what)
+            if not 0.0 < value < math.inf:
+                raise NetworkValidationError(
+                    f"link {link.id!r}: {what} {value!r} is not positive and finite")
         self.links[link.id] = link
         self._csr = None
 
     def add_zone(self, zone: Zone) -> None:
+        """Add ``zone``; a node it names must already be added."""
         if zone.id in self.zones:
             raise NetworkValidationError(f"duplicate zone id {zone.id!r}")
         _require_finite(f"zone {zone.id!r}", zone.x, zone.y)
+        for ref in (zone.attached_node, zone.centroid_node):
+            if ref is not None and ref not in self.nodes:
+                raise NetworkValidationError(
+                    f"zone {zone.id!r}: unknown node {ref!r}")
         self.zones[zone.id] = zone
 
     # -- basic views ---------------------------------------------------
@@ -160,34 +182,6 @@ class Network:
         za, zb = self.zones[zone_a], self.zones[zone_b]
         return self.distance_km((za.x, za.y), (zb.x, zb.y))
 
-    # -- validation ----------------------------------------------------
-
-    def validate(self) -> None:
-        problems = []
-        for link in self.links.values():
-            if link.from_node not in self.nodes:
-                problems.append(
-                    f"link {link.id!r}: unknown from node {link.from_node!r}"
-                )
-            if link.to_node not in self.nodes:
-                problems.append(
-                    f"link {link.id!r}: unknown to node {link.to_node!r}"
-                )
-            if link.from_node == link.to_node:
-                problems.append(f"link {link.id!r}: self loop")
-            if not link.length_km > 0.0:
-                problems.append(f"link {link.id!r}: nonpositive length")
-            if not link.capacity > 0.0:
-                problems.append(f"link {link.id!r}: nonpositive capacity")
-            if not link.speed_kmh > 0.0:
-                problems.append(f"link {link.id!r}: nonpositive speed")
-        for zone in self.zones.values():
-            for ref in (zone.attached_node, zone.centroid_node):
-                if ref is not None and ref not in self.nodes:
-                    problems.append(f"zone {zone.id!r}: unknown node {ref!r}")
-        if problems:
-            raise NetworkValidationError("; ".join(problems))
-
     # -- adjacency -----------------------------------------------------
 
     def csr(self):
@@ -221,22 +215,43 @@ class Network:
 # -- CSV ingestion -----------------------------------------------------
 
 
-def _read_rows(path, columns):
-    """Yield the rows of CSV ``path`` once its header has ``columns``."""
+def _sized_rows(reader, width, path, error):
+    """Yield the nonblank rows of csv ``reader`` (of file ``path``);
+    ``error`` names the line of a row that is not ``width`` cells long."""
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            raise error(f"{path}: line {reader.line_num}: {len(row)} cells, "
+                        f"expected {width}")
+        yield row
+
+
+def _read_rows(path, columns, error):
+    """Yield the rows of input CSV ``path`` as dicts of stripped cells,
+    raising ``error`` on a header without ``columns`` or a ragged row."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
         if missing:
-            raise NetworkValidationError(
-                f"{path}: missing required columns {missing}"
-            )
-        yield from reader
+            raise error(f"{path}: missing required columns {missing}")
+        for row in _sized_rows(reader, len(header), path, error):
+            yield {c: cell.strip() for c, cell in zip(header, row)}
+
+
+def _in_file(path, build, arg):
+    """``build(arg)``, naming ``path`` in the error if it is refused."""
+    try:
+        return build(arg)
+    except NetworkValidationError as exc:
+        raise NetworkValidationError(f"{path}: {exc}") from None
 
 
 def _parse_positive(raw, what, where):
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise NetworkValidationError(f"{where}: bad {what} {raw!r}") from None
     if not value > 0.0 or not math.isfinite(value):
         raise NetworkValidationError(f"{where}: {what} must be positive, got {raw!r}")
@@ -260,7 +275,7 @@ def _parse_coords(row, path, what):
     """The ``(x, y)`` of a node or zone row."""
     try:
         return float(row["x"]), float(row["y"])
-    except (TypeError, ValueError):
+    except ValueError:
         raise NetworkValidationError(f"{path}: bad coordinates for {what}") from None
 
 
@@ -270,65 +285,61 @@ def load_network(
     zones_csv=None,
     hierarchy_defaults=None,
 ) -> Network:
-    """Build a validated :class:`Network` from the documented CSV schemas.
+    """Build a :class:`Network` from the documented CSV schemas.
 
     Each file must have the columns of :data:`NODE_COLUMNS`,
-    :data:`LINK_COLUMNS` or :data:`ZONE_COLUMNS`.  A nodes file holds one
-    coord_system, lonlat or km.  Links give units in {km, mi} and
-    {kmh, mph}; blank capacity/speed fall back to ``hierarchy_defaults``
-    (default :data:`DEFAULT_ROAD_ATTRIBUTES`).  Raises
-    :class:`NetworkValidationError` on any schema or referential problem.
+    :data:`LINK_COLUMNS` or :data:`ZONE_COLUMNS` and each row as many
+    cells as its header; cells are stripped.  A nodes file holds one
+    coord_system, lonlat or km.  Links join nodes of the nodes file and
+    give units in {km, mi} and {kmh, mph}; blank capacity/speed fall
+    back to ``hierarchy_defaults`` (default
+    :data:`DEFAULT_ROAD_ATTRIBUTES`).  Raises
+    :class:`NetworkValidationError` naming the file at the first problem.
     """
     if hierarchy_defaults is None:
         hierarchy_defaults = DEFAULT_ROAD_ATTRIBUTES
 
     nodes_path = Path(nodes_csv)
-    rows = list(_read_rows(nodes_path, NODE_COLUMNS))
+    rows = list(_read_rows(nodes_path, NODE_COLUMNS, NetworkValidationError))
     if not rows:
         raise NetworkValidationError(f"{nodes_path}: no nodes")
-    systems = {row["coord_system"].strip() for row in rows}
+    systems = {row["coord_system"] for row in rows}
     if len(systems) != 1:
         raise NetworkValidationError(
             f"{nodes_path}: mixed coord_system values {sorted(systems)}"
         )
-    coord_system = systems.pop()
-    if coord_system not in ("km", "lonlat"):
-        raise NetworkValidationError(
-            f"{nodes_path}: coord_system must be 'km' or 'lonlat', got {coord_system!r}"
-        )
-    net = Network(coord_system=coord_system)
+    net = _in_file(nodes_path, Network, systems.pop())
     for row in rows:
-        nid = row["node_id"].strip()
+        nid = row["node_id"]
         if not nid:
             raise NetworkValidationError(f"{nodes_path}: empty node_id")
         x, y = _parse_coords(row, nodes_path, f"node {nid!r}")
-        net.add_node(Node(nid, x, y))
+        _in_file(nodes_path, net.add_node, Node(nid, x, y))
 
     links_path = Path(links_csv)
-    for row in _read_rows(links_path, LINK_COLUMNS):
-        lid = row["link_id"].strip()
+    for row in _read_rows(links_path, LINK_COLUMNS, NetworkValidationError):
+        lid = row["link_id"]
         where = f"{links_path}: link {lid!r}"
         if not lid:
             raise NetworkValidationError(f"{links_path}: empty link_id")
         length = _parse_positive(row["length"], "length", where)
-        unit = row["length_unit"].strip()
+        unit = row["length_unit"]
         if unit == "mi":
             length *= MILES_TO_KM
         elif unit != "km":
             raise NetworkValidationError(
                 f"{where}: length_unit must be 'km' or 'mi', got {unit!r}"
             )
-        hierarchy = row["hierarchy"].strip()
-        cap_raw = (row["capacity"] or "").strip()
-        speed_raw = (row["free_flow_speed"] or "").strip()
-        if cap_raw:
-            capacity = _parse_positive(cap_raw, "capacity", where)
+        hierarchy = row["hierarchy"]
+        if row["capacity"]:
+            capacity = _parse_positive(row["capacity"], "capacity", where)
         else:
             capacity = _hierarchy_default(
                 hierarchy_defaults, hierarchy, "capacity", where)
-        if speed_raw:
-            speed = _parse_positive(speed_raw, "free_flow_speed", where)
-            speed_unit = row["speed_unit"].strip()
+        if row["free_flow_speed"]:
+            speed = _parse_positive(row["free_flow_speed"], "free_flow_speed",
+                                    where)
+            speed_unit = row["speed_unit"]
             if speed_unit == "mph":
                 speed *= MILES_TO_KM
             elif speed_unit != "kmh":
@@ -338,28 +349,18 @@ def load_network(
         else:
             speed = _hierarchy_default(
                 hierarchy_defaults, hierarchy, "free_flow_speed", where)
-        net.add_link(
-            Link(
-                id=lid,
-                from_node=row["from"].strip(),
-                to_node=row["to"].strip(),
-                length_km=length,
-                capacity=capacity,
-                speed_kmh=speed,
-                hierarchy=hierarchy,
-            )
-        )
+        _in_file(links_path, net.add_link, Link(
+            lid, row["from"], row["to"], length, capacity, speed, hierarchy))
 
     if zones_csv is not None:
         zones_path = Path(zones_csv)
-        for row in _read_rows(zones_path, ZONE_COLUMNS):
-            zid = row["zone_id"].strip()
+        for row in _read_rows(zones_path, ZONE_COLUMNS, NetworkValidationError):
+            zid = row["zone_id"]
             if not zid:
                 raise NetworkValidationError(f"{zones_path}: empty zone_id")
             x, y = _parse_coords(row, zones_path, f"zone {zid!r}")
-            net.add_zone(Zone(zid, x, y))
+            _in_file(zones_path, net.add_zone, Zone(zid, x, y))
 
-    net.validate()
     return net
 
 
@@ -435,7 +436,6 @@ def generate_connectors(network: Network) -> Network:
             )
         zone.attached_node = nearest
         zone.centroid_node = cid
-    network.validate()
     return network
 
 

@@ -3,7 +3,8 @@
 All writers are deterministic byte-for-byte for identical inputs (no
 timestamps, fixed row ordering, repr float formatting), and every CSV
 written here has a matching reader that round-trips exactly.  Each
-reader raises ``ValueError`` on a file whose header is not its writer's.
+reader raises ``ValueError`` on a file whose header is not its writer's
+or on a row whose cell count is not the header's.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from .cost import EV_CLASS, GV_CLASS
 from .metrics import MetricsReport, _check_link_ids
-from .network import Network
+from .network import Network, _sized_rows
 
 SOLUTION_COLUMNS = ["link_id", "flow_gv", "flow_ev", "flow_total", "time", "voc"]
 SWEEP_COLUMNS = ["penetration", "t_mue", "ps", "dps", "voc_total", "rur"]
@@ -37,15 +38,18 @@ def _write_rows(path, header, rows) -> None:
 
 
 def _read_rows(path, columns) -> list[dict]:
-    """The rows of CSV ``path``, whose header must equal ``columns``."""
+    """The rows of CSV ``path``, whose header must equal ``columns`` and
+    each row have as many cells."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != columns:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header != columns:
             raise ValueError(
                 f"{path}: expected columns {','.join(columns)}, "
-                f"got {','.join(reader.fieldnames or [])}"
+                f"got {','.join(header)}"
             )
-        return list(reader)
+        return [dict(zip(columns, row))
+                for row in _sized_rows(reader, len(columns), path, ValueError)]
 
 
 def _fmt(value) -> str:

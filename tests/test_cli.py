@@ -123,6 +123,21 @@ class TestValidate:
         payload = last_json_line(capsys.readouterr())
         assert len(payload["errors"]) == 2
 
+    @pytest.mark.parametrize("kind", ["nodes", "links", "zones", "od"])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_short_or_long_row_named(self, case, tmp_path, capsys, kind,
+                                     extra):
+        lines = case[kind].read_text().splitlines()
+        cells = lines[1].split(",")
+        ragged = cells[:-1] if extra < 0 else cells + ["x"]
+        bad = dict(case, **{kind: tmp_path / f"{kind}.csv"})
+        bad[kind].write_text("\n".join(lines + [",".join(ragged)]) + "\n")
+        code = main(["validate"] + base_args(bad))
+        assert code == EXIT_VALIDATION
+        (error,) = last_json_line(capsys.readouterr())["errors"]
+        assert error == (f"{bad[kind]}: line {len(lines) + 1}: "
+                         f"{len(ragged)} cells, expected {len(cells)}")
+
     def test_non_finite_node_coordinate_named(self, grid_case, tmp_path,
                                               capsys):
         # a NaN coordinate wins every nearest-node search; unchecked, every
@@ -211,6 +226,24 @@ class TestSolve:
         payload = last_json_line(capsys.readouterr())
         assert "bundled names" in payload["errors"][0]
         assert "san_francisco" in payload["errors"][0]
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"p_gas": Infinity, "p_ele": 0.1}',
+         "p_gas must be a finite number, got inf"),
+        ('{"p_gas": 3.0, "p_ele": 0.1, "gv_components": [1, 2]}',
+         "gv_components must map component names"),
+        ('{"p_gas": 3.0, "p_ele": 0.1, "mpg_gv": 1e-320}',
+         "class cost overflows: {'gv': inf"),
+    ], ids=["infinite-price", "component-list", "overflow"])
+    def test_bad_cost_config_rejected(self, case, tmp_path, capsys, text,
+                                      message):
+        cost = tmp_path / "cost.json"
+        cost.write_text(text + "\n")
+        code = main(["solve"] + base_args(case)
+                    + ["--cost-config", str(cost), "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        (error,) = last_json_line(capsys.readouterr())["errors"]
+        assert message in error
 
     def test_cost_config_required(self, case, capsys):
         code = main(["solve"] + base_args(case))

@@ -96,6 +96,33 @@ class TestCostConfigValidation:
         with pytest.raises(CostConfigError, match="gv_components"):
             CostConfig(p_gas=1.0, p_ele=0.1, gv_components={"flat": math.inf})
 
+    @pytest.mark.parametrize("field, value", [
+        ("p_gas", math.inf), ("mpg_gv", math.nan), ("mpge_ev", math.inf),
+        ("kappa_gal", -math.inf), ("r_dis", math.inf), ("vot", math.inf),
+        ("bpr_alpha", math.nan), ("bpr_beta", math.inf), ("p_ele", "0.1"),
+    ])
+    def test_nonfinite_scalars_rejected(self, field, value):
+        payload = {"p_gas": 1.0, "p_ele": 0.1, field: value}
+        with pytest.raises(CostConfigError,
+                           match=f"{field} must be a finite number"):
+            cost_config_from_dict(payload)
+
+    @pytest.mark.parametrize("table", [[1, 2], {"a": "x"}, None],
+                             ids=["list", "text", "null"])
+    def test_component_tables_must_map_to_numbers(self, table):
+        with pytest.raises(CostConfigError,
+                           match="gv_components must map component names"):
+            cost_config_from_dict({"p_gas": 1.0, "p_ele": 0.1,
+                                   "gv_components": table})
+
+    @pytest.mark.parametrize("field, cls", [("mpg_gv", "gv"),
+                                            ("mpge_ev", "ev")])
+    def test_overflowing_per_mile_cost_rejected(self, field, cls):
+        cfg = CostConfig(p_gas=3.0, p_ele=0.2, **{field: 1e-320})
+        with pytest.raises(CostConfigError,
+                           match=f"class cost overflows: .*'{cls}': inf"):
+            vehicle_costs(cfg)
+
     def test_nonpositive_efficiency_rejected(self):
         with pytest.raises(CostConfigError, match="mpg_gv"):
             CostConfig(p_gas=1.0, p_ele=0.1, mpg_gv=0.0)

@@ -227,6 +227,13 @@ class TestStructuralInvariants:
                            match="dual names unknown link 'no-such-dual'"):
             wardrop_residual(net, demand, cfg, bad_dual)
 
+    def test_residual_needs_paths(self, grid3_solution, grid3_case):
+        net, od, cfg = grid3_case
+        with pytest.raises(UnsupportedOperationError,
+                           match="no path decomposition"):
+            wardrop_residual(net, split_demand(od, 0.5), cfg,
+                             replace(grid3_solution, paths={}))
+
     def test_block_gaps_match_the_per_pair_loop(self):
         # pairs without demand do not count, a best cost <= 0 gives 0,
         # NaN gaps are skipped, and the worst gap is at least 0
@@ -258,6 +265,11 @@ class TestStructuralInvariants:
         value = beckmann_objective(
             net, grid3_solution.link_flows.class_flows, cfg)
         assert value == pytest.approx(grid3_solution.objective, rel=1e-9)
+
+    def test_beckmann_rejects_misshapen_flows(self, grid3_case):
+        net, _, cfg = grid3_case
+        with pytest.raises(ValueError, match=r"'ev' flows have shape \(3,\)"):
+            beckmann_objective(net, {"ev": np.ones(3)}, cfg)
 
     def test_equilibrium_beats_perturbed_flows(self, grid3_case):
         # optimality spot check: moving mass off the equilibrium paths
@@ -588,6 +600,16 @@ class TestEdgeCases:
         od = ODMatrix([("A", "Z", 5.0)])
         with pytest.raises(InfeasibleProblemError, match="unknown zone"):
             solve(net, split_demand(od, 0.0), cfg, "bfw")
+
+    @pytest.mark.parametrize("centroid", [None, "nowhere"])
+    def test_zone_without_a_centroid_node_is_infeasible(self, centroid):
+        # a zone's centroid can be reassigned after add_zone checked it
+        net, od = fixtures.dual_route()
+        net.zones["A"].centroid_node = centroid
+        with pytest.raises(InfeasibleProblemError,
+                           match="zone 'A' has no centroid node"):
+            solve(net, split_demand(od, 0.0), fixtures.dual_route_config(),
+                  "bfw")
 
     def test_unknown_method_rejected(self, dual_case):
         net, od, cfg = dual_case

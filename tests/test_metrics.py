@@ -159,6 +159,16 @@ class TestAvgTravelTime:
         od = SimpleNamespace(pairs=lambda: [(("A", "C"), 1.0)])
         with pytest.raises(MetricsError, match="zone 'C' is unknown or has no centroid"):
             avg_travel_time(None, bare, od, mode="free_flow")
+        bare.zones["C"].centroid_node = "nowhere"
+        with pytest.raises(MetricsError, match="zone 'C' is unknown or has no centroid"):
+            avg_travel_time(None, bare, od, mode="free_flow")
+
+    def test_pair_without_a_route_is_named(self):
+        # the one road runs n1 -> n2, so zone B cannot reach zone A
+        od = SimpleNamespace(pairs=lambda: [(("B", "A"), 1.0)])
+        with pytest.raises(MetricsError,
+                           match="no route between zones 'B' and 'A'"):
+            avg_travel_time(None, single_link_network(), od, mode="free_flow")
 
     def test_zero_demand_undefined(self, dual_solution_gv, dual_case):
         net, _, _ = dual_case

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from mueflow import fixtures
+from mueflow.demand import DemandError, load_od_csv
 from mueflow.network import (
     DEFAULT_ROAD_ATTRIBUTES,
     MILES_TO_KM,
@@ -159,6 +161,39 @@ class TestLoadErrors:
                            match="non-finite coordinates for zone 'B'"):
             load_network(paths["nodes"], paths["links"], paths["zones"])
 
+    @pytest.mark.parametrize("kind", ["nodes", "links", "zones", "od"])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_short_or_long_row_names_file_and_line(self, tmp_path, kind,
+                                                   extra):
+        paths = fixtures.write_fixture_files("dual_route", tmp_path)
+        lines = paths[kind].read_text().splitlines()
+        cells = lines[1].split(",")
+        ragged = cells[:-1] if extra < 0 else cells + ["x"]
+        paths[kind].write_text("\n".join(lines + [",".join(ragged)]) + "\n")
+        if kind == "od":
+            error, load, files = DemandError, load_od_csv, [paths["od"]]
+        else:
+            error, load = NetworkValidationError, load_network
+            files = [paths["nodes"], paths["links"], paths["zones"]]
+        with pytest.raises(error,
+                           match=f"line {len(lines) + 1}: {len(ragged)} cells, "
+                                 f"expected {len(cells)}") as info:
+            load(*files)
+        assert str(paths[kind]) in str(info.value)
+
+    def test_cells_are_stripped_and_blank_lines_skipped(self, tmp_path):
+        nodes = NODES_CSV.replace("n2,9.654,0.0,km", " n2 , 9.654 ,0.0, km\n")
+        paths = write_inputs(tmp_path, nodes=nodes)
+        net = load_network(paths["nodes"], paths["links"], paths["zones"])
+        assert list(net.nodes) == ["n1", "n2"]
+        assert net.nodes["n2"].x == 9.654
+
+    def test_rejected_part_names_its_file(self, tmp_path):
+        paths = write_inputs(tmp_path, links=LINKS_CSV + "c,n2,n2,1,km,9,9,kmh,local\n")
+        with pytest.raises(NetworkValidationError,
+                           match="links.csv: link 'c': self loop"):
+            load_network(paths["nodes"], paths["links"])
+
     def test_blank_attributes_fall_back_to_hierarchy(self, tmp_path):
         links = LINKS_CSV.replace("6.0,mi,120,30,mph,highway", "6.0,mi,,,,highway")
         paths = write_inputs(tmp_path, links=links)
@@ -198,9 +233,47 @@ class TestNetworkModel:
     def test_validate_rejects_self_loop(self):
         net = Network()
         net.add_node(Node("n1", 0.0, 0.0))
-        net.add_link(Link("e", "n1", "n1", 1.0, 100.0, 60.0))
         with pytest.raises(NetworkValidationError, match="self loop"):
-            net.validate()
+            net.add_link(Link("e", "n1", "n1", 1.0, 100.0, 60.0))
+        assert not net.links
+
+    @pytest.mark.parametrize("link, message", [
+        (Link("e", "n0", "n2", 1.0, 100.0, 60.0), "unknown from node 'n0'"),
+        (Link("e", "n1", "n9", 1.0, 100.0, 60.0), "unknown to node 'n9'"),
+        (Link("e", "n1", "n2", 0.0, 100.0, 60.0),
+         "length_km 0.0 is not positive and finite"),
+        (Link("e", "n1", "n2", math.nan, 100.0, 60.0), "length_km nan"),
+        (Link("e", "n1", "n2", math.inf, 100.0, 60.0), "length_km inf"),
+        (Link("e", "n1", "n2", 1.0, -100.0, 60.0), "capacity -100.0"),
+        (Link("e", "n1", "n2", 1.0, 100.0, 0.0), "speed_kmh 0.0"),
+    ], ids=["from-node", "to-node", "length", "nan-length", "inf-length",
+            "capacity", "speed"])
+    def test_add_link_refuses_a_bad_link(self, link, message):
+        net = Network()
+        net.add_node(Node("n1", 0.0, 0.0))
+        net.add_node(Node("n2", 1.0, 0.0))
+        with pytest.raises(NetworkValidationError,
+                           match=f"link 'e': {message}"):
+            net.add_link(link)
+        assert not net.links
+
+    @pytest.mark.parametrize("zone", [
+        Zone("Z", 0.0, 0.0, attached_node="n9"),
+        Zone("Z", 0.0, 0.0, centroid_node="n9"),
+    ], ids=["attached", "centroid"])
+    def test_add_zone_refuses_an_unknown_node(self, zone):
+        net = Network()
+        net.add_node(Node("n1", 0.0, 0.0))
+        with pytest.raises(NetworkValidationError,
+                           match="zone 'Z': unknown node 'n9'"):
+            net.add_zone(zone)
+        assert not net.zones
+
+    def test_unknown_coord_system_rejected_in_memory(self):
+        with pytest.raises(NetworkValidationError,
+                           match="coord_system must be 'km' or 'lonlat', "
+                                 "got 'utm'"):
+            Network(coord_system="utm")
 
     def test_planar_distance(self):
         net = Network()

@@ -188,13 +188,39 @@ class TestMetricsFiles:
             read_metrics_csv(path)
 
 
-@pytest.mark.parametrize("name", sorted(
+READERS = sorted(
     name for name, fn in inspect.getmembers(reports, inspect.isfunction)
-    if name.startswith("read_")))
+    if name.startswith("read_"))
+#: the header each reader expects
+READER_COLUMNS = {
+    "read_metrics_csv": reports.METRICS_COLUMNS,
+    "read_series_csv": reports.SERIES_COLUMNS,
+    "read_solution_csv": SOLUTION_COLUMNS,
+    "read_sweep_csv": SWEEP_COLUMNS,
+}
+
+
+@pytest.mark.parametrize("name", READERS)
 def test_every_reader_rejects_a_foreign_header(name, tmp_path):
     path = tmp_path / "foreign.csv"
     path.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError, match="expected columns") as info:
+        getattr(reports, name)(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("name", READERS)
+def test_every_reader_rejects_a_short_or_long_row(name, extra, tmp_path):
+    assert sorted(READER_COLUMNS) == READERS
+    width = len(READER_COLUMNS[name])
+    path = tmp_path / "ragged.csv"
+    path.write_text("\n".join([",".join(READER_COLUMNS[name]),
+                               ",".join(["1"] * width),
+                               ",".join(["1"] * (width + extra))]) + "\n")
+    with pytest.raises(ValueError,
+                       match=f"line 3: {width + extra} cells, "
+                             f"expected {width}") as info:
         getattr(reports, name)(path)
     assert str(path) in str(info.value)
 
