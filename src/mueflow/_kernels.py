@@ -19,7 +19,10 @@ Who calls what:
   gather into a buffer made once per chunk, one add and a fold of the
   shorter rows into row 0.  Chunks whose trees came back unchanged
   start from them, their old tree paths costed level by level
-  (:func:`_tree_levels`, :func:`_fold_levels`).
+  (:func:`_tree_levels`, :func:`_fold_levels`).  When that start is
+  already the fixed point and its tree arcs are the only tight arcs,
+  the chunk keeps its old trees and skips the predecessor rule
+  (:func:`_pred_rule`); other chunks run the rule.
 * :func:`dijkstra` is the :mod:`heapq` reference for one source.  The
   batch kernel runs it for the trees its predecessor rule cannot settle;
   the tests hold the batch kernel to it bit for bit.
@@ -150,7 +153,7 @@ def _in_arcs(indptr, heads):
                    pos[arc_tail[slot]], head, arc_tail)
 
 
-def _relax_chunk(arcs, entry_cost, sources, start=None):
+def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None):
     """Shortest paths from a few sources at once, position-major.
 
     ``entry_cost`` is the cost of each entry of ``arcs`` (its arc
@@ -161,7 +164,13 @@ def _relax_chunk(arcs, entry_cost, sources, start=None):
     prefix of row 0 with in-place minimums, so a round allocates
     nothing.  Returns (dist, pred, ties): dist and pred shaped
     (positions, sources), and a per-source flag for trees whose
-    predecessors the rule in :func:`batch_dijkstra` cannot vouch for.
+    predecessors :func:`_pred_rule` cannot vouch for.
+
+    ``tree_arcs`` is given with a warm ``start`` whose trees it counts
+    (see :func:`batch_dijkstra`).  Before its rows fold, the first
+    round counts its tight entries whose head is finite; when that
+    round lowers nothing and the count is ``tree_arcs``, the start's
+    trees stand, and pred and ties come back None.
     """
     n, m, k = arcs.pos.size, arcs.slot.size, sources.shape[0]
     # repeated per source up front: a contiguous add is several times
@@ -177,16 +186,41 @@ def _relax_chunk(arcs, entry_cost, sources, start=None):
     best, dist_in = cand[:n_in], dist[:n_in]
     folds = [(cand[:size], cand[lo:lo + size]) for lo, size in arcs.rows[1:]]
     lower = np.empty((n_in, k), dtype=bool)
+    settled = False
     while True:
         # every index is in range, and "clip" spares take a buffered out
         np.take(dist, arcs.tail, axis=0, out=cand, mode="clip")
         cand += cost
+        if tree_arcs is not None:  # the first warm round, unfolded
+            at = np.take(dist, arcs.head, axis=0)
+            tight = (cand == at) & (at < np.inf)
+            settled = np.count_nonzero(tight) == tree_arcs
+            tree_arcs = None
         for lead, row in folds:
             np.minimum(lead, row, out=lead)
         np.less(best, dist_in, out=lower)
         if not lower.any():
             break
+        settled = False
         np.minimum(dist_in, best, out=dist_in)
+    if settled:
+        return dist, None, None
+    return (dist, *_pred_rule(arcs, dist, cost, cand))
+
+
+def _pred_rule(arcs, dist, cost, cand):
+    """Tree arcs of the distances ``dist`` (positions, sources).
+
+    ``cost`` holds the entry costs per source and ``cand`` is a buffer
+    of the same shape, which this overwrites.  Each node takes, among
+    its tight in-arcs (``d[tail] + c == d[head]``, finite), the one
+    with the smallest ``d[tail]``, then the lowest slot.  Returns
+    (pred, ties): pred shaped (positions, sources), -1 where no arc is
+    tight, and per source whether a tight arc adds zero, which leaves
+    the rule unable to vouch for that tree (see :func:`batch_dijkstra`).
+    """
+    n, k = dist.shape
+    n_in = arcs.rows[0][1]
     via = np.take(dist, arcs.tail, axis=0)
     at = np.take(dist, arcs.head, axis=0)
     np.add(via, cost, out=cand)
@@ -201,7 +235,7 @@ def _relax_chunk(arcs, entry_cost, sources, start=None):
     for lo, size in arcs.rows[::-1]:  # lowest row = lowest slot
         np.copyto(pred[:size], arcs.slot[lo:lo + size, None],
                   where=first[lo:lo + size])
-    return dist, pred, ties
+    return pred, ties
 
 
 def _tree_parents(preds, arc_tail):
@@ -328,14 +362,18 @@ class WarmStart:
             return None
         return self.same
 
-    def record(self, sources, preds):
-        """Keep the trees just returned and compare them with the last."""
+    def record(self, sources, preds, kept=()):
+        """Keep the trees just returned and compare them with the last.
+
+        Chunks listed in ``kept`` returned the last trees as they were
+        and need no comparison.
+        """
         last = self.warm_chunks(sources)
         step = _chunk_size(self.arcs)
         self.same = [
-            last is not None and np.array_equal(
-                self.preds[lo:lo + step], preds[lo:lo + step])
-            for lo in range(0, len(sources), step)
+            last is not None and (c in kept or np.array_equal(
+                self.preds[lo:lo + step], preds[lo:lo + step]))
+            for c, lo in enumerate(range(0, len(sources), step))
         ]
         self.levels = {c: lv for c, lv in self.levels.items() if self.same[c]}
         self.repeated = last is not None and all(self.same)
@@ -386,6 +424,20 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None):
     sums are ``D``, the same monotonicity gives ``d <= D``.  So warm and
     cold starts both end on ``D``, and the predecessor rule and the
     zero-increase fallback then run on it as before.
+
+    A warm chunk whose first round lowers nothing is already on ``D``,
+    and it keeps its old trees without the predecessor rule when it
+    also passes two counts.  Every old tree arc is tight by
+    construction: the start gave its head its tail's value plus its
+    cost, the same float sum a round forms.  First, every tree arc must
+    strictly increase the start and end on a finite value.  Second,
+    the round, before its rows fold, must find exactly as many tight
+    entries with a finite head as there are tree arcs (``inf == inf``
+    at unreached nodes is not tight).  Then the tree arcs are all the
+    tight arcs, so the rule's smallest (``d[tail]``, slot) pick is the
+    old tree arc at every node, and no tree has a zero-increase tie
+    that would send it to the heap: the rule would return the old
+    trees unchanged.  Chunks that fail either count run the rule.
     """
     arc_cost = cost[links]
     # NaN fails every comparison, so this also rejects NaN costs
@@ -401,22 +453,33 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None):
         arcs, warm_chunks = warm.arcs, warm.warm_chunks(sources)
     entry_cost = arc_cost[arcs.slot]
     step = _chunk_size(arcs)
+    kept = []
     for c, lo in enumerate(range(0, sources.shape[0], step)):
         chunk = sources[lo:lo + step]
-        start = None
+        start = tree_arcs = None
         if warm_chunks is not None and warm_chunks[c]:
             if c not in warm.levels:
                 warm.levels[c] = _tree_levels(warm.preds[lo:lo + step], arcs)
+            target, parent = warm.levels[c][:2]
             start = _fold_levels(warm.levels[c], arcs, arc_cost, chunk)
-        dist, pred, ties = _relax_chunk(arcs, entry_cost, chunk, start)
+            flat = start.reshape(-1)
+            ends = flat[target]
+            if np.all((ends > flat[parent]) & (ends < np.inf)):
+                tree_arcs = target.size
+        dist, pred, ties = _relax_chunk(arcs, entry_cost, chunk, start,
+                                        tree_arcs)
         # back from positions to nodes, then the transposing copy
         dists[lo:lo + step] = np.take(dist, arcs.pos, axis=0).T
+        if pred is None:  # the old trees stand
+            preds[lo:lo + step] = warm.preds[lo:lo + step]
+            kept.append(c)
+            continue
         preds[lo:lo + step] = np.take(pred, arcs.pos, axis=0).T
         for j in np.flatnonzero(ties):
             dists[lo + j], preds[lo + j] = dijkstra(
                 indptr, heads, links, cost, chunk[j])
     if warm is not None:
-        warm.record(sources, preds)
+        warm.record(sources, preds, kept)
     return dists, preds
 
 

@@ -293,6 +293,7 @@ def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
 
     records: list[LevelRecord] = []
     previous: EquilibriumSolution | None = None
+    t_ff = None  # the same at every level: the first report computes it
     for r_e in levels:
         demand = split_demand(od, r_e)
         try:
@@ -311,7 +312,8 @@ def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
                 f"level {r_e:g} did not converge within the iteration cap",
                 r_e, records,
             )
-        report = compute_report(solution, network, od)
+        report = compute_report(solution, network, od, avg_travel_time_ff=t_ff)
+        t_ff = report.avg_travel_time_ff
         try:
             rho = path_overlap_ratio(solution)
         except AnalysisError:

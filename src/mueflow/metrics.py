@@ -239,12 +239,22 @@ def link_congested_time_profile(solution, network: Network,
     return out
 
 
-def compute_report(solution, network: Network, od) -> MetricsReport:
-    """Assemble the single-solution report."""
+def compute_report(solution, network: Network, od, *,
+                   avg_travel_time_ff: float | None = None) -> MetricsReport:
+    """Assemble the single-solution report.
+
+    The free-flow time depends only on ``network`` and ``od``; a caller
+    that reports several solutions of them can pass it back in as
+    ``avg_travel_time_ff`` instead of having it recomputed.
+    """
     per_link_voc, total_voc = voc(solution, network)
+    avg_mue = avg_travel_time(solution, network, od, mode="mue")
+    if avg_travel_time_ff is None:
+        avg_travel_time_ff = avg_travel_time(solution, network, od,
+                                             mode="free_flow")
     return MetricsReport(
-        avg_travel_time_mue=avg_travel_time(solution, network, od, mode="mue"),
-        avg_travel_time_ff=avg_travel_time(solution, network, od, mode="free_flow"),
+        avg_travel_time_mue=avg_mue,
+        avg_travel_time_ff=avg_travel_time_ff,
         voc_per_link=per_link_voc,
         voc_total=total_voc,
         rur=road_utilization(solution, network),

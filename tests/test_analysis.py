@@ -347,6 +347,28 @@ class TestSweepMechanics:
             b = c.solution.link_flows.aggregate()
             assert np.abs(a - b).sum() / a.sum() <= 10.0 * tol
 
+    def test_free_flow_time_is_computed_once(self, monkeypatch):
+        from mueflow import _kernels
+        from mueflow.metrics import compute_report
+
+        net, od = fixtures.grid3x3()
+        cfg = fixtures.grid3x3_config()
+        free_flow = net.free_flow_times()
+        batch = _kernels.batch_dijkstra
+        free_flow_batches = []
+
+        def counted(indptr, heads, links, cost, sources, warm=None):
+            if np.array_equal(cost, free_flow):
+                free_flow_batches.append(sources)
+            return batch(indptr, heads, links, cost, sources, warm=warm)
+
+        monkeypatch.setattr(_kernels, "batch_dijkstra", counted)
+        sweep = run_sweep(net, od, cfg, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert len(free_flow_batches) == 1
+        monkeypatch.undo()
+        for rec in sweep.records:
+            assert rec.report == compute_report(rec.solution, net, od)
+
     def test_levels_validation(self):
         net, od = fixtures.dual_route()
         cfg = fixtures.dual_route_config()

@@ -174,6 +174,20 @@ def loaded_costs(name, seed):
 
 
 @pytest.fixture
+def rule_calls(monkeypatch):
+    """Count the chunks whose trees the predecessor rule rebuilds."""
+    calls = []
+    pred_rule = _kernels._pred_rule
+
+    def counted(*args):
+        calls.append(args)
+        return pred_rule(*args)
+
+    monkeypatch.setattr(_kernels, "_pred_rule", counted)
+    return calls
+
+
+@pytest.fixture
 def warm_calls(monkeypatch):
     """Count the chunks that start from earlier trees."""
     calls = []
@@ -338,6 +352,136 @@ class TestWarmStart:
             batch=lambda *args: _kernels.batch_dijkstra(*args, warm=warm))
         assert not warm.repeated
 
+    def test_unchanged_trees_skip_the_predecessor_rule(self, monkeypatch,
+                                                       rule_calls):
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = list(node_index.values())[:30]
+        monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 1 << 12)
+        warm = warm_state(indptr, heads)
+        step = _kernels._chunk_size(warm.arcs)
+        n_chunks = -(-len(sources) // step)
+        assert n_chunks > 1
+
+        def chunks(preds):
+            return [preds[lo:lo + step] for lo in range(0, len(sources), step)]
+
+        _, cold = _kernels.batch_dijkstra(indptr, heads, slots, cost, sources)
+        bumped = cost.copy()  # dearer arc on the first source's tree
+        bumped[slots[cold[0, int(np.argmax(cold[0] >= 0))]]] += 50.0
+        last = None
+        for call, step_cost in enumerate([cost] * 4 + [bumped] * 3):
+            started_warm = warm.warm_chunks(sources) or [False] * n_chunks
+            calls = len(rule_calls)
+            _, preds = _kernels.batch_dijkstra(indptr, heads, slots,
+                                               step_cost, sources, warm=warm)
+            # the flags a chunk-by-chunk comparison gives
+            same = [False] * n_chunks if last is None else [
+                np.array_equal(a, b) for a, b in zip(chunks(last), chunks(preds))]
+            assert warm.same == same
+            assert warm.repeated == all(same)
+            # the rule runs for the chunks that start cold or come back
+            # with other trees, and for no chunk that keeps its trees warm
+            assert len(rule_calls) - calls == sum(
+                not (w and s) for w, s in zip(started_warm, same))
+            if call == 4:
+                assert 0 < sum(same) < len(same)
+            if call in (3, 6):
+                assert len(rule_calls) == calls
+            last = preds
+
+    def warm_rerun(self, n, arcs, changes, sources=(0,)):
+        """One warm batch after a series of two under ``arcs``' costs.
+
+        ``changes`` maps arc indices to their new costs.  The batch is
+        checked against the heap.  Returns the old and new trees, the
+        heap Dijkstra calls the batch made, and (indptr, heads, links,
+        new costs).
+        """
+        indptr, heads, links, cost = csr_from_arcs(n, arcs)
+        warm = warm_state(indptr, heads)
+        open_gate(warm, indptr, heads, links, cost, sources)
+        old = warm.preds
+        for i, c in changes.items():
+            cost[i] = c
+        heap = []
+        dijkstra = _kernels.dijkstra
+
+        def counted(*args):
+            heap.append(args)
+            return dijkstra(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "dijkstra", counted)
+            got = _kernels.batch_dijkstra(indptr, heads, links, cost, sources,
+                                          warm=warm)
+        assert_batch_matches_heap(indptr, heads, links, cost, sources,
+                                  batch=lambda *args: got)
+        return old, got[1], len(heap), (indptr, heads, links, cost)
+
+    @staticmethod
+    def tight_arcs(graph, dists):
+        """Tight arcs with a finite head, summed over the sources."""
+        indptr, heads, links, cost = graph
+        via = dists[:, _kernels.arc_tails(indptr)]
+        at = dists[:, heads]
+        return int(np.count_nonzero((via + cost[links] == at) & np.isfinite(at)))
+
+    def test_certificate_refuses_a_second_tight_arc(self, rule_calls):
+        # node 3 comes over 2 -> 3 (cost 3); at the new cost of 1 -> 3
+        # that arc is tight too, with a nearer tail, so the heap takes it
+        # while nothing is lowered
+        arcs = [(0, 1, 1.0), (0, 2, 2.0), (1, 3, 5.0), (2, 3, 1.0)]
+        old, new, _, graph = self.warm_rerun(4, arcs, {2: 2.0})
+        assert len(rule_calls) == 3  # two cold calls, then the refusal
+        dists = _kernels.batch_dijkstra(*graph, [0])[0]
+        assert dists[0].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert self.tight_arcs(graph, dists) == np.count_nonzero(old >= 0) + 1
+        links = graph[2]
+        assert links[old[0, 3]] == 3 and links[new[0, 3]] == 2
+
+    def test_certificate_refuses_a_zero_cost_tree_arc(self, rule_calls):
+        # 0 -> 1 becomes free: the same tree stays the only tight set,
+        # but its zero increase is a tie the heap must settle
+        arcs = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)]
+        old, new, heap, graph = self.warm_rerun(3, arcs, {0: 0.0})
+        assert len(rule_calls) == 3 and heap == 1
+        dists = _kernels.batch_dijkstra(*graph, [0])[0]
+        assert self.tight_arcs(graph, dists) == np.count_nonzero(old >= 0)
+        assert new.tolist() == old.tolist()
+
+    def test_certificate_refuses_an_infinite_tree_arc(self, rule_calls):
+        # leaf 2's tree arc 1 -> 2 costs inf, and 3 -> 5 becomes as
+        # cheap as the tree arc 4 -> 5: one tight arc lost, one gained,
+        # so only the finite check refuses the old trees
+        arcs = [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0), (0, 4, 2.0),
+                (3, 5, 5.0), (4, 5, 1.0)]
+        old, new, _, graph = self.warm_rerun(6, arcs, {1: np.inf, 4: 2.0})
+        assert len(rule_calls) == 3
+        dists = _kernels.batch_dijkstra(*graph, [0])[0]
+        assert self.tight_arcs(graph, dists) == np.count_nonzero(old >= 0)
+        links = graph[2]
+        assert links[old[0, 2]] == 1 and new[0, 2] == -1
+        assert links[old[0, 5]] == 5 and links[new[0, 5]] == 4
+
+    def test_unreached_nodes_do_not_count_as_tight(self, rule_calls):
+        # nodes 5 and 6 are never reached: their arcs add inf to inf,
+        # which must not stop the certificate from holding
+        n, arcs, sources = graph_with_unreached_roots()
+        old, new, _, graph = self.warm_rerun(
+            n, arcs, {i: 1.5 * c for i, (_, _, c) in enumerate(arcs)},
+            sources)
+        assert len(rule_calls) == 2  # the two cold calls only
+        dists = _kernels.batch_dijkstra(*graph, sources)[0]
+        assert np.isinf(dists).any()
+        assert new.tolist() == old.tolist()
+
+    def test_certificate_refuses_a_lowered_node(self, rule_calls):
+        # 0 -> 2 drops below the tree path 0 -> 1 -> 2
+        arcs = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)]
+        old, new, _, graph = self.warm_rerun(3, arcs, {2: 1.5})
+        assert len(rule_calls) == 3
+        links = graph[2]
+        assert links[old[0, 2]] == 1 and links[new[0, 2]] == 2
 
     @pytest.mark.parametrize("method", ["fw", "bfw", "pd", "eg"])
     def test_solvers_give_the_same_results(self, method, monkeypatch,
