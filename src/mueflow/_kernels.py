@@ -8,9 +8,10 @@ and :func:`batch_dijkstra` raises ValueError on a negative or NaN cost.
 Who calls what:
 
 * :func:`batch_dijkstra` builds every shortest-path tree: the solvers'
-  all-or-nothing step (``equilibrium``, one batch per class and
-  iteration, with a :class:`WarmStart` per class owned by the solve's
-  path state), ``metrics`` (every demand origin at once) and
+  all-or-nothing step (``equilibrium``, one batch per iteration over
+  both vehicle classes, each source costed by its class's row of a
+  (classes, links) cost array, with one :class:`WarmStart` owned by the
+  solve's path state), ``metrics`` (every demand origin at once) and
   ``network.shortest_path`` (one source).
   It relaxes all sources of a chunk together over one in-arc layout
   without padding (:func:`_in_arcs`, built once per graph): nodes in
@@ -157,12 +158,13 @@ def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None):
     """Shortest paths from a few sources at once, position-major.
 
     ``entry_cost`` is the cost of each entry of ``arcs`` (its arc
-    slot's cost).  Relaxation starts from ``start`` (positions,
-    sources), which it may overwrite, or from ``inf`` with the sources
-    at 0 when it is None.  Each round gathers every entry's tail value
-    into one buffer, adds the entry costs and folds rows 1.. into the
-    prefix of row 0 with in-place minimums, so a round allocates
-    nothing.  Returns (dist, pred, ties): dist and pred shaped
+    slot's cost), shaped (entries, sources), or (entries,) when every
+    source has the same costs.  Relaxation starts from ``start``
+    (positions, sources), which it may overwrite, or from ``inf`` with
+    the sources at 0 when it is None.  Each round gathers every entry's
+    tail value into one buffer, adds the entry costs and folds rows 1..
+    into the prefix of row 0 with in-place minimums, so a round
+    allocates nothing.  Returns (dist, pred, ties): dist and pred shaped
     (positions, sources), and a per-source flag for trees whose
     predecessors :func:`_pred_rule` cannot vouch for.
 
@@ -173,9 +175,10 @@ def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None):
     trees stand, and pred and ties come back None.
     """
     n, m, k = arcs.pos.size, arcs.slot.size, sources.shape[0]
-    # repeated per source up front: a contiguous add is several times
-    # faster than one broadcast over the short source axis
-    cost = np.repeat(entry_cost[:, None], k, axis=1)
+    # one contiguous column per source: a contiguous add is several
+    # times faster than one broadcast over the short source axis
+    cost = np.ascontiguousarray(
+        np.broadcast_to(entry_cost.reshape(m, -1), (m, k)))
     if start is None:
         dist = np.full((n, k), np.inf)
         dist[arcs.pos[sources], np.arange(k)] = 0.0
@@ -251,15 +254,17 @@ def _tree_parents(preds, arc_tail):
     return np.where(preds >= 0, entry - entry % n + arc_tail[preds], entry).ravel()
 
 
-def _tree_levels(preds, arcs):
+def _tree_levels(preds, arcs, cost_rows):
     """The trees ``preds`` of one chunk, sorted level by level.
 
-    ``preds`` (sources, n_nodes) are trees as the kernels return them.
-    Every tree node's depth comes from pointer doubling over
-    :func:`_tree_parents`; one stable sort by depth orders the entries.
-    Returns (target, parent, slot, bounds): per entry, its index and
-    its tree parent's index in a (positions, sources) array flattened,
-    and its tree arc; level ``d`` is entries ``bounds[d - 1]:bounds[d]``.
+    ``preds`` (sources, n_nodes) are trees as the kernels return them,
+    and ``cost_rows`` the cost row of each tree (see
+    :func:`batch_dijkstra`).  Every tree node's depth comes from pointer
+    doubling over :func:`_tree_parents`; one stable sort by depth orders
+    the entries.  Returns (target, parent, arc, bounds): per entry, its
+    index and its tree parent's index in a (positions, sources) array
+    flattened, and its tree arc's index in the (cost rows, arc slots)
+    costs flattened; level ``d`` is entries ``bounds[d - 1]:bounds[d]``.
     """
     k, n = preds.shape
     jump = _tree_parents(preds, arcs.arc_tail)
@@ -276,23 +281,24 @@ def _tree_levels(preds, arcs):
     row, v = np.divmod(entries, n)
     slot = preds.ravel()[entries]
     return (arcs.pos[v] * k + row, arcs.pos[arcs.arc_tail[slot]] * k + row,
-            slot, bounds)
+            cost_rows[row] * arcs.slot.size + slot, bounds)
 
 
 def _fold_levels(levels, arcs, arc_cost, sources):
     """Cost of every tree path under ``arc_cost``, position-major.
 
     ``levels`` are the old trees of ``sources``, from
-    :func:`_tree_levels`.  Level by level, each node takes its tree
+    :func:`_tree_levels`, and ``arc_cost`` the (cost rows, arc slots)
+    costs flattened.  Level by level, each node takes its tree
     parent's value plus its tree arc's cost: the path is summed from
     the source, left to right, as the heap sums it.  Nodes off the
     tree stay ``inf``.
     """
-    target, parent, slot, bounds = levels
+    target, parent, arc, bounds = levels
     k = sources.shape[0]
     costs = np.full(arcs.pos.size * k, np.inf)
     costs[arcs.pos[sources] * k + np.arange(k)] = 0.0
-    step = arc_cost[slot]
+    step = arc_cost[arc]
     for lo, hi in zip(bounds, bounds[1:]):
         costs[target[lo:hi]] = costs[parent[lo:hi]] + step[lo:hi]
     return costs.reshape(-1, k)
@@ -336,39 +342,43 @@ class WarmStart:
     under costs that change a little each time, and most calls return
     exactly the trees of the call before.  Pass one state per such
     series of calls as ``warm=`` to :func:`batch_dijkstra`; in the
-    solvers, a solve's path state (``equilibrium._PathState``) owns one
-    per vehicle class.  It holds the graph's in-arc layout (see
-    :class:`_InArcs`), the sources and the ``preds`` array the last call
-    returned (referenced, not copied: callers must not modify it), and,
-    per chunk of sources, whether that call returned the same trees as
-    the one before and, once a chunk has started from them, those
+    solvers, a solve's path state (``equilibrium._PathState``) owns one,
+    and each iteration makes one batch of every origin for every vehicle
+    class with demand, each class's trees costed by its own cost row.
+    The state holds the graph's in-arc layout (see :class:`_InArcs`),
+    the sources and cost rows of the last call and the ``preds`` array
+    it returned (referenced, not copied: callers must not modify it),
+    and, per chunk of sources, whether that call returned the same trees
+    as the one before and, once a chunk has started from them, those
     trees sorted level by level (:func:`_tree_levels`), kept until they
-    change.  ``repeated`` is True when every chunk came back unchanged,
-    so a caller can reuse whatever it derived from the last trees.  A
-    call that raises on a negative or NaN cost leaves the state as it
-    was.
+    change.  A call with other sources or other cost rows (a class that
+    joins or leaves the batch) starts cold.  ``repeated`` is True when
+    every chunk came back unchanged, so a caller can reuse whatever it
+    derived from the last trees.  A call that raises on a negative or
+    NaN cost leaves the state as it was.
     """
 
     def __init__(self, arcs):
         self.arcs = arcs
-        self.sources = self.preds = None
+        self.sources = self.cost_rows = self.preds = None
         self.same: list[bool] = []
         self.levels: dict[int, tuple] = {}
         self.repeated = False
 
-    def warm_chunks(self, sources):
+    def warm_chunks(self, sources, cost_rows):
         """Per chunk of ``sources``: may it start from the last trees?"""
-        if self.preds is None or not np.array_equal(self.sources, sources):
+        if (self.preds is None or not np.array_equal(self.sources, sources)
+                or not np.array_equal(self.cost_rows, cost_rows)):
             return None
         return self.same
 
-    def record(self, sources, preds, kept=()):
+    def record(self, sources, cost_rows, preds, kept=()):
         """Keep the trees just returned and compare them with the last.
 
         Chunks listed in ``kept`` returned the last trees as they were
         and need no comparison.
         """
-        last = self.warm_chunks(sources)
+        last = self.warm_chunks(sources, cost_rows)
         step = _chunk_size(self.arcs)
         self.same = [
             last is not None and (c in kept or np.array_equal(
@@ -378,15 +388,21 @@ class WarmStart:
         self.levels = {c: lv for c, lv in self.levels.items() if self.same[c]}
         self.repeated = last is not None and all(self.same)
         self.sources = np.array(sources, dtype=np.int64)
+        self.cost_rows = np.array(cost_rows, dtype=np.int64)
         self.preds = preds
 
 
-def batch_dijkstra(indptr, heads, links, cost, sources, warm=None):
+def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
+                   cost_rows=None):
     """One-to-all shortest paths from every source, solved together.
 
     Same arguments as :func:`dijkstra` with ``sources`` in place of
     ``source``; returns (dists, preds) stacked in source order, each row
     bitwise equal to what :func:`dijkstra` gives for that source.
+    ``cost`` may also hold several cost rows, shaped (rows, n_links):
+    ``cost_rows`` then gives the row each source's tree is costed by
+    (row 0 for every source when it is None), so the trees of several
+    vehicle classes share one batch, and a chunk may mix classes.
     Raises ValueError if a cost is negative or NaN.
 
     Distances come from label-correcting relaxation of all arcs at once,
@@ -405,9 +421,9 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None):
 
     ``warm`` (a :class:`WarmStart`) lets a chunk of sources whose trees
     came back unchanged on the last call start from those trees: each
-    node starts at its old tree path's cost under the new costs, summed
-    left to right from the source, instead of at ``inf``.  The old trees
-    are sorted by depth once per streak of unchanged calls
+    node starts at its old tree path's cost under its source's new cost
+    row, summed left to right from the source, instead of at ``inf``.
+    The old trees are sorted by depth once per streak of unchanged calls
     (:func:`_tree_levels`); each call then fills them one level at a
     time, parent plus arc (:func:`_fold_levels`).  Chunks whose trees
     changed start cold: costing new trees level by level takes about
@@ -439,35 +455,41 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None):
     that would send it to the heap: the rule would return the old
     trees unchanged.  Chunks that fail either count run the rule.
     """
-    arc_cost = cost[links]
+    cost = np.atleast_2d(cost)
+    arc_cost = cost[:, links]
     # NaN fails every comparison, so this also rejects NaN costs
     if not np.all(arc_cost >= 0.0):
         raise ValueError("link costs must be nonnegative and not NaN")
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    cost_rows = (np.zeros_like(sources) if cost_rows is None
+                 else np.asarray(cost_rows, dtype=np.int64).reshape(-1))
     n = indptr.shape[0] - 1
     dists = np.empty((sources.shape[0], n))
     preds = np.empty((sources.shape[0], n), dtype=np.int64)
     if warm is None:
         arcs, warm_chunks = _in_arcs(indptr, heads), None
     else:
-        arcs, warm_chunks = warm.arcs, warm.warm_chunks(sources)
-    entry_cost = arc_cost[arcs.slot]
+        arcs = warm.arcs
+        warm_chunks = warm.warm_chunks(sources, cost_rows)
+    entry_cost = arc_cost[:, arcs.slot].T  # (entries, cost rows)
     step = _chunk_size(arcs)
     kept = []
     for c, lo in enumerate(range(0, sources.shape[0], step)):
-        chunk = sources[lo:lo + step]
+        chunk, rows = sources[lo:lo + step], cost_rows[lo:lo + step]
         start = tree_arcs = None
         if warm_chunks is not None and warm_chunks[c]:
             if c not in warm.levels:
-                warm.levels[c] = _tree_levels(warm.preds[lo:lo + step], arcs)
+                warm.levels[c] = _tree_levels(warm.preds[lo:lo + step], arcs,
+                                              rows)
             target, parent = warm.levels[c][:2]
-            start = _fold_levels(warm.levels[c], arcs, arc_cost, chunk)
+            start = _fold_levels(warm.levels[c], arcs, arc_cost.reshape(-1),
+                                 chunk)
             flat = start.reshape(-1)
             ends = flat[target]
             if np.all((ends > flat[parent]) & (ends < np.inf)):
                 tree_arcs = target.size
-        dist, pred, ties = _relax_chunk(arcs, entry_cost, chunk, start,
-                                        tree_arcs)
+        dist, pred, ties = _relax_chunk(
+            arcs, np.take(entry_cost, rows, axis=1), chunk, start, tree_arcs)
         # back from positions to nodes, then the transposing copy
         dists[lo:lo + step] = np.take(dist, arcs.pos, axis=0).T
         if pred is None:  # the old trees stand
@@ -477,9 +499,9 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None):
         preds[lo:lo + step] = np.take(pred, arcs.pos, axis=0).T
         for j in np.flatnonzero(ties):
             dists[lo + j], preds[lo + j] = dijkstra(
-                indptr, heads, links, cost, chunk[j])
+                indptr, heads, links, cost[rows[j]], chunk[j])
     if warm is not None:
-        warm.record(sources, preds, kept)
+        warm.record(sources, cost_rows, preds, kept)
     return dists, preds
 
 

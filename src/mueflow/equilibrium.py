@@ -52,6 +52,8 @@ METHOD_ALIASES = {"primal_dual": "pd", "extra_gradient": "eg"}
 _EPS_GAP = 1e-10
 # width of the bracket at which the fw/bfw bisection line search stops
 _LINE_SEARCH_TOL = 1e-10
+# Illinois steps that shrink its bracket before it bisects, at most
+_SECANT_STEPS = 6
 # a path carrying less than this share of its block's demand is dropped
 _PATH_DROP_TOL = 1e-9
 
@@ -286,9 +288,10 @@ class _PathState:
     Paths live in one global list; per-path flow vectors (current
     flows, all-or-nothing targets, conjugate history points) are plain
     numpy arrays over that universe, padded with zeros when it grows.
-    Per class, the state also owns the kernel's ``WarmStart`` (which
-    tells whether the trees repeated) and ``last_walk``, the (OD
-    indices, path indices) last walked from those trees.
+    The state also owns the kernel's ``WarmStart`` for the one batch of
+    trees each all-or-nothing step makes over both classes (it tells
+    whether the trees repeated), and ``last_walk``, the (blocks with
+    demand, path indices) last walked from those trees.
     """
 
     def __init__(self, prob: _Problem):
@@ -299,8 +302,8 @@ class _PathState:
         self._lookup: dict[tuple[int, int, tuple[int, ...]], int] = {}
         self._flat = None
         self._blocks = None
-        self.warm = [_kernels.WarmStart(prob.in_arcs) for _ in CLASSES]
-        self.last_walk: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.warm = _kernels.WarmStart(prob.in_arcs)
+        self.last_walk: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_paths(self) -> int:
@@ -414,48 +417,46 @@ def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndar
     """Assign every block's demand to its cheapest path.
 
     ``dem`` (n_classes, n_od) is the demand to assign, ``prob.dem`` when
-    None.  Returns (per-path target vector over the grown universe,
-    shortest cost array (n_classes, n_od)).  Unreachable positive-demand
-    pairs raise :class:`InfeasibleProblemError`.
+    None.  One batch solves the trees of every origin for each class
+    with demand, each class under its own row of ``class_link_costs``.
+    Returns (per-path target vector over the grown universe, shortest
+    cost array (n_classes, n_od), inf off the blocks with demand).
+    Unreachable positive-demand pairs raise
+    :class:`InfeasibleProblemError`.
     """
     if dem is None:
         dem = prob.dem
-    n_classes = len(CLASSES)
-    sp = np.full((n_classes, prob.n_od), np.inf)
-    members, volumes = [], []
-    for ci in range(n_classes):
-        ods = np.flatnonzero(dem[ci] > 0.0)
-        if ods.size == 0:
-            # shortest costs are only consumed for pairs with positive demand
-            continue
-        dists, preds = _kernels.batch_dijkstra(
-            prob.indptr, prob.heads, prob.slots, class_link_costs[ci],
-            prob.origin_nodes, warm=state.warm[ci])
-        costs = dists[prob.od_row[ods], prob.od_dest[ods]]
-        unreachable = np.flatnonzero(~np.isfinite(costs))
-        if unreachable.size:
-            origin, dest, _, _ = prob.od[ods[unreachable[0]]]
-            raise InfeasibleProblemError(
-                f"no route from zone {origin!r} to zone {dest!r} "
-                f"for class {CLASSES[ci]!r}"
-            )
-        sp[ci, ods] = costs
-        last = state.last_walk.get(ci)
-        if (state.warm[ci].repeated and last is not None
-                and np.array_equal(last[0], ods)):
-            idx = last[1]
-        else:
-            paths = _kernels.walk_paths(preds, prob.slots, prob.arc_tail,
-                                        prob.od_row[ods], prob.od_dest[ods])
-            idx = np.array([state.ensure(ci, oi, path)
-                            for oi, path in zip(ods.tolist(), paths)],
-                           dtype=np.int64)
-            state.last_walk[ci] = (ods, idx)
-        members.append(idx)
-        volumes.append(dem[ci, ods])
+    live = dem > 0.0
+    classes = np.flatnonzero(live.any(axis=1))
+    n_origins = len(prob.origin_nodes)
+    dists, preds = _kernels.batch_dijkstra(
+        prob.indptr, prob.heads, prob.slots, class_link_costs,
+        np.tile(prob.origin_nodes, classes.size), warm=state.warm,
+        cost_rows=np.repeat(classes, n_origins))
+    # the blocks with demand, class by class; each one's tree row
+    ci, oi = np.nonzero(live)
+    rows = np.searchsorted(classes, ci) * n_origins + prob.od_row[oi]
+    dests = prob.od_dest[oi]
+    costs = dists[rows, dests]
+    unreachable = np.flatnonzero(~np.isfinite(costs))
+    if unreachable.size:
+        origin, dest, _, _ = prob.od[oi[unreachable[0]]]
+        raise InfeasibleProblemError(
+            f"no route from zone {origin!r} to zone {dest!r} "
+            f"for class {CLASSES[ci[unreachable[0]]]!r}"
+        )
+    sp = np.full(dem.shape, np.inf)
+    sp[ci, oi] = costs
+    last = state.last_walk
+    if state.warm.repeated and last is not None and np.array_equal(last[0], live):
+        idx = last[1]
+    else:
+        paths = _kernels.walk_paths(preds, prob.slots, prob.arc_tail, rows, dests)
+        idx = np.array([state.ensure(c, o, path) for c, o, path
+                        in zip(ci.tolist(), oi.tolist(), paths)], dtype=np.int64)
+        state.last_walk = (live, idx)
     target = np.zeros(state.n_paths)
-    if members:
-        np.add.at(target, np.concatenate(members), np.concatenate(volumes))
+    np.add.at(target, idx, dem[ci, oi])
     return target, sp
 
 
@@ -641,7 +642,29 @@ def _initial_flows(prob: _Problem, state: _PathState, warm: EquilibriumSolution 
 
 
 def _line_search(prob: _Problem, x_class: np.ndarray, d_class: np.ndarray) -> float:
-    """Exact step on the combined objective via bisection on its slope."""
+    """Exact step on the combined objective via bisection on its slope.
+
+    The step is the midpoint of the bisection bracket on [0, 1] once it
+    is narrower than ``_LINE_SEARCH_TOL``; a slope of exactly 0 counts
+    as negative.  Before bisecting, at most ``_SECANT_STEPS`` Illinois
+    (regula falsi) steps shrink a bracket ``[a, b]`` with
+    ``slope(a) <= 0 < slope(b)``, and the bisection then evaluates the
+    slope only at midpoints strictly inside it: a midpoint at or below
+    ``a`` takes the lower branch, one at or above ``b`` the upper,
+    exactly as an evaluation would.
+
+    That skip needs the *computed* slope to be nondecreasing in θ, and
+    it is, float rounding included.  Every operation in it is monotone
+    in its varying operand and rounds monotonically: on a link with
+    ``d > 0`` the flow ``x + θ·d`` rises with θ, and so do ``/ cap``,
+    ``** β`` (of a ratio that stays nonnegative, as ``d = y − x`` with
+    ``x, y >= 0``), the BPR time and ``t·d``; on a link with ``d < 0``
+    the flow and time fall and ``t·d`` rises; a link with ``d = 0``
+    adds a constant.  The dot product sums its terms in an order fixed
+    by their count, and a rounded sum does not fall when no term falls.
+    So the search returns the plain bisection's float bit for bit, for
+    a few slope evaluations instead of about 36.
+    """
     d_agg = d_class.sum(axis=0)
     linear = float(np.sum(prob.class_per_km @ (d_class * prob.length[None, :])))
     x_agg = x_class.sum(axis=0)
@@ -650,14 +673,37 @@ def _line_search(prob: _Problem, x_class: np.ndarray, d_class: np.ndarray) -> fl
         t = prob.times(x_agg + theta * d_agg)
         return prob.gamma * float(np.dot(t, d_agg)) + linear
 
-    if slope(0.0) >= 0.0:
+    s_a = slope(0.0)
+    if s_a >= 0.0:
         return 0.0
-    if slope(1.0) <= 0.0:
+    s_b = slope(1.0)
+    if s_b <= 0.0:
         return 1.0
+    a, b, moved = 0.0, 1.0, None  # moved: the end the last step replaced
+    for _ in range(_SECANT_STEPS):
+        if b - a <= _LINE_SEARCH_TOL:
+            break
+        # a step lands at least a quarter tolerance inside the bracket,
+        # so a point next to the root is bracketed by the one after it
+        theta = b - s_b * (b - a) / (s_b - s_a)
+        theta = min(max(theta, a + 0.25 * _LINE_SEARCH_TOL),
+                    b - 0.25 * _LINE_SEARCH_TOL)
+        if not a < theta < b:  # NaN from infinite end slopes
+            break
+        s = slope(theta)
+        # Illinois: an end kept twice in a row has its slope halved
+        if s > 0.0:
+            if moved == "b":
+                s_a *= 0.5
+            b, s_b, moved = theta, s, "b"
+        else:
+            if moved == "a":
+                s_b *= 0.5
+            a, s_a, moved = theta, s, "a"
     lo, hi = 0.0, 1.0
     while hi - lo > _LINE_SEARCH_TOL:
         mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
+        if mid >= b or (mid > a and slope(mid) > 0.0):
             hi = mid
         else:
             lo = mid

@@ -357,10 +357,10 @@ class TestSweepMechanics:
         batch = _kernels.batch_dijkstra
         free_flow_batches = []
 
-        def counted(indptr, heads, links, cost, sources, warm=None):
+        def counted(indptr, heads, links, cost, sources, **kwargs):
             if np.array_equal(cost, free_flow):
                 free_flow_batches.append(sources)
-            return batch(indptr, heads, links, cost, sources, warm=warm)
+            return batch(indptr, heads, links, cost, sources, **kwargs)
 
         monkeypatch.setattr(_kernels, "batch_dijkstra", counted)
         sweep = run_sweep(net, od, cfg, [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -8,12 +8,14 @@ consistency, equilibration of used paths) are checked on every solver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mueflow import equilibrium, fixtures
 from mueflow.cost import CLASSES
@@ -465,7 +467,7 @@ class TestWarmStart:
             for mask in masks:
                 target, sp = _all_or_nothing(prob, state, costs,
                                              np.where(mask, prob.dem, 0.0))
-            assert state.warm[0].repeated == (len(masks) > 1)
+            assert state.warm.repeated == (len(masks) > 1)
             return sp.tobytes(), {
                 (state.path_class[g], state.path_od[g], state.paths[g]): target[g]
                 for g in np.flatnonzero(target)}
@@ -662,3 +664,92 @@ class TestGapDecay:
         first = min(g[:100])
         later = min(g)
         assert later <= 0.5 * first
+
+
+def bisection_reference(prob, x_class, d_class):
+    """The fw/bfw line search as plain bisection: every midpoint evaluated."""
+    d_agg = d_class.sum(axis=0)
+    linear = float(np.sum(prob.class_per_km @ (d_class * prob.length[None, :])))
+    x_agg = x_class.sum(axis=0)
+
+    def slope(theta):
+        t = prob.times(x_agg + theta * d_agg)
+        return prob.gamma * float(np.dot(t, d_agg)) + linear
+
+    if slope(0.0) >= 0.0:
+        return 0.0
+    if slope(1.0) <= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > equilibrium._LINE_SEARCH_TOL:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@functools.cache
+def line_search_problem(name):
+    build, config = fixtures.FIXTURES[name]
+    net, od = build()
+    return _Problem(net, split_demand(od, 0.5), config(), SolverOptions())
+
+
+def same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestLineSearch:
+    """The bracketed line search returns plain bisection's step, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(["braess", "dual_route", "grid3x3"]),
+           seed=st.integers(0, 2**32 - 1),
+           load=st.floats(0.0, 3.0), target_load=st.floats(0.0, 3.0),
+           used=st.floats(0.0, 1.0))
+    def test_matches_plain_bisection(self, name, seed, load, target_load,
+                                     used):
+        # flows up to a few times capacity; the target, like an
+        # all-or-nothing one, leaves a share of the links empty
+        prob = line_search_problem(name)
+        rng = np.random.default_rng(seed)
+        shape = (len(CLASSES), prob.n_links)
+        x = rng.uniform(0.0, load, shape) * prob.cap / len(CLASSES)
+        y = rng.uniform(0.0, target_load, shape) * prob.cap / len(CLASSES)
+        y[rng.uniform(size=shape) >= used] = 0.0
+        d = y - x
+        assert same_float(equilibrium._line_search(prob, x, d),
+                          bisection_reference(prob, x, d))
+
+    def test_exits_and_zero_direction(self):
+        prob = line_search_problem("grid3x3")
+        x = np.tile(prob.cap, (len(CLASSES), 1))
+        # uphill at 0, still downhill at 1, and no move at all
+        for d, want in ((x, 0.0), (-0.5 * x, 1.0), (np.zeros_like(x), 0.0)):
+            got = equilibrium._line_search(prob, x, d)
+            assert got == want and same_float(got, bisection_reference(prob, x, d))
+
+    def test_few_slope_evaluations_per_search(self, grid10_case, monkeypatch):
+        # every search of a bfw solve, against the reference in place
+        net, od, cfg = grid10_case
+        times, search = _Problem.times, equilibrium._line_search
+        evaluations, counts = [0], []
+
+        def counted_times(prob, x_agg):
+            evaluations[0] += 1
+            return times(prob, x_agg)
+
+        def checked(prob, x_class, d_class):
+            before = evaluations[0]
+            theta = search(prob, x_class, d_class)
+            counts.append(evaluations[0] - before)
+            assert same_float(theta, bisection_reference(prob, x_class, d_class))
+            return theta
+
+        monkeypatch.setattr(_Problem, "times", counted_times)
+        monkeypatch.setattr(equilibrium, "_line_search", checked)
+        sol = solve(net, split_demand(od, 0.5), cfg, "bfw")
+        assert sol.converged and len(counts) >= sol.iterations - 1
+        assert max(counts) <= 12

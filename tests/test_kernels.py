@@ -370,7 +370,8 @@ class TestWarmStart:
         bumped[slots[cold[0, int(np.argmax(cold[0] >= 0))]]] += 50.0
         last = None
         for call, step_cost in enumerate([cost] * 4 + [bumped] * 3):
-            started_warm = warm.warm_chunks(sources) or [False] * n_chunks
+            started_warm = (warm.warm_chunks(sources, [0] * len(sources))
+                            or [False] * n_chunks)
             calls = len(rule_calls)
             _, preds = _kernels.batch_dijkstra(indptr, heads, slots,
                                                step_cost, sources, warm=warm)
@@ -494,7 +495,7 @@ class TestWarmStart:
             assert warm_calls
         # no chunk may start warm, so no trees count as repeated either
         monkeypatch.setattr(_kernels.WarmStart, "warm_chunks",
-                            lambda self, sources: None)
+                            lambda self, sources, cost_rows: None)
         calls = len(warm_calls)
         cold = solve(net, demand, config, method)
         assert len(warm_calls) == calls
@@ -504,6 +505,87 @@ class TestWarmStart:
         assert warm.pi == cold.pi
         for cls, flows in warm.link_flows.class_flows.items():
             assert flows.tobytes() == cold.link_flows.class_flows[cls].tobytes()
+
+
+class TestCostRows:
+    """One batch over several cost rows, each tree under its source's row."""
+
+    @staticmethod
+    def two_rows():
+        # 29 sources: chunks of 6 put both rows in the fifth chunk
+        indptr, heads, slots, cost, node_index = grid_csr()
+        costs = np.stack([cost, np.roll(cost, 7) * 1.5])
+        return indptr, heads, slots, costs, list(node_index.values())[:29]
+
+    @pytest.mark.parametrize("entries", [1 << 16, 1 << 12])
+    def test_two_rows_equal_two_one_row_batches(self, monkeypatch, entries,
+                                                warm_calls):
+        indptr, heads, slots, costs, sources = self.two_rows()
+        monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", entries)
+        both, rows = sources * 2, [0] * len(sources) + [1] * len(sources)
+        warm = warm_state(indptr, heads)
+        rng = np.random.default_rng(17)
+        for scale in (0.0, 0.0, 1e-6, 0.1):  # cold, then warm
+            costs = costs * (1.0 + scale * rng.uniform(-1.0, 1.0, costs.shape))
+            got = _kernels.batch_dijkstra(indptr, heads, slots, costs, both,
+                                          warm=warm, cost_rows=rows)
+            want = [_kernels.batch_dijkstra(indptr, heads, slots, cost, sources)
+                    for cost in costs]
+            for got_part, want_parts in zip(got, zip(*want)):
+                assert got_part.tobytes() == np.concatenate(want_parts).tobytes()
+        assert warm_calls
+
+    def test_a_tie_in_one_row_sends_only_its_source_to_the_heap(
+            self, monkeypatch):
+        # 3 -> 1 is free in row 0 only: the tie of
+        # test_zero_cost_arc_falls_back_to_the_heap, for one source
+        arcs = [(0, 3, 1.0), (1, 4, 1.0), (3, 1, 0.0), (3, 4, 1.0)]
+        indptr, heads, links, cost = csr_from_arcs(5, arcs)
+        other = cost.copy()
+        other[2] = 0.5
+        heap = []
+        dijkstra = _kernels.dijkstra
+
+        def counted(*args):
+            heap.append(args)
+            return dijkstra(*args)
+
+        monkeypatch.setattr(_kernels, "dijkstra", counted)
+        dists, preds = _kernels.batch_dijkstra(
+            indptr, heads, links, np.stack([other, cost]), [0, 0],
+            cost_rows=[0, 1])
+        ((*_, heap_cost, source),) = heap
+        assert heap_cost.tobytes() == cost.tobytes() and source == 0
+        for j, row in enumerate((other, cost)):
+            dist, pred = dijkstra(indptr, heads, links, row, 0)
+            assert dists[j].tobytes() == dist.tobytes()
+            assert preds[j].tobytes() == pred.tobytes()
+        assert arcs[links[preds[1, 4]]][:2] == (3, 4)
+
+    def test_a_changed_class_set_starts_cold(self, warm_calls):
+        # one class's missing blocks first, then both classes, then both
+        # in the other order: each new set of rows starts cold, although
+        # the set before it had just repeated its trees
+        indptr, heads, slots, costs, sources = self.two_rows()
+        n = len(sources)
+        warm = warm_state(indptr, heads)
+        for batch, rows in ((sources, [1] * n),
+                            (sources * 2, [0] * n + [1] * n),
+                            (sources * 2, [1] * n + [0] * n)):
+            calls = len(warm_calls)
+            got = _kernels.batch_dijkstra(indptr, heads, slots, costs, batch,
+                                          warm=warm, cost_rows=rows)
+            assert len(warm_calls) == calls and not warm.repeated
+            cold = _kernels.batch_dijkstra(indptr, heads, slots, costs, batch,
+                                           cost_rows=rows)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in cold]
+            _kernels.batch_dijkstra(indptr, heads, slots, costs, batch,
+                                    warm=warm, cost_rows=rows)
+            assert warm.repeated
+        # the same rows a third time start warm
+        _kernels.batch_dijkstra(indptr, heads, slots, costs, batch, warm=warm,
+                                cost_rows=rows)
+        assert len(warm_calls) > calls
 
 
 def hub_graph():
