@@ -23,7 +23,12 @@ Who calls what:
   (:func:`_tree_levels`, :func:`_fold_levels`).  When that start is
   already the fixed point and its tree arcs are the only tight arcs,
   the chunk keeps its old trees and skips the predecessor rule
-  (:func:`_pred_rule`); other chunks run the rule.
+  (:func:`_pred_rule`); other chunks run the rule.  Chunks whose trees
+  changed start from scratch, but with a :class:`WarmStart` they
+  alternate a Gauss–Seidel :func:`_sweep` in the level order of the
+  first trees of the series (:func:`_sweep_plan`) with one full
+  :func:`_round`, which takes a few sweeps where plain rounds take one
+  per tree level.
 * :func:`dijkstra` is the :mod:`heapq` reference for one source.  The
   batch kernel runs it for the trees its predecessor rule cannot settle;
   the tests hold the batch kernel to it bit for bit.
@@ -154,25 +159,25 @@ def _in_arcs(indptr, heads):
                    pos[arc_tail[slot]], head, arc_tail)
 
 
-def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None):
+def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None,
+                 plan=None):
     """Shortest paths from a few sources at once, position-major.
 
     ``entry_cost`` is the cost of each entry of ``arcs`` (its arc
     slot's cost), shaped (entries, sources), or (entries,) when every
     source has the same costs.  Relaxation starts from ``start``
     (positions, sources), which it may overwrite, or from ``inf`` with
-    the sources at 0 when it is None.  Each round gathers every entry's
-    tail value into one buffer, adds the entry costs and folds rows 1..
-    into the prefix of row 0 with in-place minimums, so a round
-    allocates nothing.  Returns (dist, pred, ties): dist and pred shaped
+    the sources at 0 when it is None.  It runs :func:`_round` until a
+    round lowers nothing.  With a ``plan`` (from :func:`_sweep_plan`,
+    for a cold start) each round follows one :func:`_sweep` over the
+    plan's levels.  Returns (dist, pred, ties): dist and pred shaped
     (positions, sources), and a per-source flag for trees whose
     predecessors :func:`_pred_rule` cannot vouch for.
 
     ``tree_arcs`` is given with a warm ``start`` whose trees it counts
-    (see :func:`batch_dijkstra`).  Before its rows fold, the first
-    round counts its tight entries whose head is finite; when that
-    round lowers nothing and the count is ``tree_arcs``, the start's
-    trees stand, and pred and ties come back None.
+    (see :func:`batch_dijkstra`).  When the first round lowers nothing
+    and counts ``tree_arcs`` tight entries, the start's trees stand,
+    and pred and ties come back None.
     """
     n, m, k = arcs.pos.size, arcs.slot.size, sources.shape[0]
     # one contiguous column per source: a contiguous add is several
@@ -185,30 +190,100 @@ def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None):
     else:
         dist = start
     cand = np.empty((m, k))
-    n_in = arcs.rows[0][1]  # the nodes with an in-arc
-    best, dist_in = cand[:n_in], dist[:n_in]
     folds = [(cand[:size], cand[lo:lo + size]) for lo, size in arcs.rows[1:]]
-    lower = np.empty((n_in, k), dtype=bool)
-    settled = False
-    while True:
-        # every index is in range, and "clip" spares take a buffered out
-        np.take(dist, arcs.tail, axis=0, out=cand, mode="clip")
-        cand += cost
-        if tree_arcs is not None:  # the first warm round, unfolded
-            at = np.take(dist, arcs.head, axis=0)
-            tight = (cand == at) & (at < np.inf)
-            settled = np.count_nonzero(tight) == tree_arcs
-            tree_arcs = None
-        for lead, row in folds:
-            np.minimum(lead, row, out=lead)
-        np.less(best, dist_in, out=lower)
-        if not lower.any():
-            break
-        settled = False
-        np.minimum(dist_in, best, out=dist_in)
+    lower = np.empty((arcs.rows[0][1], k), dtype=bool)
+    if plan is not None:
+        sweep = _sweep_views(plan, arcs, cost, cand.reshape(-1))
+    lowered, settled = True, False
+    if tree_arcs is not None:
+        lowered, settled = _round(arcs, dist, cost, cand, folds, lower,
+                                  tree_arcs)
+    while lowered:
+        if plan is not None:
+            _sweep(sweep, dist.reshape(-1))
+        lowered, _ = _round(arcs, dist, cost, cand, folds, lower)
     if settled:
         return dist, None, None
+    sweep = None  # the rule's own arrays take more room: not both at once
     return (dist, *_pred_rule(arcs, dist, cost, cand))
+
+
+def _round(arcs, dist, cost, cand, folds, lower, tree_arcs=None):
+    """One Jacobi round over every entry of ``arcs``, in place.
+
+    Gathers every entry's tail value from ``dist`` (positions, sources)
+    into ``cand``, adds the entry costs ``cost`` (same shape), folds rows
+    1.. into the prefix of row 0 with in-place minimums (``folds`` holds
+    the pairs of views) and lowers ``dist`` wherever row 0 is smaller,
+    with ``lower`` as the buffer for that test: a round allocates
+    nothing.  Returns (lowered, settled).  With ``tree_arcs`` the round
+    also counts, before its rows fold, the tight entries whose head is
+    finite; ``settled`` is True when it lowered nothing and that count
+    is ``tree_arcs`` (see :func:`batch_dijkstra`).
+    """
+    # every index is in range, and "clip" spares take a buffered out
+    np.take(dist, arcs.tail, axis=0, out=cand, mode="clip")
+    cand += cost
+    settled = False
+    if tree_arcs is not None:
+        at = np.take(dist, arcs.head, axis=0)
+        settled = np.count_nonzero((cand == at) & (at < np.inf)) == tree_arcs
+    for lead, row in folds:
+        np.minimum(lead, row, out=lead)
+    best, dist_in = cand[:lower.shape[0]], dist[:lower.shape[0]]
+    np.less(best, dist_in, out=lower)
+    if not lower.any():
+        return False, settled
+    np.minimum(dist_in, best, out=dist_in)
+    return True, False
+
+
+def _sweep_views(plan, arcs, cost, buf):
+    """A chunk's plan from :func:`_sweep_plan`, as views for :func:`_sweep`.
+
+    ``cost`` holds the chunk's entry costs per source (entries,
+    sources), and ``buf`` is a float buffer of the same size, flattened.
+    Per level, the views are its in-arcs' slice of ``buf``, their
+    tails' indices into the chunk's (positions, sources) array
+    flattened, their costs, the (rank 0 prefix, rank) pairs to fold,
+    its nodes' indices and their slice of ``buf``.  Slicing once per
+    chunk, not once per sweep, takes close to half off a sweep on
+    ``mini_city``.  The views hold three arrays as long as the plan;
+    the caller drops them before the predecessor rule, which needs more.
+    """
+    index, levels = plan
+    m, k = cost.shape
+    at = index.astype(np.intp)
+    # every entry's tail index per source, made in buf, which is as long
+    # and which the sweeps overwrite later: one allocation fewer per chunk
+    tail_of = buf.view(np.int64).reshape(m, k)
+    np.add(arcs.tail[:, None] * k, np.arange(k), out=tail_of)
+    tails = np.take(tail_of.reshape(-1), at)
+    steps = np.take(cost.reshape(-1), at)
+    return [(buf[lo:hi], tails[lo:hi], steps[lo:hi],
+             [(buf[lo:lo + length], buf[start:start + length])
+              for start, length in zip(folds[::2], folds[1::2]) if length],
+             at[lo:lo + size], buf[lo:lo + size])
+            for lo, hi, size, *folds in levels.tolist()]
+
+
+def _sweep(levels, dist):
+    """One Gauss–Seidel sweep over a chunk's levels, in place.
+
+    ``dist`` is the chunk's (positions, sources) array flattened and
+    ``levels`` its plan's views (:func:`_sweep_views`).  Level by level,
+    one gather and one add cost every in-arc of the level, its ranks
+    fold into rank 0, and its nodes take their cheapest in-arc, which is
+    never above the value it replaces (see :func:`batch_dijkstra`).
+    Each level reads what the levels before it just wrote.
+    """
+    for cand, tails, steps, folds, at, best in levels:
+        # every index is in range, and "clip" spares take a buffered out
+        np.take(dist, tails, out=cand, mode="clip")
+        cand += steps
+        for lead, rank in folds:
+            np.minimum(lead, rank, out=lead)
+        dist[at] = best
 
 
 def _pred_rule(arcs, dist, cost, cand):
@@ -254,20 +329,14 @@ def _tree_parents(preds, arc_tail):
     return np.where(preds >= 0, entry - entry % n + arc_tail[preds], entry).ravel()
 
 
-def _tree_levels(preds, arcs, cost_rows):
-    """The trees ``preds`` of one chunk, sorted level by level.
+def _tree_depths(preds, arc_tail):
+    """Depth of every node in the trees ``preds``, flattened.
 
-    ``preds`` (sources, n_nodes) are trees as the kernels return them,
-    and ``cost_rows`` the cost row of each tree (see
-    :func:`batch_dijkstra`).  Every tree node's depth comes from pointer
-    doubling over :func:`_tree_parents`; one stable sort by depth orders
-    the entries.  Returns (target, parent, arc, bounds): per entry, its
-    index and its tree parent's index in a (positions, sources) array
-    flattened, and its tree arc's index in the (cost rows, arc slots)
-    costs flattened; level ``d`` is entries ``bounds[d - 1]:bounds[d]``.
+    ``preds`` (sources, n_nodes) are trees as the kernels return them.
+    A node's depth counts the arcs from its root, by pointer doubling
+    over :func:`_tree_parents`; roots and nodes off the tree are at 0.
     """
-    k, n = preds.shape
-    jump = _tree_parents(preds, arcs.arc_tail)
+    jump = _tree_parents(preds, arc_tail)
     depth = (preds >= 0).ravel().astype(np.int64)
     while True:  # depth[e]: arcs from e up to jump[e]
         above = depth[jump]
@@ -275,6 +344,23 @@ def _tree_levels(preds, arcs, cost_rows):
             break
         depth += above
         jump = jump[jump]
+    return depth
+
+
+def _tree_levels(preds, arcs, cost_rows):
+    """The trees ``preds`` of one chunk, sorted level by level.
+
+    ``preds`` (sources, n_nodes) are trees as the kernels return them,
+    and ``cost_rows`` the cost row of each tree (see
+    :func:`batch_dijkstra`).  One stable sort by
+    :func:`_tree_depths` orders the entries.  Returns (target, parent,
+    arc, bounds): per entry, its index and its tree parent's index in
+    a (positions, sources) array flattened, and its tree arc's index in
+    the (cost rows, arc slots) costs flattened; level ``d`` is entries
+    ``bounds[d - 1]:bounds[d]``.
+    """
+    k, n = preds.shape
+    depth = _tree_depths(preds, arcs.arc_tail)
     entries = np.flatnonzero(preds >= 0)
     entries = entries[np.argsort(depth[entries], kind="stable")]
     bounds = np.cumsum(np.bincount(depth[entries])).tolist()
@@ -282,6 +368,74 @@ def _tree_levels(preds, arcs, cost_rows):
     slot = preds.ravel()[entries]
     return (arcs.pos[v] * k + row, arcs.pos[arcs.arc_tail[slot]] * k + row,
             cost_rows[row] * arcs.slot.size + slot, bounds)
+
+
+def _sweep_plan(preds, arcs):
+    """The level order of one chunk's trees ``preds``, for :func:`_sweep`.
+
+    ``preds`` (sources, n_nodes) are trees as the kernels return them.
+    The plan holds one index per in-arc of every node with a tree arc:
+    ``entry * k + source`` for the in-arc's entry of ``arcs``, an index
+    into the chunk's (entries, sources) costs flattened, in the smallest
+    unsigned type that holds it.  Nodes go level by level (tree depth)
+    and within a level by (position, source).  A level's in-arcs go
+    rank by rank, rank ``r`` holding the ``r``-th in-arc of each of its
+    nodes that has one.  Positions descend in in-degree, so each rank
+    lines up with a prefix of rank 0; and row 0 of ``arcs`` starts at
+    entry 0, so a rank-0 index is also its node's index ``position * k
+    + source`` into a (positions, sources) array flattened.  Returns
+    (index, levels), ``levels`` an array with one row per level: ``lo``,
+    ``hi`` and ``size`` (its in-arcs are ``index[lo:hi]``, its ``size``
+    nodes the first of them), then ``start`` and ``length`` of each rank
+    from rank 1 on, 0 long past the level's last rank.
+    """
+    k, n = preds.shape
+    node = np.empty_like(arcs.pos)
+    node[arcs.pos] = np.arange(n)
+    depth = _tree_depths(preds, arcs.arc_tail).reshape(k, n)[:, node]
+    # a stable sort of the depths, position-major, lists the nodes by
+    # (level, position, source) as their indices; level 0 is left out
+    depth = depth.T.ravel().astype(np.min_scalar_type(n))
+    per_level = np.bincount(depth)
+    target = np.argsort(depth, kind="stable")[per_level[0]:]
+    level = depth[target] - 1
+    per_level = per_level[1:]
+    # a node has an r-th in-arc when its position is below row r's
+    # length, so within a level those nodes come first
+    counts = np.array([np.bincount(level[target < size * k],
+                                   minlength=per_level.size)
+                       for _, size in arcs.rows]).T
+    ends = np.cumsum(counts, axis=1)
+    lo = np.cumsum(ends[:, -1]) - ends[:, -1]  # each level's first in-arc
+    # node i's r-th in-arc goes to i plus a shift per (level, rank)
+    shift = (lo - np.cumsum(per_level) + per_level)[:, None] + ends - counts
+    index = np.empty(ends[:, -1].sum(),
+                     np.min_scalar_type(arcs.slot.size * k - 1))
+    for r, (start, size) in enumerate(arcs.rows):
+        at = np.flatnonzero(target < size * k)
+        index[shift[level[at], r] + at] = start * k + target[at]
+    folds = np.stack([lo[:, None] + ends[:, :-1], counts[:, 1:]], axis=2)
+    return index, np.column_stack([lo, lo + ends[:, -1], counts[:, 0],
+                                   folds.reshape(lo.size, 2 * folds.shape[1])])
+
+
+def _sweep_plans(preds, arcs):
+    """The :func:`_sweep_plan` of every chunk of the trees ``preds``.
+
+    All chunks' indices live in one array: small arrays of one chunk
+    each, made between the batch's temporaries, scattered through the
+    heap and raised the peak RSS of a ``mini_city`` solve by twice
+    their size.
+    """
+    step = _chunk_size(arcs)
+    plans = [_sweep_plan(preds[lo:lo + step], arcs)
+             for lo in range(0, preds.shape[0], step)]
+    if not plans:
+        return []
+    bounds = np.cumsum([0] + [index.size for index, _ in plans]).tolist()
+    whole = np.concatenate([index for index, _ in plans])
+    return [(whole[lo:hi], levels)
+            for (_, levels), lo, hi in zip(plans, bounds, bounds[1:])]
 
 
 def _fold_levels(levels, arcs, arc_cost, sources):
@@ -351,11 +505,17 @@ class WarmStart:
     and, per chunk of sources, whether that call returned the same trees
     as the one before and, once a chunk has started from them, those
     trees sorted level by level (:func:`_tree_levels`), kept until they
-    change.  A call with other sources or other cost rows (a class that
-    joins or leaves the batch) starts cold.  ``repeated`` is True when
-    every chunk came back unchanged, so a caller can reuse whatever it
-    derived from the last trees.  A call that raises on a negative or
-    NaN cost leaves the state as it was.
+    change.  ``plans`` holds, per chunk, the sweep plan of the first
+    trees the series returned (:func:`_sweep_plans`), for the chunks
+    that start cold on later calls; they stay until the sources or cost
+    rows change, however stale they grow (see :func:`batch_dijkstra`).
+    On ``mini_city`` the plans of the 188 trees a ``bfw`` iteration asks
+    for take 0.9 MB.  A call with other sources or other cost rows (a
+    class that joins or leaves the batch) starts cold, and the trees it
+    returns make new plans.  ``repeated`` is True when every chunk came
+    back unchanged, so a caller can reuse whatever it derived from the
+    last trees.  A call that raises on a negative or NaN cost leaves the
+    state as it was.
     """
 
     def __init__(self, arcs):
@@ -363,6 +523,7 @@ class WarmStart:
         self.sources = self.cost_rows = self.preds = None
         self.same: list[bool] = []
         self.levels: dict[int, tuple] = {}
+        self.plans: list[tuple] = []
         self.repeated = False
 
     def warm_chunks(self, sources, cost_rows):
@@ -376,7 +537,8 @@ class WarmStart:
         """Keep the trees just returned and compare them with the last.
 
         Chunks listed in ``kept`` returned the last trees as they were
-        and need no comparison.
+        and need no comparison.  Trees of new sources or cost rows make
+        the sweep plans.
         """
         last = self.warm_chunks(sources, cost_rows)
         step = _chunk_size(self.arcs)
@@ -386,6 +548,8 @@ class WarmStart:
             for c, lo in enumerate(range(0, len(sources), step))
         ]
         self.levels = {c: lv for c, lv in self.levels.items() if self.same[c]}
+        if last is None:
+            self.plans = _sweep_plans(preds, self.arcs)
         self.repeated = last is not None and all(self.same)
         self.sources = np.array(sources, dtype=np.int64)
         self.cost_rows = np.array(cost_rows, dtype=np.int64)
@@ -427,19 +591,40 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
     (:func:`_tree_levels`); each call then fills them one level at a
     time, parent plus arc (:func:`_fold_levels`).  Chunks whose trees
     changed start cold: costing new trees level by level takes about
-    what the rounds it saves are worth.  The result is the same bit for
-    bit.  Let ``D`` be the heap's distances.  The heap relaxes every arc
-    out of every node it settles and never raises a distance, so
-    ``D[v] <= D[u] + c`` holds in float64 on every arc.  Float addition
-    is monotone, so along any walk from the source the left-to-right
-    sum of its costs never drops below ``D`` at the walk's end.  Every
-    finite value of the start is such a sum, and relaxation only extends
-    sums by one arc, so the distances never drop below ``D``.
-    Relaxation stops when ``d[v] <= d[u] + c`` on every arc; from the
-    source (at 0) along the heap's own tree path, whose left-to-right
-    sums are ``D``, the same monotonicity gives ``d <= D``.  So warm and
-    cold starts both end on ``D``, and the predecessor rule and the
-    zero-increase fallback then run on it as before.
+    what the rounds it saves are worth, so they sweep instead (below).
+    The result is the same bit for bit.  Let ``D`` be the heap's
+    distances.  The heap relaxes every arc out of every node it settles
+    and never raises a distance, so ``D[v] <= D[u] + c`` holds in
+    float64 on every arc.  Float addition is monotone, so along any walk
+    from the source the left-to-right sum of its costs never drops below
+    ``D`` at the walk's end.  Every finite value of the start is such a
+    sum, and relaxation only extends sums by one arc, so the distances
+    never drop below ``D``.  Relaxation stops when ``d[v] <= d[u] + c``
+    on every arc; from the source (at 0) along the heap's own tree path,
+    whose left-to-right sums are ``D``, the same monotonicity gives
+    ``d <= D``.  So warm and cold starts both end on ``D``, and the
+    predecessor rule and the zero-increase fallback then run on it as
+    before.
+
+    With ``warm``, a chunk that starts cold also sweeps.  Its plan
+    (:func:`_sweep_plan`, made from the first trees the series returned)
+    lists the nodes that had a tree arc level by level, each with all
+    its in-arcs.  A :func:`_sweep` sets each of them to its cheapest
+    in-arc sum ``d[u] + c``, reading what the levels above it just
+    wrote; after each sweep one full :func:`_round` runs, and the chunk
+    stops at the first round that lowers nothing.  This too ends on
+    ``D`` bit for bit.  Every value is still ``inf``, 0 at a source, or
+    a left-to-right walk sum extended by one arc, so none drops below
+    ``D``; and the loop ends only on a full round that lowers nothing,
+    so ``d <= D`` as before.  A sweep writes its minimum without
+    comparing it with the node's value, and that value never rises: no
+    source is in the plan (a root has no tree arc), and every other
+    value is some earlier sum over one of the node's in-arcs, whose
+    tail has only fallen since, so by monotone addition the cheapest
+    in-arc now is no larger.  A stale plan, from trees under other
+    costs, with nodes at other depths or no longer reached, changes
+    none of this: the order only decides how soon the values reach
+    ``D``.  It costs sweeps, never bits.
 
     A warm chunk whose first round lowers nothing is already on ``D``,
     and it keeps its old trees without the predecessor rule when it
@@ -476,8 +661,10 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
     kept = []
     for c, lo in enumerate(range(0, sources.shape[0], step)):
         chunk, rows = sources[lo:lo + step], cost_rows[lo:lo + step]
-        start = tree_arcs = None
-        if warm_chunks is not None and warm_chunks[c]:
+        start = tree_arcs = plan = None
+        if warm_chunks is not None and not warm_chunks[c]:
+            plan = warm.plans[c]
+        elif warm_chunks is not None:
             if c not in warm.levels:
                 warm.levels[c] = _tree_levels(warm.preds[lo:lo + step], arcs,
                                               rows)
@@ -489,7 +676,8 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
             if np.all((ends > flat[parent]) & (ends < np.inf)):
                 tree_arcs = target.size
         dist, pred, ties = _relax_chunk(
-            arcs, np.take(entry_cost, rows, axis=1), chunk, start, tree_arcs)
+            arcs, np.take(entry_cost, rows, axis=1), chunk, start, tree_arcs,
+            plan)
         # back from positions to nodes, then the transposing copy
         dists[lo:lo + step] = np.take(dist, arcs.pos, axis=0).T
         if pred is None:  # the old trees stand

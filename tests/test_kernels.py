@@ -1,10 +1,10 @@
 """Kernels against their reference twins.
 
-The batch shortest-path kernel, cold and warm, is checked against the
-heap Dijkstra, the tree walk against a parent-pointer loop, and the
-blockwise projection against a per-block loop.  Equivalence here is
-bitwise, not approximate: the solvers' byte-identical artifacts rest
-on it.
+The batch shortest-path kernel, cold, warm and sweeping, is checked
+against the heap Dijkstra, the tree walk against a parent-pointer loop,
+and the blockwise projection against a per-block loop.  Equivalence
+here is bitwise, not approximate: the solvers' byte-identical artifacts
+rest on it.
 """
 
 from __future__ import annotations
@@ -628,6 +628,237 @@ def layout_cases():
         yield pytest.param(indptr, heads, id=name)
     yield pytest.param(np.zeros(4, dtype=np.int64),
                        np.zeros(0, dtype=np.int64), id="no_arcs")
+
+
+@pytest.fixture
+def sweep_counts(monkeypatch):
+    """Per chunk relaxed: (did it have a plan, how many sweeps it ran)."""
+    chunks = []
+    relax_chunk, sweep = _kernels._relax_chunk, _kernels._sweep
+
+    def counted_relax(*args):
+        chunks.append([args[5] is not None, 0])
+        return relax_chunk(*args)
+
+    def counted_sweep(*args):
+        chunks[-1][1] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(_kernels, "_relax_chunk", counted_relax)
+    monkeypatch.setattr(_kernels, "_sweep", counted_sweep)
+    return chunks
+
+
+def planned_batch(indptr, heads, links, plan_cost, cost, sources, **kwargs):
+    """A batch under ``cost`` sweeping in the order of ``plan_cost``'s trees.
+
+    The first call of a series makes each chunk's plan from the trees
+    under ``plan_cost``; the second starts every chunk cold.
+    """
+    warm = warm_state(indptr, heads)
+    for step_cost in (plan_cost, cost):
+        got = _kernels.batch_dijkstra(indptr, heads, links, step_cost,
+                                      sources, warm=warm, **kwargs)
+    return got, warm
+
+
+class TestSweeps:
+    """Cold chunks that sweep in the level order of a series' first trees."""
+
+    @staticmethod
+    def sweeps_ran(chunks):
+        return any(sweeps for _, sweeps in chunks)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_stale_plans_on_every_fixture(self, name, sweep_counts):
+        # trees from unrelated costs order the sweeps under loaded costs
+        indptr, heads, slots, cost, rng = loaded_costs(name, 3)
+        n = indptr.shape[0] - 1
+        sources = list(range(0, n, -(-n // 60)))
+        unrelated = rng.uniform(0.0, 20.0, size=cost.size)
+        got, warm = planned_batch(indptr, heads, slots, unrelated, cost,
+                                  sources)
+        assert warm.plans and self.sweeps_ran(sweep_counts)
+        assert_batch_matches_heap(indptr, heads, slots, cost, sources,
+                                  batch=lambda *args: got)
+
+    def test_a_plan_from_the_same_costs_needs_one_sweep(self, monkeypatch,
+                                                         sweep_counts):
+        # every node's cheapest in-arc is final once the level above is
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = list(node_index.values())[:30]
+        monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 1 << 12)
+        got, warm = planned_batch(indptr, heads, slots, cost, cost * 1.0,
+                                  sources)
+        second = sweep_counts[len(sweep_counts) // 2:]
+        assert len(second) == len(warm.plans) > 1
+        assert second == [[True, 1]] * len(second)
+        assert_batch_matches_heap(indptr, heads, slots, cost, sources,
+                                  batch=lambda *args: got)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+    def test_small_graphs(self, name, sweep_counts):
+        # parallel arcs, a hub, and nodes no source reaches
+        n, arcs, sources = SMALL_GRAPHS[name]()
+        indptr, heads, links, cost = csr_from_arcs(n, arcs)
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            new = cost * rng.uniform(0.2, 3.0, size=cost.size)
+            got, _ = planned_batch(indptr, heads, links, cost, new, sources)
+            assert_batch_matches_heap(indptr, heads, links, new, sources,
+                                      batch=lambda *args: got)
+        assert self.sweeps_ran(sweep_counts)
+
+    def test_nodes_the_new_trees_no_longer_reach(self, monkeypatch,
+                                                 sweep_counts):
+        # 1 -> 2 costs inf: node 2, in the plan, is not reached any more;
+        # source 6 reaches nothing, so its own chunk has an empty plan
+        arcs = [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0), (3, 4, 1.0),
+                (4, 5, 1.0), (1, 5, 5.0)]
+        indptr, heads, links, cost = csr_from_arcs(7, arcs)
+        new = cost.copy()
+        new[1] = np.inf
+        new[4] = 9.0
+        for entries in (1 << 16, 1):
+            monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", entries)
+            got, warm = planned_batch(indptr, heads, links, cost, new,
+                                      [0, 3, 6])
+            assert np.isinf(got[0][0, 2]) and got[0][0, 5] == 6.0
+            assert_batch_matches_heap(indptr, heads, links, new, [0, 3, 6],
+                                      batch=lambda *args: got)
+        assert warm.plans[2][0].size == 0
+        assert self.sweeps_ran(sweep_counts)
+
+    def test_zero_costs_still_reach_the_heap(self, monkeypatch, sweep_counts):
+        rng = np.random.default_rng(23)
+        heap = []
+        dijkstra = _kernels.dijkstra
+
+        def counted(*args):
+            heap.append(args)
+            return dijkstra(*args)
+
+        monkeypatch.setattr(_kernels, "dijkstra", counted)
+        fallbacks = 0
+        for _ in range(30):
+            n = int(rng.integers(2, 25))
+            m = int(rng.integers(1, 4 * n))
+            tails, heads_ = rng.integers(0, n, m), rng.integers(0, n, m)
+            draw = [rng.integers(0, 4, m).astype(float) for _ in range(2)]
+            indptr, heads, links, _ = csr_from_arcs(
+                n, list(zip(tails.tolist(), heads_.tolist(), draw[0])))
+            warm = warm_state(indptr, heads)
+            _kernels.batch_dijkstra(indptr, heads, links, draw[0], range(n),
+                                    warm=warm)
+            calls = len(heap)
+            got = _kernels.batch_dijkstra(indptr, heads, links, draw[1],
+                                          range(n), warm=warm)
+            fallbacks += len(heap) - calls
+            assert_batch_matches_heap(indptr, heads, links, draw[1], range(n),
+                                      batch=lambda *args: got)
+        assert fallbacks and self.sweeps_ran(sweep_counts)
+
+    @pytest.mark.parametrize("entries", [1, 1 << 11])
+    def test_chunked_sources(self, monkeypatch, entries, sweep_counts):
+        # one source per chunk, or chunks of 4 with a shorter last one
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = list(node_index.values())[:30] + [0, 0]
+        monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", entries)
+        rng = np.random.default_rng(29)
+        new = cost * rng.uniform(0.5, 2.0, size=cost.size)
+        got, warm = planned_batch(indptr, heads, slots, cost, new, sources)
+        step = _kernels._chunk_size(warm.arcs)
+        assert len(warm.plans) == -(-len(sources) // step)
+        assert len(sources) % step != 0 or step == 1
+        assert_batch_matches_heap(indptr, heads, slots, new, sources,
+                                  batch=lambda *args: got)
+
+    def test_a_changed_class_set_makes_new_plans(self, sweep_counts):
+        indptr, heads, slots, costs, sources = TestCostRows.two_rows()
+        n = len(sources)
+        warm = warm_state(indptr, heads)
+        rng = np.random.default_rng(31)
+        for batch, rows in ((sources, [1] * n),
+                            (sources * 2, [0] * n + [1] * n)):
+            # a new set of rows: no plan, and no sweep, on its first call,
+            # whose trees then make the set's plans
+            chunks, plans = len(sweep_counts), warm.plans
+            for call in range(3):
+                costs = costs * rng.uniform(0.9, 1.1, size=costs.shape)
+                got = _kernels.batch_dijkstra(indptr, heads, slots, costs,
+                                              batch, warm=warm, cost_rows=rows)
+                if call == 0:
+                    assert not any(p for p, _ in sweep_counts[chunks:])
+                    made = _kernels._sweep_plans(warm.preds, warm.arcs)
+                    assert warm.plans is not plans
+                    assert [[a.tobytes() for a in p] for p in warm.plans] == [
+                        [a.tobytes() for a in p] for p in made]
+                cold = _kernels.batch_dijkstra(indptr, heads, slots, costs,
+                                               batch, cost_rows=rows)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in cold]
+            assert len(warm.plans) == -(-len(batch) // _kernels._chunk_size(
+                warm.arcs))
+            assert self.sweeps_ran(sweep_counts[chunks:])
+
+    def test_plan_layout(self):
+        # every node with a tree arc, level by level, with all its in-arcs
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = np.array(list(node_index.values())[:7])
+        arcs = _kernels._in_arcs(indptr, heads)
+        _, preds = _kernels.batch_dijkstra(indptr, heads, slots, cost, sources)
+        index, levels = _kernels._sweep_plan(preds, arcs)
+        k, n = preds.shape
+        assert index.dtype == np.uint16 and index.size == levels[-1, 1]
+        assert levels.shape[1] == 1 + 2 * len(arcs.rows)
+        depth = _kernels._tree_depths(preds, arcs.arc_tail).reshape(k, n)
+        seen = []
+        for d, (lo, hi, size, *folds) in enumerate(levels.tolist(), 1):
+            target = index[lo:lo + size].astype(np.int64)
+            assert np.all(np.diff(target) > 0)  # by (position, source)
+            pos, row = np.divmod(target, k)
+            node = np.argsort(arcs.pos)[pos]
+            assert np.all(depth[row, node] == d)
+            got = [[e] for e in pos]  # rank 0: each node's own position
+            end = lo + size
+            for start, length in zip(folds[::2], folds[1::2]):
+                assert start == end  # the ranks follow one another
+                end += length
+                entry, source = np.divmod(index[start:start + length], k)
+                assert np.array_equal(source, row[:length])
+                for i, e in enumerate(entry.tolist()):
+                    got[i].append(e)
+            assert hi == end == lo + sum(len(g) for g in got)
+            for (first, *rest), p in zip(got, pos.tolist()):
+                assert first == p
+                # the entries whose head is this position, in row order
+                want = [lo_r + p for lo_r, size_r in arcs.rows if p < size_r]
+                assert [first, *rest] == want
+            seen += target.tolist()
+        reached = np.flatnonzero((preds >= 0).T[np.argsort(arcs.pos)].ravel())
+        assert sorted(seen) == reached.tolist()
+
+    def test_city_bfw_solve_sweeps_at_most_three_times(self, monkeypatch,
+                                                       sweep_counts):
+        # the first batch runs plain rounds; every later cold chunk
+        # converges within three sweeps of the first batch's order
+        net, od = FIXTURES["mini_city"][0]()
+        config = FIXTURES["mini_city"][1]()
+        batches = []
+        batch_dijkstra = _kernels.batch_dijkstra
+
+        def marked(*args, **kwargs):
+            batches.append(len(sweep_counts))
+            return batch_dijkstra(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "batch_dijkstra", marked)
+        solve(net, split_demand(od, 0.5), config, "bfw")
+        first = sweep_counts[batches[0]:batches[1]]
+        later = sweep_counts[batches[1]:]
+        assert len(first) > 1 and first == [[False, 0]] * len(first)
+        assert len(batches) > 20
+        cold = [sweeps for planned, sweeps in later if planned]
+        assert len(cold) > 10 * len(first)
+        assert 1 <= min(cold) and max(cold) <= 3
 
 
 class TestInArcs:
