@@ -17,9 +17,12 @@ Who calls what:
   without padding (:func:`_in_arcs`, built once per graph): nodes in
   descending in-degree order, row ``r`` the ``r``-th in-arc of every
   node that has one, all rows in one flat array.  A round is one
-  gather into a buffer made once per chunk, one add and a fold of the
-  shorter rows into row 0.  Chunks whose trees came back unchanged
-  start from them, their old tree paths costed level by level
+  gather, one add and a fold of the shorter rows into row 0.  Every
+  chunk relaxes in the buffers of one :class:`_Workspace`, made once
+  per :class:`WarmStart` (so once per solve: 2.2 MB on ``mini_city``)
+  or once per call without one, which keeps each chunk's temporaries
+  from being freed and faulted in again.  Chunks whose trees came back
+  unchanged start from them, their old tree paths costed level by level
   (:func:`_tree_levels`, :func:`_fold_levels`).  When that start is
   already the fixed point and its tree arcs are the only tight arcs,
   the chunk keeps its old trees and skips the predecessor rule
@@ -33,9 +36,10 @@ Who calls what:
   batch kernel runs it for the trees its predecessor rule cannot settle;
   the tests hold the batch kernel to it bit for bit.
 * :func:`walk_paths` turns trees into link paths for the solvers and
-  for ``network.shortest_path``.  It steps up the trees with
-  :func:`_tree_parents`, as does the warm start's :func:`_tree_levels`;
-  both take arc tails from :func:`arc_tails`.
+  for ``network.shortest_path``, stepping each path up its own tree.
+  The warm start's :func:`_tree_levels` and the sweep plans step whole
+  trees up with :func:`_tree_parents`; both take arc tails from
+  :func:`arc_tails`.
 * :func:`project_blocks` is the path-based solvers' simplex projection.
 """
 
@@ -102,9 +106,11 @@ def dijkstra(indptr, heads, links, cost, source):
 
 
 # The batch kernel relaxes sources in chunks of about this many
-# (max in-degree x nodes x sources) entries, which bounds its extra
-# memory.  Chunks sized from the arc count instead (27 sources rather
-# than 19 on mini_city) measured no faster.
+# (max in-degree x nodes x sources) entries.  That bounds the size of
+# its workspace (:class:`_Workspace`), whose largest buffers hold one
+# value per in-arc entry and source of a chunk.  Chunks sized from the
+# arc count instead (27 sources rather than 19 on mini_city) measured
+# no faster.
 _BATCH_ENTRIES = 1 << 16
 
 
@@ -159,19 +165,103 @@ def _in_arcs(indptr, heads):
                    pos[arc_tail[slot]], head, arc_tail)
 
 
+class _Buffers(NamedTuple):
+    """A :class:`_Workspace`'s buffers as one chunk of ``k`` sources sees them.
+
+    Each array is a view of the first ``size * k`` items of its buffer,
+    shaped (size, k): per in-arc entry (entries), per position
+    (positions) or per entry of row 0 (row 0).
+    """
+
+    cost: np.ndarray    # entries: the chunk's entry costs
+    cand: np.ndarray    # entries: tail value plus cost
+    dist: np.ndarray    # positions: the chunk's distances
+    lower: np.ndarray   # row 0, bool: where a round lowers dist
+    folds: list         # (prefix of row 0, row r) pairs of cand, r >= 1
+    via: np.ndarray     # entries, slab: the rule's tail values
+    at: np.ndarray      # entries, slab: head values
+    key: np.ndarray     # entries, slab: the rule's tail value if tight
+    nodes: np.ndarray   # positions, slab: the gather back to node order
+    tight: np.ndarray   # entries, bool
+    flag: np.ndarray    # entries, bool
+    low: np.ndarray     # row 0: each node's smallest key
+    pred: np.ndarray    # positions, int64: tree arc slots
+
+
+class _Workspace:
+    """Every chunk-sized buffer of :func:`batch_dijkstra`, made once.
+
+    Sized for chunks of up to ``k`` sources over the in-arc layout
+    ``arcs``; :meth:`shaped` hands out views for a chunk.  A
+    :class:`WarmStart` keeps one for its whole series and makes a larger
+    one only when its chunks grow; a call without one makes its own,
+    shared by its chunks.  A chunk-sized array on ``mini_city`` (366 KB)
+    is above the allocator's mmap threshold: made per chunk, each would
+    be handed back to the system and faulted in again.  The slab's three rows serve the sweeps (plan
+    index, tails, steps) and the predecessor rule (tail values, head
+    values, key), which are never live at once.  ``views`` holds, per
+    chunk, its sweep plan as :func:`_sweep_views` slices it; the owner
+    drops them with the plans.  On ``mini_city`` (2408 entries, 676
+    positions, 19 sources) the buffers take 2.2 MB.
+    """
+
+    def __init__(self, arcs, k):
+        m, n, n_in = arcs.slot.size, arcs.pos.size, arcs.rows[0][1]
+        self.arcs, self.k = arcs, k
+        self.cost, self.cand = np.empty((2, m * k))
+        self.dist, self.low = np.empty(n * k), np.empty(n_in * k)
+        self.pred = np.empty(n * k, dtype=np.int64)
+        self.lower = np.empty(n_in * k, dtype=bool)
+        self.tight, self.flag = np.empty((2, m * k), dtype=bool)
+        self.slab = np.empty((3, max(m, n) * k))
+        self.sweep_rows = (self.slab[0].view(np.intp),
+                           self.slab[1].view(np.intp), self.slab[2])
+        self.views: dict[int, tuple] = {}
+        self._shaped: dict[int, _Buffers] = {}
+
+    def shaped(self, k):
+        """The buffers as (size, ``k``) views, for a chunk of ``k`` sources."""
+        if k not in self._shaped:
+            m, n, n_in = (self.arcs.slot.size, self.arcs.pos.size,
+                          self.arcs.rows[0][1])
+            via, at, key = (row[:m * k].reshape(m, k) for row in self.slab)
+            cand = self.cand[:m * k].reshape(m, k)
+            self._shaped[k] = _Buffers(
+                self.cost[:m * k].reshape(m, k), cand,
+                self.dist[:n * k].reshape(n, k),
+                self.lower[:n_in * k].reshape(n_in, k),
+                [(cand[:size], cand[lo:lo + size])
+                 for lo, size in self.arcs.rows[1:]],
+                via, at, key, self.slab[0, :n * k].reshape(n, k),
+                self.tight[:m * k].reshape(m, k),
+                self.flag[:m * k].reshape(m, k),
+                self.low[:n_in * k].reshape(n_in, k),
+                self.pred[:n * k].reshape(n, k))
+        return self._shaped[k]
+
+    def sweep_plan(self, c, plan):
+        """Chunk ``c``'s ``plan`` with its :func:`_sweep_views`, kept."""
+        if c not in self.views:
+            self.views[c] = (plan[0], _sweep_views(plan[1], self))
+        return self.views[c]
+
+
 def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None,
-                 plan=None):
+                 plan=None, work=None):
     """Shortest paths from a few sources at once, position-major.
 
     ``entry_cost`` is the cost of each entry of ``arcs`` (its arc
     slot's cost), shaped (entries, sources), or (entries,) when every
-    source has the same costs.  Relaxation starts from ``start``
-    (positions, sources), which it may overwrite, or from ``inf`` with
-    the sources at 0 when it is None.  It runs :func:`_round` until a
-    round lowers nothing.  With a ``plan`` (from :func:`_sweep_plan`,
-    for a cold start) each round follows one :func:`_sweep` over the
-    plan's levels.  Returns (dist, pred, ties): dist and pred shaped
-    (positions, sources), and a per-source flag for trees whose
+    source has the same costs.  ``work`` is the :class:`_Workspace` to
+    relax in (one of this call's own when None); costs already in its
+    buffer stay there.  Relaxation starts from ``start``, the
+    workspace's distances as :func:`_fold_levels` filled them, or from
+    ``inf`` with the sources at 0 when it is None.  It runs
+    :func:`_round` until a round lowers nothing.  With a ``plan`` (index
+    and views from :meth:`_Workspace.sweep_plan`, for a cold start) each
+    round follows one :func:`_sweep` over the plan's levels.  Returns
+    (dist, pred, ties): dist and pred shaped (positions, sources), both
+    views of the workspace, and a per-source flag for trees whose
     predecessors :func:`_pred_rule` cannot vouch for.
 
     ``tree_arcs`` is given with a warm ``start`` whose trees it counts
@@ -179,56 +269,58 @@ def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None,
     and counts ``tree_arcs`` tight entries, the start's trees stand,
     and pred and ties come back None.
     """
-    n, m, k = arcs.pos.size, arcs.slot.size, sources.shape[0]
+    k = sources.shape[0]
+    if work is None:
+        work = _Workspace(arcs, k)
+    buf = work.shaped(k)
     # one contiguous column per source: a contiguous add is several
     # times faster than one broadcast over the short source axis
-    cost = np.ascontiguousarray(
-        np.broadcast_to(entry_cost.reshape(m, -1), (m, k)))
+    if entry_cost is not buf.cost:
+        np.copyto(buf.cost,
+                  entry_cost if entry_cost.ndim == 2 else entry_cost[:, None])
+    dist = buf.dist
     if start is None:
-        dist = np.full((n, k), np.inf)
+        dist.fill(np.inf)
         dist[arcs.pos[sources], np.arange(k)] = 0.0
-    else:
-        dist = start
-    cand = np.empty((m, k))
-    folds = [(cand[:size], cand[lo:lo + size]) for lo, size in arcs.rows[1:]]
-    lower = np.empty((arcs.rows[0][1], k), dtype=bool)
     if plan is not None:
-        sweep = _sweep_views(plan, arcs, cost, cand.reshape(-1))
+        index, sweep = plan
+        _fill_sweep(index, arcs, buf, work)
     lowered, settled = True, False
     if tree_arcs is not None:
-        lowered, settled = _round(arcs, dist, cost, cand, folds, lower,
-                                  tree_arcs)
+        lowered, settled = _round(arcs, buf, tree_arcs)
     while lowered:
         if plan is not None:
             _sweep(sweep, dist.reshape(-1))
-        lowered, _ = _round(arcs, dist, cost, cand, folds, lower)
+        lowered, _ = _round(arcs, buf)
     if settled:
         return dist, None, None
-    sweep = None  # the rule's own arrays take more room: not both at once
-    return (dist, *_pred_rule(arcs, dist, cost, cand))
+    return (dist, *_pred_rule(arcs, buf))
 
 
-def _round(arcs, dist, cost, cand, folds, lower, tree_arcs=None):
+def _round(arcs, buf, tree_arcs=None):
     """One Jacobi round over every entry of ``arcs``, in place.
 
-    Gathers every entry's tail value from ``dist`` (positions, sources)
-    into ``cand``, adds the entry costs ``cost`` (same shape), folds rows
-    1.. into the prefix of row 0 with in-place minimums (``folds`` holds
-    the pairs of views) and lowers ``dist`` wherever row 0 is smaller,
-    with ``lower`` as the buffer for that test: a round allocates
-    nothing.  Returns (lowered, settled).  With ``tree_arcs`` the round
-    also counts, before its rows fold, the tight entries whose head is
-    finite; ``settled`` is True when it lowered nothing and that count
-    is ``tree_arcs`` (see :func:`batch_dijkstra`).
+    Gathers every entry's tail value from the chunk's distances
+    (``buf``, a chunk's :class:`_Buffers`) into its candidates, adds the
+    entry costs, folds rows 1.. into the prefix of row 0 with in-place
+    minimums and lowers the distances wherever row 0 is smaller: a round
+    allocates nothing.  Returns (lowered, settled).  With ``tree_arcs``
+    the round also counts, before its rows fold, the tight entries whose
+    head is finite; ``settled`` is True when it lowered nothing and that
+    count is ``tree_arcs`` (see :func:`batch_dijkstra`).
     """
-    # every index is in range, and "clip" spares take a buffered out
-    np.take(dist, arcs.tail, axis=0, out=cand, mode="clip")
-    cand += cost
+    dist, cand, lower = buf.dist, buf.cand, buf.lower
+    # every index is in range, and "clip" spares take a buffered out;
+    # the method skips the wrapper of np.take, about 1 us a call
+    dist.take(arcs.tail, axis=0, out=cand, mode="clip")
+    cand += buf.cost
     settled = False
     if tree_arcs is not None:
-        at = np.take(dist, arcs.head, axis=0)
-        settled = np.count_nonzero((cand == at) & (at < np.inf)) == tree_arcs
-    for lead, row in folds:
+        at = np.take(dist, arcs.head, axis=0, out=buf.at, mode="clip")
+        tight = np.equal(cand, at, out=buf.tight)
+        tight &= np.less(at, np.inf, out=buf.flag)
+        settled = np.count_nonzero(tight) == tree_arcs
+    for lead, row in buf.folds:
         np.minimum(lead, row, out=lead)
     best, dist_in = cand[:lower.shape[0]], dist[:lower.shape[0]]
     np.less(best, dist_in, out=lower)
@@ -238,33 +330,44 @@ def _round(arcs, dist, cost, cand, folds, lower, tree_arcs=None):
     return True, False
 
 
-def _sweep_views(plan, arcs, cost, buf):
-    """A chunk's plan from :func:`_sweep_plan`, as views for :func:`_sweep`.
+def _sweep_views(levels, work):
+    """A chunk's plan levels (:func:`_sweep_plan`), as :func:`_sweep` views.
 
-    ``cost`` holds the chunk's entry costs per source (entries,
-    sources), and ``buf`` is a float buffer of the same size, flattened.
-    Per level, the views are its in-arcs' slice of ``buf``, their
-    tails' indices into the chunk's (positions, sources) array
-    flattened, their costs, the (rank 0 prefix, rank) pairs to fold,
-    its nodes' indices and their slice of ``buf``.  Slicing once per
-    chunk, not once per sweep, takes close to half off a sweep on
-    ``mini_city``.  The views hold three arrays as long as the plan;
-    the caller drops them before the predecessor rule, which needs more.
+    Per level, the views are its in-arcs' slice of the workspace's
+    candidates, of its tails and of its steps, the (rank 0 prefix,
+    rank) pairs of candidates to fold, its nodes' slice of the plan
+    index and their candidates.  The index, tails and steps live in the
+    rows of the workspace's slab (:class:`_Workspace`), which
+    :func:`_fill_sweep` fills for the chunk on every call; slicing once
+    per plan, not once per sweep or per call, takes close to half off a
+    sweep on ``mini_city``.
     """
-    index, levels = plan
-    m, k = cost.shape
-    at = index.astype(np.intp)
-    # every entry's tail index per source, made in buf, which is as long
-    # and which the sweeps overwrite later: one allocation fewer per chunk
-    tail_of = buf.view(np.int64).reshape(m, k)
-    np.add(arcs.tail[:, None] * k, np.arange(k), out=tail_of)
-    tails = np.take(tail_of.reshape(-1), at)
-    steps = np.take(cost.reshape(-1), at)
-    return [(buf[lo:hi], tails[lo:hi], steps[lo:hi],
-             [(buf[lo:lo + length], buf[start:start + length])
+    (at, tails, steps), cand = work.sweep_rows, work.cand
+    return [(cand[lo:hi], tails[lo:hi], steps[lo:hi],
+             [(cand[lo:lo + length], cand[start:start + length])
               for start, length in zip(folds[::2], folds[1::2]) if length],
-             at[lo:lo + size], buf[lo:lo + size])
+             at[lo:lo + size], cand[lo:lo + size])
             for lo, hi, size, *folds in levels.tolist()]
+
+
+def _fill_sweep(index, arcs, buf, work):
+    """Fill the workspace rows a chunk's :func:`_sweep_views` read.
+
+    ``index`` is the chunk's plan index (see :func:`_sweep_plan`) and
+    ``buf`` its :class:`_Buffers`, with the chunk's entry costs.  Writes
+    the index as ``intp``, every in-arc's tail index into the chunk's
+    (positions, sources) array flattened, and every in-arc's cost.
+    """
+    m, k = buf.cost.shape
+    at, tails, steps = (row[:index.size] for row in work.sweep_rows)
+    np.copyto(at, index)
+    # entry e of source j is e * k + j, its tail tail[e] * k + j;
+    # the steps' row holds the entries until it takes the costs
+    entry = np.floor_divide(at, k, out=steps.view(np.intp))
+    shift = (arcs.tail - np.arange(m)) * k
+    # every index is in range, and "clip" spares take a buffered out
+    np.add(shift.take(entry, out=tails, mode="clip"), at, out=tails)
+    buf.cost.take(at, out=steps, mode="clip")
 
 
 def _sweep(levels, dist):
@@ -278,38 +381,46 @@ def _sweep(levels, dist):
     Each level reads what the levels before it just wrote.
     """
     for cand, tails, steps, folds, at, best in levels:
-        # every index is in range, and "clip" spares take a buffered out
-        np.take(dist, tails, out=cand, mode="clip")
+        # every index is in range, and "clip" spares take a buffered out;
+        # the method skips the wrapper of np.take, about 1 us a level
+        dist.take(tails, out=cand, mode="clip")
         cand += steps
         for lead, rank in folds:
             np.minimum(lead, rank, out=lead)
         dist[at] = best
 
 
-def _pred_rule(arcs, dist, cost, cand):
-    """Tree arcs of the distances ``dist`` (positions, sources).
+def _pred_rule(arcs, buf):
+    """Tree arcs of a chunk's distances, in its :class:`_Buffers` ``buf``.
 
-    ``cost`` holds the entry costs per source and ``cand`` is a buffer
-    of the same shape, which this overwrites.  Each node takes, among
-    its tight in-arcs (``d[tail] + c == d[head]``, finite), the one
-    with the smallest ``d[tail]``, then the lowest slot.  Returns
-    (pred, ties): pred shaped (positions, sources), -1 where no arc is
-    tight, and per source whether a tight arc adds zero, which leaves
-    the rule unable to vouch for that tree (see :func:`batch_dijkstra`).
+    Uses the chunk's entry costs and overwrites its candidates and the
+    slab.  Each node takes, among its tight in-arcs (``d[tail] + c ==
+    d[head]``, finite), the one with the smallest ``d[tail]``, then the
+    lowest slot.  Returns (pred, ties): pred shaped (positions,
+    sources), -1 where no arc is tight, and per source whether a tight
+    arc adds zero, which leaves the rule unable to vouch for that tree
+    (see :func:`batch_dijkstra`).
     """
-    n, k = dist.shape
-    n_in = arcs.rows[0][1]
-    via = np.take(dist, arcs.tail, axis=0)
-    at = np.take(dist, arcs.head, axis=0)
-    np.add(via, cost, out=cand)
-    tight = (cand == at) & np.isfinite(at)
-    ties = (tight & (via == at)).any(axis=0)
-    key = np.where(tight, via, np.inf)
-    low = key[:n_in].copy()
+    dist, cand, tight, flag, key, low, pred = (
+        buf.dist, buf.cand, buf.tight, buf.flag, buf.key, buf.low, buf.pred)
+    # every index is in range, and "clip" spares take a buffered out
+    via = np.take(dist, arcs.tail, axis=0, out=buf.via, mode="clip")
+    at = np.take(dist, arcs.head, axis=0, out=buf.at, mode="clip")
+    np.add(via, buf.cost, out=cand)
+    np.equal(cand, at, out=tight)
+    tight &= np.isfinite(at, out=flag)
+    np.equal(via, at, out=flag)
+    flag &= tight
+    ties = flag.any(axis=0)
+    key.fill(np.inf)
+    np.copyto(key, via, where=tight)
+    np.copyto(low, key[:low.shape[0]])
     for lo, size in arcs.rows[1:]:
         np.minimum(low[:size], key[lo:lo + size], out=low[:size])
-    first = tight & (key == np.take(low, arcs.head, axis=0))
-    pred = np.full((n, k), -1, dtype=np.int64)
+    first = np.equal(key, np.take(low, arcs.head, axis=0, out=via,
+                                  mode="clip"), out=flag)
+    first &= tight
+    pred.fill(-1)
     for lo, size in arcs.rows[::-1]:  # lowest row = lowest slot
         np.copyto(pred[:size], arcs.slot[lo:lo + size, None],
                   where=first[lo:lo + size])
@@ -326,7 +437,10 @@ def _tree_parents(preds, arc_tail):
     """
     k, n = preds.shape
     entry = np.arange(k * n).reshape(k, n)
-    return np.where(preds >= 0, entry - entry % n + arc_tail[preds], entry).ravel()
+    # only tree arcs index arc_tail, which a graph without arcs leaves empty
+    row, node = np.nonzero(preds >= 0)
+    entry[row, node] += arc_tail[preds[row, node]] - node
+    return entry.ravel()
 
 
 def _tree_depths(preds, arc_tail):
@@ -438,7 +552,7 @@ def _sweep_plans(preds, arcs):
             for (_, levels), lo, hi in zip(plans, bounds, bounds[1:])]
 
 
-def _fold_levels(levels, arcs, arc_cost, sources):
+def _fold_levels(levels, arcs, arc_cost, sources, buf):
     """Cost of every tree path under ``arc_cost``, position-major.
 
     ``levels`` are the old trees of ``sources``, from
@@ -446,16 +560,21 @@ def _fold_levels(levels, arcs, arc_cost, sources):
     costs flattened.  Level by level, each node takes its tree
     parent's value plus its tree arc's cost: the path is summed from
     the source, left to right, as the heap sums it.  Nodes off the
-    tree stay ``inf``.
+    tree stay ``inf``.  The costs are made in the distances of ``buf``
+    (the chunk's :class:`_Buffers`), which this returns, and the tree
+    arcs' costs are gathered into its candidates.
     """
     target, parent, arc, bounds = levels
     k = sources.shape[0]
-    costs = np.full(arcs.pos.size * k, np.inf)
+    costs = buf.dist.reshape(-1)
+    costs.fill(np.inf)
     costs[arcs.pos[sources] * k + np.arange(k)] = 0.0
-    step = arc_cost[arc]
+    # a tree arc per tree node: no more than the chunk's entries
+    step = np.take(arc_cost, arc, out=buf.cand.reshape(-1)[:arc.size],
+                   mode="clip")
     for lo, hi in zip(bounds, bounds[1:]):
         costs[target[lo:hi]] = costs[parent[lo:hi]] + step[lo:hi]
-    return costs.reshape(-1, k)
+    return buf.dist
 
 
 def walk_paths(preds, links, arc_tail, rows, dests):
@@ -464,21 +583,26 @@ def walk_paths(preds, links, arc_tail, rows, dests):
     Path ``i`` runs in tree ``rows[i]`` of ``preds`` from its root (the
     node without a tree arc) to node ``dests[i]``, which must be
     reachable in that tree.  All paths step back from their destinations
-    together, one link per :func:`_tree_parents` step.  No tree path has
-    ``n_nodes`` links, so a walk still open after that many steps is
-    caught in a cycle of ``preds``: that raises ``RuntimeError``.
+    together, one link per step: each reads its tree arc from ``preds``
+    at the entry it has reached, and moves to that arc's tail in the
+    same row (``arc_tail``), so a step costs the paths, not the trees.
+    No tree path has ``n_nodes`` links, so a walk still open after that
+    many steps is caught in a cycle of ``preds``: that raises
+    ``RuntimeError``.
     """
     n = preds.shape[1]
-    up = _tree_parents(preds, arc_tail)
-    link = np.where(preds >= 0, links[preds], -1).ravel()
-    at = np.asarray(rows) * n + dests
+    flat = preds.reshape(-1)
+    base = np.asarray(rows) * n
+    at = base + dests
     steps = []
     for _ in range(n):
-        step = link[at]
-        if step.max(initial=-1) < 0:
+        pred = flat[at]
+        live = pred >= 0
+        if not live.any():
             break
-        steps.append(step)
-        at = up[at]
+        # a finished path (pred -1) reads some arc, but keeps -1 and stays
+        steps.append(np.where(live, links[pred], -1))
+        at = np.where(live, base + arc_tail[pred], at)
     else:
         raise RuntimeError("a tree walk did not reach its root: "
                            "the predecessors hold a cycle")
@@ -512,10 +636,14 @@ class WarmStart:
     On ``mini_city`` the plans of the 188 trees a ``bfw`` iteration asks
     for take 0.9 MB.  A call with other sources or other cost rows (a
     class that joins or leaves the batch) starts cold, and the trees it
-    returns make new plans.  ``repeated`` is True when every chunk came
-    back unchanged, so a caller can reuse whatever it derived from the
-    last trees.  A call that raises on a negative or NaN cost leaves the
-    state as it was.
+    returns make new plans.  ``work`` is the series' :class:`_Workspace`:
+    every call relaxes its chunks in the same buffers (2.2 MB on
+    ``mini_city``), made on the first call and again only when the
+    chunks grow, and it keeps each chunk's sweep views until the plans
+    change.  ``repeated`` is True when every chunk came back unchanged,
+    so a caller can reuse whatever it derived from the last trees.  A
+    call that raises on a negative or NaN cost leaves the state as it
+    was.
     """
 
     def __init__(self, arcs):
@@ -524,7 +652,14 @@ class WarmStart:
         self.same: list[bool] = []
         self.levels: dict[int, tuple] = {}
         self.plans: list[tuple] = []
+        self.work: _Workspace | None = None
         self.repeated = False
+
+    def workspace(self, k):
+        """The series' workspace, for chunks of up to ``k`` sources."""
+        if self.work is None or self.work.k < k:
+            self.work = _Workspace(self.arcs, k)
+        return self.work
 
     def warm_chunks(self, sources, cost_rows):
         """Per chunk of ``sources``: may it start from the last trees?"""
@@ -550,6 +685,7 @@ class WarmStart:
         self.levels = {c: lv for c, lv in self.levels.items() if self.same[c]}
         if last is None:
             self.plans = _sweep_plans(preds, self.arcs)
+            self.work.views.clear()
         self.repeated = last is not None and all(self.same)
         self.sources = np.array(sources, dtype=np.int64)
         self.cost_rows = np.array(cost_rows, dtype=np.int64)
@@ -567,7 +703,8 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
     ``cost_rows`` then gives the row each source's tree is costed by
     (row 0 for every source when it is None), so the trees of several
     vehicle classes share one batch, and a chunk may mix classes.
-    Raises ValueError if a cost is negative or NaN.
+    Raises ValueError if a cost is negative or NaN, or a cost row is
+    not one of ``cost``'s.
 
     Distances come from label-correcting relaxation of all arcs at once,
     repeated until nothing changes (:func:`_relax_chunk`; a minimum is
@@ -648,6 +785,9 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
     cost_rows = (np.zeros_like(sources) if cost_rows is None
                  else np.asarray(cost_rows, dtype=np.int64).reshape(-1))
+    if cost_rows.size and not (
+            0 <= cost_rows.min() <= cost_rows.max() < len(cost)):
+        raise ValueError("cost rows must index the rows of cost")
     n = indptr.shape[0] - 1
     dists = np.empty((sources.shape[0], n))
     preds = np.empty((sources.shape[0], n), dtype=np.int64)
@@ -656,35 +796,42 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
     else:
         arcs = warm.arcs
         warm_chunks = warm.warm_chunks(sources, cost_rows)
-    entry_cost = arc_cost[:, arcs.slot].T  # (entries, cost rows)
     step = _chunk_size(arcs)
+    width = min(step, sources.shape[0])
+    # one workspace for every chunk: the series' own, or this call's
+    work = _Workspace(arcs, width) if warm is None else warm.workspace(width)
+    entry_cost = arc_cost[:, arcs.slot].T  # (entries, cost rows)
     kept = []
     for c, lo in enumerate(range(0, sources.shape[0], step)):
         chunk, rows = sources[lo:lo + step], cost_rows[lo:lo + step]
+        buf = work.shaped(chunk.shape[0])
+        # every row is in range, and "clip" spares take a buffered out
+        np.take(entry_cost, rows, axis=1, out=buf.cost, mode="clip")
         start = tree_arcs = plan = None
         if warm_chunks is not None and not warm_chunks[c]:
-            plan = warm.plans[c]
+            plan = work.sweep_plan(c, warm.plans[c])
         elif warm_chunks is not None:
             if c not in warm.levels:
                 warm.levels[c] = _tree_levels(warm.preds[lo:lo + step], arcs,
                                               rows)
             target, parent = warm.levels[c][:2]
             start = _fold_levels(warm.levels[c], arcs, arc_cost.reshape(-1),
-                                 chunk)
+                                 chunk, buf)
             flat = start.reshape(-1)
             ends = flat[target]
             if np.all((ends > flat[parent]) & (ends < np.inf)):
                 tree_arcs = target.size
-        dist, pred, ties = _relax_chunk(
-            arcs, np.take(entry_cost, rows, axis=1), chunk, start, tree_arcs,
-            plan)
+        dist, pred, ties = _relax_chunk(arcs, buf.cost, chunk, start,
+                                        tree_arcs, plan, work)
         # back from positions to nodes, then the transposing copy
-        dists[lo:lo + step] = np.take(dist, arcs.pos, axis=0).T
+        dists[lo:lo + step] = np.take(dist, arcs.pos, axis=0, out=buf.nodes,
+                                      mode="clip").T
         if pred is None:  # the old trees stand
             preds[lo:lo + step] = warm.preds[lo:lo + step]
             kept.append(c)
             continue
-        preds[lo:lo + step] = np.take(pred, arcs.pos, axis=0).T
+        preds[lo:lo + step] = np.take(pred, arcs.pos, axis=0, mode="clip",
+                                      out=buf.nodes.view(np.int64)).T
         for j in np.flatnonzero(ties):
             dists[lo + j], preds[lo + j] = dijkstra(
                 indptr, heads, links, cost[rows[j]], chunk[j])

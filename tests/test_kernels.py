@@ -9,6 +9,8 @@ rest on it.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,22 @@ class TestBatchDijkstra:
         sources = list(node_index.values())[:30] + [0, 0]
         monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 1)
         assert_batch_matches_heap(indptr, heads, slots, cost, sources)
+
+    def test_a_graph_without_arcs(self):
+        # nothing to relax: each source is at 0, every other node at inf
+        indptr = np.zeros(4, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
+        sources = [2, 0, 2]
+        want = np.full((3, 3), np.inf)
+        want[[0, 1, 2], sources] = 0.0
+        warm = warm_state(indptr, empty)
+        for kwargs in ({}, {"warm": warm}, {"warm": warm}):
+            dists, preds = _kernels.batch_dijkstra(
+                indptr, empty, empty, np.zeros(0), sources, **kwargs)
+            assert dists.tobytes() == want.tobytes()
+            assert preds.tolist() == [[-1] * 3] * 3
+        assert warm.repeated
+        assert_batch_matches_heap(indptr, empty, empty, np.zeros(0), sources)
 
 
 def warm_state(indptr, heads):
@@ -562,6 +580,13 @@ class TestCostRows:
             assert preds[j].tobytes() == pred.tobytes()
         assert arcs[links[preds[1, 4]]][:2] == (3, 4)
 
+    def test_a_cost_row_out_of_range_raises(self):
+        indptr, heads, slots, costs, sources = self.two_rows()
+        for row in (2, -1):
+            with pytest.raises(ValueError, match="cost rows"):
+                _kernels.batch_dijkstra(indptr, heads, slots, costs, sources,
+                                        cost_rows=[0] * 28 + [row])
+
     def test_a_changed_class_set_starts_cold(self, warm_calls):
         # one class's missing blocks first, then both classes, then both
         # in the other order: each new set of rows starts cold, although
@@ -859,6 +884,219 @@ class TestSweeps:
         cold = [sweeps for planned, sweeps in later if planned]
         assert len(cold) > 10 * len(first)
         assert 1 <= min(cold) and max(cold) <= 3
+
+
+@pytest.fixture
+def workspaces(monkeypatch):
+    """Every :class:`_kernels._Workspace` made, in order."""
+    made = []
+
+    class Counted(_kernels._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(_kernels, "_Workspace", Counted)
+    return made
+
+
+@pytest.fixture
+def relaxed(monkeypatch):
+    """The (dist, pred) each relaxed chunk hands back, in order."""
+    got = []
+    relax_chunk = _kernels._relax_chunk
+
+    def kept(*args):
+        out = relax_chunk(*args)
+        got.append(out[:2])
+        return out
+
+    monkeypatch.setattr(_kernels, "_relax_chunk", kept)
+    return got
+
+
+def workspace_buffers(work):
+    return [work.cost, work.cand, work.dist, work.low, work.pred, work.lower,
+            work.tight, work.flag, work.slab]
+
+
+def assert_equals_cold_and_heap(got, indptr, heads, links, costs, sources,
+                                rows):
+    """``got`` equals a batch without a WarmStart and the heap, bit for bit."""
+    cold = _kernels.batch_dijkstra(indptr, heads, links, costs, sources,
+                                   cost_rows=rows)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in cold]
+    costs = np.atleast_2d(costs)
+    for j, (source, row) in enumerate(zip(sources, rows)):
+        dist, pred = _kernels.dijkstra(indptr, heads, links, costs[row],
+                                       source)
+        assert got[0][j].tobytes() == dist.tobytes()
+        assert got[1][j].tobytes() == pred.tobytes()
+
+
+class TestWorkspace:
+    """Chunk buffers made once per series, or once per call without one."""
+
+    def test_two_calls_reuse_the_buffers(self, workspaces, relaxed):
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = list(node_index.values())[:30]
+        warm = warm_state(indptr, heads)
+        rng = np.random.default_rng(37)
+        views = []
+        for _ in range(4):
+            cost = cost * rng.uniform(0.5, 1.5, cost.size)
+            _kernels.batch_dijkstra(indptr, heads, slots, cost, sources,
+                                    warm=warm)
+            views.append(warm.work.views.get(0))
+        (work,) = workspaces
+        assert warm.work is work and len(relaxed) == 4
+        for dist, pred in relaxed:
+            assert np.shares_memory(dist, work.dist)
+            assert np.shares_memory(dist, relaxed[0][0])
+            assert pred is None or np.shares_memory(pred, work.pred)
+        # the first call makes the plans, the second slices them once
+        assert views[0] is None and views[1] is views[2] is views[3]
+
+    def test_a_call_without_a_series_makes_one_for_its_chunks(
+            self, monkeypatch, workspaces, relaxed):
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = list(node_index.values())[:29]
+        monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 1 << 12)  # 6 a chunk
+        for call in range(2):
+            _kernels.batch_dijkstra(indptr, heads, slots, cost, sources)
+            assert len(workspaces) == call + 1
+            assert workspaces[-1].k == 6
+        assert len(relaxed) == 10
+        for (dist, _), work in zip(relaxed, [workspaces[0]] * 5
+                                   + [workspaces[1]] * 5):
+            assert np.shares_memory(dist, work.dist)
+
+    def test_growing_chunks_remake_it(self):
+        indptr, heads, slots, cost, node_index = grid_csr()
+        nodes = list(node_index.values())
+        warm = warm_state(indptr, heads)
+        works = []
+        for sources in (nodes[:5], nodes[:5], nodes[:30], nodes[:30],
+                        nodes[:5]):
+            got = _kernels.batch_dijkstra(indptr, heads, slots, cost, sources,
+                                          warm=warm)
+            works.append(warm.work)
+            assert_equals_cold_and_heap(got, indptr, heads, slots, cost,
+                                        sources, [0] * len(sources))
+        assert [work.k for work in works] == [5, 5, 30, 30, 30]
+        assert works[0] is works[1] and works[2] is works[3] is works[4]
+        assert works[1] is not works[2]
+
+    def test_outputs_never_share_the_workspace(self, workspaces):
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = list(node_index.values())[:30]
+        rng = np.random.default_rng(41)
+        for warm in (warm_state(indptr, heads), None):
+            outputs = []
+            for _ in range(4):
+                cost = cost * rng.uniform(0.5, 1.5, cost.size)
+                got = _kernels.batch_dijkstra(indptr, heads, slots, cost,
+                                              sources, warm=warm)
+                outputs.append((got, [a.tobytes() for a in got]))
+            for got, kept in outputs:
+                # later calls left every earlier output as it was
+                assert [a.tobytes() for a in got] == kept
+                for a in got:
+                    for work in workspaces:
+                        for buf in workspace_buffers(work):
+                            assert not np.shares_memory(a, buf)
+
+    @pytest.mark.parametrize("entries", [1 << 12, 1 << 11])
+    def test_a_shorter_last_chunk(self, monkeypatch, entries):
+        # 29 sources in chunks of 6 or 3: the last one is shorter
+        indptr, heads, slots, costs, sources = TestCostRows.two_rows()
+        monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", entries)
+        step = _kernels._chunk_size(_kernels._in_arcs(indptr, heads))
+        assert len(sources) % step
+        rows = [j % 2 for j in range(len(sources))]
+        warm = warm_state(indptr, heads)
+        rng = np.random.default_rng(43)
+        for scale in (0.0, 0.0, 0.5, 1e-6, 0.5):  # cold, warm, sweeps
+            costs = costs * (1.0 + scale * rng.uniform(-1.0, 1.0, costs.shape))
+            got = _kernels.batch_dijkstra(indptr, heads, slots, costs, sources,
+                                          warm=warm, cost_rows=rows)
+            assert_equals_cold_and_heap(got, indptr, heads, slots, costs,
+                                        sources, rows)
+        assert warm.work.views
+
+    def test_a_changed_class_set_drops_the_views(self, monkeypatch,
+                                                 sweep_counts):
+        # chunks of 6 in every set: one workspace, so only the new plans
+        # can drop the views
+        indptr, heads, slots, costs, sources = TestCostRows.two_rows()
+        monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 1 << 12)
+        n = len(sources)
+        warm = warm_state(indptr, heads)
+        rng = np.random.default_rng(47)
+        works = set()
+        for batch, rows in ((sources, [1] * n), (sources, [0] * n),
+                            (sources * 2, [0] * n + [1] * n)):
+            for call in range(3):
+                costs = costs * rng.uniform(0.5, 1.5, size=costs.shape)
+                got = _kernels.batch_dijkstra(indptr, heads, slots, costs,
+                                              batch, warm=warm, cost_rows=rows)
+                works.add(id(warm.work))
+                # the new set's first call makes plans and slices none
+                assert bool(warm.work.views) == (call > 0)
+                assert_equals_cold_and_heap(got, indptr, heads, slots, costs,
+                                            batch, rows)
+        assert len(works) == 1
+        assert any(sweeps for _, sweeps in sweep_counts)
+
+    def test_a_rejected_cost_mid_series(self, workspaces):
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = list(node_index.values())[:30]
+        warm = warm_state(indptr, heads)
+        rng = np.random.default_rng(53)
+        for call in range(6):
+            cost = cost * rng.uniform(0.5, 1.5, cost.size)
+            if call == 3:
+                views = dict(warm.work.views)
+                rejected = cost.copy()
+                rejected[slots[7]] = -1.0
+                with pytest.raises(ValueError, match="nonnegative"):
+                    _kernels.batch_dijkstra(indptr, heads, slots, rejected,
+                                            sources, warm=warm)
+                assert views and warm.work.views == views
+            got = _kernels.batch_dijkstra(indptr, heads, slots, cost, sources,
+                                          warm=warm)
+            assert_equals_cold_and_heap(got, indptr, heads, slots, cost,
+                                        sources, [0] * len(sources))
+        assert len(workspaces) == 1 + 6  # the series' own, one per cold call
+
+    def test_a_changed_city_batch_allocates_little_beyond_its_outputs(self):
+        # every chunk buffer of this batch (2408 entries x 19 sources) is
+        # 357 KB; measured, the batch allocates about 80 KB beyond its
+        # two outputs (1.79 MB), so the bound leaves about four times that
+        indptr, heads, slots, cost, rng = loaded_costs("mini_city", 7)
+        sources = list(range(0, indptr.shape[0] - 1, 4))  # 9 chunks
+        warm = warm_state(indptr, heads)
+        # the first call makes the plans, the second slices their views
+        for _ in range(2):
+            _kernels.batch_dijkstra(indptr, heads, slots,
+                                    cost * rng.uniform(0.5, 1.5, cost.size),
+                                    sources, warm=warm)
+        assert len(warm.same) == 9 and not any(warm.same)  # trees changed
+        new = cost * rng.uniform(0.5, 1.5, cost.size)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            dists, preds = _kernels.batch_dijkstra(indptr, heads, slots, new,
+                                                   sources, warm=warm)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert not any(warm.same)
+        assert peak <= 1.2 * (dists.nbytes + preds.nbytes)
 
 
 class TestInArcs:

@@ -412,3 +412,13 @@ class TestShortestPath:
         cost, links = shortest_path(net, "n1", "n2")
         assert cost == pytest.approx(1.0)
         assert links == ["a"]
+
+    def test_a_network_without_links(self):
+        # no arc to relax: every other node is unreachable, the origin
+        # itself is reached by the empty path
+        net = Network()
+        net.add_node(Node("a", 0.0, 0.0))
+        net.add_node(Node("b", 1.0, 0.0))
+        cost, links = shortest_path(net, "a", "b")
+        assert math.isinf(cost) and links == []
+        assert shortest_path(net, "a", "a") == (0.0, [])
