@@ -11,7 +11,8 @@ Who calls what:
   all-or-nothing step (``equilibrium``, one batch per iteration over
   both vehicle classes, each source costed by its class's row of a
   (classes, links) cost array, with one :class:`WarmStart` owned by the
-  solve's path state), ``metrics`` (every demand origin at once) and
+  solve's path state and handed on from level to level of a sweep),
+  ``metrics`` (every demand origin at once) and
   ``network.shortest_path`` (one source).
   It relaxes all sources of a chunk together over one in-arc layout
   without padding (:func:`_in_arcs`, built once per graph): nodes in
@@ -19,8 +20,8 @@ Who calls what:
   node that has one, all rows in one flat array.  A round is one
   gather, one add and a fold of the shorter rows into row 0.  Every
   chunk relaxes in the buffers of one :class:`_Workspace`, made once
-  per :class:`WarmStart` (so once per solve: 2.2 MB on ``mini_city``)
-  or once per call without one, which keeps each chunk's temporaries
+  per :class:`WarmStart` (so once per solve or sweep: 2.2 MB on
+  ``mini_city``) or once per call without one, which keeps each chunk's temporaries
   from being freed and faulted in again.  Chunks whose trees came back
   unchanged start from them, their old tree paths costed level by level
   (:func:`_tree_levels`, :func:`_fold_levels`).  When that start is
@@ -600,16 +601,18 @@ def walk_paths(preds, links, arc_tail, rows, dests):
         live = pred >= 0
         if not live.any():
             break
-        # a finished path (pred -1) reads some arc, but keeps -1 and stays
-        steps.append(np.where(live, links[pred], -1))
+        # a finished path (pred -1) reads some tail, but stays
+        steps.append(pred)
         at = np.where(live, base + arc_tail[pred], at)
     else:
         raise RuntimeError("a tree walk did not reach its root: "
                            "the predecessors hold a cycle")
     depth = len(steps)
-    # one row per pair, its links in path order after -1 padding
+    # one row per pair, its tree arcs in path order after -1 padding
     table = np.array(steps[::-1], dtype=np.int64).reshape(depth, at.size).T
-    lengths = np.count_nonzero(table >= 0, axis=1).tolist()
+    used = table >= 0
+    lengths = np.count_nonzero(used, axis=1).tolist()
+    table[used] = links[table[used]]
     return [tuple(row[depth - m:]) for row, m in zip(table.tolist(), lengths)]
 
 
@@ -620,9 +623,10 @@ class WarmStart:
     under costs that change a little each time, and most calls return
     exactly the trees of the call before.  Pass one state per such
     series of calls as ``warm=`` to :func:`batch_dijkstra`; in the
-    solvers, a solve's path state (``equilibrium._PathState``) owns one,
-    and each iteration makes one batch of every origin for every vehicle
-    class with demand, each class's trees costed by its own cost row.
+    solvers, a solve's path state (``equilibrium._PathState``) owns one
+    and hands it on to the next level of a sweep, and each iteration
+    makes one batch of every origin for every vehicle class with
+    demand, each class's trees costed by its own cost row.
     The state holds the graph's in-arc layout (see :class:`_InArcs`),
     the sources and cost rows of the last call and the ``preds`` array
     it returned (referenced, not copied: callers must not modify it),
@@ -668,14 +672,14 @@ class WarmStart:
             return None
         return self.same
 
-    def record(self, sources, cost_rows, preds, kept=()):
+    def record(self, sources, cost_rows, preds, last, kept=()):
         """Keep the trees just returned and compare them with the last.
 
-        Chunks listed in ``kept`` returned the last trees as they were
-        and need no comparison.  Trees of new sources or cost rows make
-        the sweep plans.
+        ``last`` is what :meth:`warm_chunks` said of this call's sources
+        and cost rows.  Chunks listed in ``kept`` returned the last trees
+        as they were and need no comparison.  Trees of new sources or
+        cost rows make the sweep plans.
         """
-        last = self.warm_chunks(sources, cost_rows)
         step = _chunk_size(self.arcs)
         self.same = [
             last is not None and (c in kept or np.array_equal(
@@ -836,8 +840,36 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
             dists[lo + j], preds[lo + j] = dijkstra(
                 indptr, heads, links, cost[rows[j]], chunk[j])
     if warm is not None:
-        warm.record(sources, cost_rows, preds, kept)
+        warm.record(sources, cost_rows, preds, warm_chunks, kept)
     return dists, preds
+
+
+class _BlockLayout(NamedTuple):
+    """Where :func:`project_blocks` puts each value of its blocks.
+
+    Only the blocks with values and a positive budget take part; each
+    takes one row of a padded (blocks, width) array.
+    """
+
+    row: np.ndarray     # each placed value's row
+    pos: np.ndarray     # its place in the row
+    elem: np.ndarray    # its index in the values
+    total: np.ndarray   # each row's budget, shaped (rows, 1)
+    ranks: np.ndarray   # 1 .. width
+    valid: np.ndarray   # (rows, width): the places that hold a value
+
+
+def _block_layout(offsets, totals):
+    """The :class:`_BlockLayout` of blocks ``offsets`` with budgets ``totals``."""
+    sizes = np.diff(offsets)
+    live = np.flatnonzero((sizes > 0) & ~(totals <= 0.0))
+    sizes = sizes[live]
+    width = int(sizes.max(initial=0))
+    row = np.repeat(np.arange(live.size), sizes)
+    pos = np.arange(row.size) - (np.cumsum(sizes) - sizes)[row]
+    ranks = np.arange(1, width + 1)
+    return _BlockLayout(row, pos, offsets[live][row] + pos,
+                        totals[live][:, None], ranks, ranks <= sizes[:, None])
 
 
 def project_blocks(values, offsets, totals):
@@ -850,28 +882,23 @@ def project_blocks(values, offsets, totals):
     that lands the prefix on the budget.  All blocks are padded into
     the rows of one array and handled together; row prefixes are summed
     in the same order as a per-block ``cumsum``, so each block's result
-    is that of the rule alone.
+    is that of the rule alone.  The padding depends only on the blocks:
+    a caller that projects the same blocks many times passes their
+    :func:`_block_layout`, built once, as ``totals``.
     """
     out = np.zeros_like(values)
-    sizes = np.diff(offsets)
-    live = np.flatnonzero((sizes > 0) & ~(totals <= 0.0))
-    if live.size == 0:
+    row, pos, elem, total, ranks, valid = (
+        totals if isinstance(totals, _BlockLayout)
+        else _block_layout(offsets, totals))
+    if row.size == 0:
         return out
-    sizes = sizes[live]
-    width = int(sizes.max())
-    row = np.repeat(np.arange(live.size), sizes)
-    pos = np.arange(row.size) - (np.cumsum(sizes) - sizes)[row]
-    elem = offsets[live][row] + pos
-    u = np.full((live.size, width), -np.inf)
+    u = np.full(valid.shape, -np.inf)
     u[row, pos] = values[elem]
     u = np.sort(u, axis=1)[:, ::-1]
-    total = totals[live][:, None]
-    ranks = np.arange(1, width + 1)
-    valid = ranks <= sizes[:, None]
     cumulative = np.cumsum(np.where(valid, u, 0.0), axis=1) - total
     mask = valid & (u - cumulative / ranks > 0.0)
-    rho = width - mask[:, ::-1].argmax(axis=1)
-    theta = cumulative[np.arange(live.size), rho - 1] / rho
+    rho = ranks.size - mask[:, ::-1].argmax(axis=1)
+    theta = cumulative[np.arange(rho.size), rho - 1] / rho
     out[elem] = np.maximum(values[elem] - theta[row], 0.0)
     return out
 

@@ -18,6 +18,7 @@ from .equilibrium import (
     SolverError,
     SolverOptions,
     UnsupportedOperationError,
+    _take_handoff,
     solve,
 )
 from .metrics import MetricsReport, compute_report, potential_savings, \
@@ -283,9 +284,14 @@ def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
               warm_start: bool = True) -> SweepResult:
     """Solve the equilibrium across penetration levels and diagnose.
 
-    Each level warm-starts from the previous solution unless
-    ``warm_start`` is False.  A level that fails or hits the iteration
-    cap raises :class:`SweepError` carrying the completed records; an
+    Each level is one :func:`solve`, warm-started from the previous
+    solution unless ``warm_start`` is False.  A warm level also takes
+    over the state the previous solve left on its solution: the
+    network's arrays, the shortest-path trees with their warm-start
+    plans and buffers, and the kept paths in index form (see
+    :func:`solve`); the stored solution lets it go, and so does every
+    level of a cold sweep.  A level that fails or hits the iteration cap
+    raises :class:`SweepError` carrying the completed records; an
     infeasible or unsupported problem raises its own error unwrapped.
     """
     levels = sorted(float(v) for v in levels)
@@ -299,7 +305,7 @@ def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
         try:
             solution = solve(
                 network, demand, config, method, options,
-                warm_start=previous if warm_start else None,
+                warm_start=previous,
             )
         except (InfeasibleProblemError, UnsupportedOperationError):
             raise  # structural, not a convergence failure
@@ -322,7 +328,10 @@ def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
             penetration=r_e, report=report, solution=solution,
             overlap_ratio=rho,
         ))
-        previous = solution
+        if warm_start:
+            previous = solution
+        else:  # no level takes this solve's state over
+            _take_handoff(solution)
 
     return sweep_from_records(records)
 

@@ -27,9 +27,11 @@ them to the iteration cap on ``mini_city``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,25 +185,54 @@ def project_simplex(v, total: float) -> np.ndarray:
 # -- internal problem representation ------------------------------------
 
 
-class _Problem:
-    """Arrays and index maps compiled once per solve."""
+class _Graph:
+    """The network side of a problem: what every level of a sweep shares.
 
-    def __init__(self, network: Network, demand: ClassDemand, config: CostConfig,
-                 options: SolverOptions):
-        self.options = options
-        self.indptr, self.heads, self.slots, self.node_index, self.link_index = (
-            network.csr()
-        )
+    Built from ``network.csr()`` and kept with it (``csr``), so a later
+    solve can tell whether the network changed since: ``add_node`` and
+    ``add_link`` make a new CSR tuple.
+    """
+
+    def __init__(self, network: Network):
+        self.csr = network.csr()
+        indptr, heads, slots, _, _ = self.csr
         self.link_ids = network.link_ids
         self.t0 = network.free_flow_times()
         self.cap = network.capacities()
         self.length = network.lengths_km()
+        # the in-arc layout every warm start reads, and arc tails
+        self.in_arcs = _kernels._in_arcs(indptr, heads)
+        # each link's arc slot and head node: a path's link is on a tree
+        # when it is its head's tree arc
+        self.link_slot = np.empty_like(slots)
+        self.link_slot[slots] = np.arange(slots.size)
+        self.link_head = heads[self.link_slot]
+
+
+class _Problem:
+    """Arrays and index maps compiled once per solve.
+
+    The network side comes from ``graph`` (a :class:`_Graph` of
+    ``network``), built anew when it is None.
+    """
+
+    def __init__(self, network: Network, demand: ClassDemand, config: CostConfig,
+                 options: SolverOptions, graph: _Graph | None = None):
+        self.options = options
+        self.graph = graph = _Graph(network) if graph is None else graph
+        self.indptr, self.heads, self.slots, self.node_index, self.link_index = (
+            graph.csr
+        )
+        self.link_ids = graph.link_ids
+        self.t0, self.cap, self.length = graph.t0, graph.cap, graph.length
+        self.in_arcs = graph.in_arcs
+        self.arc_tail = graph.in_arcs.arc_tail
         self.alpha = config.bpr_alpha
         self.beta = config.bpr_beta
         self.gamma = config.vot
         per_km = vehicle_costs(config).per_km
         self.class_per_km = np.array([per_km[c] for c in CLASSES])
-        self.n_links = network.n_links
+        self.n_links = len(self.link_ids)
 
         self.skipped_intrazonal = 0.0
         self.od: list[tuple[str, str, int, int]] = []
@@ -242,9 +273,6 @@ class _Problem:
         self.od_row = np.array(
             [origin_row[o_node] for _, _, o_node, _ in self.od], dtype=np.int64)
         self.od_dest = np.array([od[3] for od in self.od], dtype=np.int64)
-        # the in-arc layout every warm start reads, and arc tails
-        self.in_arcs = _kernels._in_arcs(self.indptr, self.heads)
-        self.arc_tail = self.in_arcs.arc_tail
 
         self.constrained_idx = np.zeros(0, dtype=np.int64)
         self.constrained_cap = np.zeros(0)
@@ -260,6 +288,11 @@ class _Problem:
             order = np.argsort(idx)
             self.constrained_idx = np.array(idx, dtype=np.int64)[order]
             self.constrained_cap = np.array(caps)[order]
+
+    @cached_property
+    def layout(self) -> _Layout:
+        """The :class:`_Layout` of ``dem``, which a solve never changes."""
+        return _layout(self, self.dem)
 
     # -- elementary maps ------------------------------------------------
 
@@ -290,11 +323,18 @@ class _PathState:
     numpy arrays over that universe, padded with zeros when it grows.
     The state also owns the kernel's ``WarmStart`` for the one batch of
     trees each all-or-nothing step makes over both classes (it tells
-    whether the trees repeated), and ``last_walk``, the (blocks with
-    demand, path indices) last walked from those trees.
+    whether the trees repeated), and ``last_path``, each (class, OD)
+    block's path from the last walk of its tree (-1 before any), which
+    :meth:`walk` keeps where the new trees still hold it.  ``names``
+    holds the link-id tuple of each path that a solution has listed.
+
+    A :class:`_Handoff` from the solve before (``handoff``) lends its
+    ``WarmStart``, its paths' names and its last walk; the last walk
+    takes its place in this universe once the warm paths are in it
+    (:meth:`resume`).
     """
 
-    def __init__(self, prob: _Problem):
+    def __init__(self, prob: _Problem, handoff: _Handoff | None = None):
         self.prob = prob
         self.paths: list[tuple[int, ...]] = []
         self.path_class = []
@@ -302,8 +342,18 @@ class _PathState:
         self._lookup: dict[tuple[int, int, tuple[int, ...]], int] = {}
         self._flat = None
         self._blocks = None
-        self.warm = _kernels.WarmStart(prob.in_arcs)
-        self.last_walk: tuple[np.ndarray, np.ndarray] | None = None
+        self._projection = None
+        self.last_path = np.full(prob.dem.shape, -1, dtype=np.int64)
+        self.last_live = None
+        if handoff is None:
+            self.warm = _kernels.WarmStart(prob.in_arcs)
+            self.known, self.names, self._resumed = {}, {}, None
+        else:
+            self.warm = handoff.warm
+            # the warm solution's paths by name, and their names
+            self.known = handoff.kept
+            self.names = {path: ids for ids, path in handoff.kept.items()}
+            self._resumed = handoff.last if handoff.od == prob.od else None
 
     @property
     def n_paths(self) -> int:
@@ -318,27 +368,49 @@ class _PathState:
             self.paths.append(path)
             self.path_class.append(ci)
             self.path_od.append(oi)
-            self._flat = None
             self._blocks = None
+            self._projection = None
         return g
 
+    def resume(self):
+        """Take over the last walk of the solve before, where it applies.
+
+        Each block's last path counts only if this universe holds it.
+        """
+        if self._resumed is None:
+            return
+        live, walked = self._resumed
+        self._resumed = None
+        for ci, oi, path in walked:
+            self.last_path[ci, oi] = self._lookup.get((ci, oi, path), -1)
+        self.last_live = live
+
     def flat(self):
-        if self._flat is None:
-            lens = np.array([len(p) for p in self.paths], dtype=np.int64)
-            concat = (
-                np.concatenate([np.array(p, dtype=np.int64) for p in self.paths])
-                if self.paths
-                else np.zeros(0, dtype=np.int64)
-            )
-            offsets = np.zeros(len(self.paths), dtype=np.int64)
-            if len(self.paths) > 1:
-                offsets[1:] = np.cumsum(lens)[:-1]
+        """Flat arrays of the universe, extended as it grows.
+
+        Returns (every path's links one after another, lengths,
+        offsets, block keys ``class * n_od + OD``, class link keys
+        ``class * n_links + link`` of the links).
+        """
+        done = 0 if self._flat is None else self._flat[1].size
+        if done < len(self.paths):
+            new = self.paths[done:]
+            lens = np.array([len(p) for p in new], dtype=np.int64)
+            concat = np.fromiter(itertools.chain.from_iterable(new),
+                                 dtype=np.int64, count=int(lens.sum()))
+            if done:
+                concat = np.concatenate([self._flat[0], concat])
+                lens = np.concatenate([self._flat[1], lens])
+            offsets = np.cumsum(lens) - lens
             pclass = np.array(self.path_class, dtype=np.int64)
             # each path's block key, class * n_od + OD
             block = pclass * self.prob.n_od + np.array(self.path_od, dtype=np.int64)
             # each entry's class link key, class * n_links + link
             link_key = np.repeat(pclass, lens) * self.prob.n_links + concat
             self._flat = (concat, lens, offsets, block, link_key)
+        elif self._flat is None:
+            empty = np.zeros(0, dtype=np.int64)
+            self._flat = (empty,) * 5
         return self._flat
 
     def link_flows(self, flow_vec: np.ndarray) -> np.ndarray:
@@ -393,11 +465,66 @@ class _PathState:
             yield ci, oi, idx[offsets[b]:offsets[b + 1]]
 
     def project(self, vec: np.ndarray) -> np.ndarray:
-        """Project each block of a per-path vector onto its demand simplex."""
+        """Project each block of a per-path vector onto its demand simplex.
+
+        The blocks' padded layout is built once per universe: it changes
+        only when :meth:`blocks` does.
+        """
         idx, offsets, totals, _ = self.blocks()
+        if self._projection is None:
+            self._projection = _kernels._block_layout(offsets, totals)
         out = np.zeros_like(vec)
         if idx.size:
-            out[idx] = _kernels.project_blocks(vec[idx], offsets, totals)
+            out[idx] = _kernels.project_blocks(vec[idx], offsets,
+                                               self._projection)
+        return out
+
+    def walk(self, preds: np.ndarray, layout: _Layout) -> np.ndarray:
+        """Each block's path in the trees ``preds``, as a path index.
+
+        ``layout`` (:class:`_Layout`) lists the blocks and their tree
+        rows.  A block keeps its last path when the trees repeat, or
+        when each link of that path is still its head's tree arc: the
+        walk from the destination would then step back along exactly
+        that path.  Only the other blocks are walked, and their paths
+        join the universe in block order, as a walk of every block would
+        add them.
+        """
+        old = self.last_path[layout.ci, layout.oi]
+        if self.warm.repeated and np.array_equal(self.last_live, layout.live):
+            redo = np.flatnonzero(old < 0)
+        else:
+            redo = np.flatnonzero(~self._on_trees(old, preds, layout.rows))
+        if redo.size:
+            paths = _kernels.walk_paths(preds, self.prob.slots, self.prob.arc_tail,
+                                        layout.rows[redo], layout.dests[redo])
+            old[redo] = [self.ensure(c, o, path) for c, o, path in zip(
+                layout.ci[redo].tolist(), layout.oi[redo].tolist(), paths)]
+        self.last_path[layout.ci, layout.oi] = old
+        self.last_live = layout.live
+        return old
+
+    def _on_trees(self, idx: np.ndarray, preds: np.ndarray,
+                  rows: np.ndarray) -> np.ndarray:
+        """Per block: is every link of path ``idx`` (-1: none) a tree arc?
+
+        Block ``b``'s path is checked in tree ``rows[b]`` of ``preds``.
+        """
+        out = np.zeros(idx.size, dtype=bool)
+        have = np.flatnonzero(idx >= 0)
+        if have.size == 0:
+            return out
+        concat, lens, offsets, _, _ = self.flat()
+        g = idx[have]
+        n = lens[g]
+        # the paths' links one after another, and the path of each
+        owner = np.repeat(np.arange(g.size), n)
+        links = concat[np.arange(owner.size)
+                       + (offsets[g] - (np.cumsum(n) - n))[owner]]
+        graph = self.prob.graph
+        at = (rows[have] * preds.shape[1])[owner] + graph.link_head[links]
+        off = preds.reshape(-1)[at] != graph.link_slot[links]
+        out[have] = np.bincount(owner[off], minlength=g.size) == 0
         return out
 
     def grow(self, vec: np.ndarray) -> np.ndarray:
@@ -409,7 +536,74 @@ class _PathState:
         return out
 
 
+class _Handoff:
+    """What a solve leaves for the next solve that warm-starts from it.
+
+    A solution carries it as ``_handoff``, an attribute that is not a
+    dataclass field, so no writer, comparison or ``dataclasses.replace``
+    sees it.  :func:`solve`, given that solution as ``warm_start``, takes
+    it off (:func:`_take_handoff`) and uses it for the same method on the
+    same network (the same ``network.csr()`` tuple): the network side of
+    the problem (``graph``), the ``WarmStart`` with its trees, sweep
+    plans and workspace, the solution's paths by link-id tuple (``kept``)
+    and each block's last walked path (``last``: the blocks of the last
+    walk, then (class, OD, path) per block, over the OD list ``od``).
+    The solve returns the same bits without it: the kernel returns the
+    heap's trees from any ``WarmStart`` over the same in-arc layout, the
+    path universe is rebuilt in the order of the solution's paths as
+    from their names, and a last path counts only where the new trees
+    still hold it.
+    """
+
+    def __init__(self, prob: _Problem, state: _PathState, method: str,
+                 kept: dict):
+        self.graph = prob.graph
+        self.method = method
+        self.od = prob.od
+        self.warm = state.warm
+        self.kept = kept
+        ci, oi = np.nonzero(state.last_path >= 0)
+        self.last = (state.last_live, [
+            (c, o, state.paths[g]) for c, o, g in zip(
+                ci.tolist(), oi.tolist(), state.last_path[ci, oi].tolist())])
+
+
+def _take_handoff(solution) -> _Handoff | None:
+    """Detach the :class:`_Handoff` that ``solution`` carries, if any."""
+    return getattr(solution, "__dict__", {}).pop("_handoff", None)
+
+
 # -- all-or-nothing ------------------------------------------------------
+
+
+class _Layout(NamedTuple):
+    """What an all-or-nothing step over one demand reads, built once.
+
+    The blocks with demand go class by class; a solve's own demand
+    keeps one layout (``_Problem.layout``).
+    """
+
+    live: np.ndarray       # (n_classes, n_od): the blocks with demand
+    sources: np.ndarray    # every origin, once per class with demand
+    cost_rows: np.ndarray  # each source's class
+    ci: np.ndarray         # per block: class,
+    oi: np.ndarray         # OD,
+    rows: np.ndarray       # tree row,
+    dests: np.ndarray      # destination node
+    demand: np.ndarray     # and demand
+
+
+def _layout(prob: _Problem, dem: np.ndarray) -> _Layout:
+    """The :class:`_Layout` of demand ``dem`` (n_classes, n_od)."""
+    live = dem > 0.0
+    classes = np.flatnonzero(live.any(axis=1))
+    n_origins = len(prob.origin_nodes)
+    ci, oi = np.nonzero(live)
+    return _Layout(
+        live, np.tile(prob.origin_nodes, classes.size),
+        np.repeat(classes, n_origins), ci, oi,
+        np.searchsorted(classes, ci) * n_origins + prob.od_row[oi],
+        prob.od_dest[oi], dem[ci, oi])
 
 
 def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndarray,
@@ -417,46 +611,33 @@ def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndar
     """Assign every block's demand to its cheapest path.
 
     ``dem`` (n_classes, n_od) is the demand to assign, ``prob.dem`` when
-    None.  One batch solves the trees of every origin for each class
-    with demand, each class under its own row of ``class_link_costs``.
-    Returns (per-path target vector over the grown universe, shortest
-    cost array (n_classes, n_od), inf off the blocks with demand).
-    Unreachable positive-demand pairs raise
+    None, whose :class:`_Layout` the solve builds once.  One batch
+    solves the trees of every origin for each class with demand, each
+    class under its own row of ``class_link_costs``.  Each block's path
+    comes from :meth:`_PathState.walk`, which walks only the blocks whose
+    last path left the trees.  Returns (per-path target vector over the
+    grown universe, shortest cost array (n_classes, n_od), inf off the
+    blocks with demand).  Unreachable positive-demand pairs raise
     :class:`InfeasibleProblemError`.
     """
-    if dem is None:
-        dem = prob.dem
-    live = dem > 0.0
-    classes = np.flatnonzero(live.any(axis=1))
-    n_origins = len(prob.origin_nodes)
+    layout = prob.layout if dem is None else _layout(prob, dem)
     dists, preds = _kernels.batch_dijkstra(
         prob.indptr, prob.heads, prob.slots, class_link_costs,
-        np.tile(prob.origin_nodes, classes.size), warm=state.warm,
-        cost_rows=np.repeat(classes, n_origins))
-    # the blocks with demand, class by class; each one's tree row
-    ci, oi = np.nonzero(live)
-    rows = np.searchsorted(classes, ci) * n_origins + prob.od_row[oi]
-    dests = prob.od_dest[oi]
-    costs = dists[rows, dests]
+        layout.sources, warm=state.warm, cost_rows=layout.cost_rows)
+    costs = dists[layout.rows, layout.dests]
     unreachable = np.flatnonzero(~np.isfinite(costs))
     if unreachable.size:
-        origin, dest, _, _ = prob.od[oi[unreachable[0]]]
+        origin, dest, _, _ = prob.od[layout.oi[unreachable[0]]]
         raise InfeasibleProblemError(
             f"no route from zone {origin!r} to zone {dest!r} "
-            f"for class {CLASSES[ci[unreachable[0]]]!r}"
+            f"for class {CLASSES[layout.ci[unreachable[0]]]!r}"
         )
-    sp = np.full(dem.shape, np.inf)
-    sp[ci, oi] = costs
-    last = state.last_walk
-    if state.warm.repeated and last is not None and np.array_equal(last[0], live):
-        idx = last[1]
-    else:
-        paths = _kernels.walk_paths(preds, prob.slots, prob.arc_tail, rows, dests)
-        idx = np.array([state.ensure(c, o, path) for c, o, path
-                        in zip(ci.tolist(), oi.tolist(), paths)], dtype=np.int64)
-        state.last_walk = (live, idx)
+    sp = np.full(layout.live.shape, np.inf)
+    sp[layout.ci, layout.oi] = costs
+    idx = state.walk(preds, layout)
+    # a path belongs to one block, so each takes one block's demand
     target = np.zeros(state.n_paths)
-    np.add.at(target, idx, dem[ci, oi])
+    target[idx] = layout.demand
     return target, sp
 
 
@@ -510,20 +691,37 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
     A path only enters a block with positive demand, and a block's flows
     sum to its demand, so at least one path of each block is kept.
     """
+    idx, offsets, totals, keys = state.blocks()
+    f = flows[idx]
+    sizes = np.diff(offsets)
+    keep = f >= _PATH_DROP_TOL * np.repeat(totals, sizes)
+    # each block's kept flow, summed as numpy sums it: a sum of one or
+    # two terms is the same in any order, longer ones are summed alone
+    block = np.repeat(np.arange(keys.size), sizes)
+    counts = np.bincount(block[keep], minlength=keys.size)
+    kept_flow = np.bincount(block[keep], weights=f[keep], minlength=keys.size)
+    for b in np.flatnonzero(counts > 2).tolist():
+        lo, hi = offsets[b], offsets[b + 1]
+        kept_flow[b] = f[lo:hi][keep[lo:hi]].sum()
+    scaled = np.where(keep, f * np.repeat(totals / kept_flow, sizes), 0.0)
     flows = flows.copy()
+    flows[idx] = scaled
     paths: dict = {}
-    for ci, oi, block in state.members():
-        d = prob.dem[ci, oi]
-        f = flows[block]
-        keep = f >= _PATH_DROP_TOL * d
-        scaled = np.zeros_like(f)
-        scaled[keep] = f[keep] * (d / float(f[keep].sum()))
-        flows[block] = scaled
+    kept: dict = {}  # {link-id tuple: path} of the listed paths
+    names = state.names
+    entries = zip(idx.tolist(), scaled.tolist())
+    for key, size in zip(keys.tolist(), sizes.tolist()):
+        ci, oi = divmod(key, prob.n_od)
         origin, dest, _, _ = prob.od[oi]
-        paths[(CLASSES[ci], origin, dest)] = [
-            (tuple(prob.link_ids[li] for li in state.paths[g]), f_g)
-            for g, f_g in zip(block.tolist(), scaled.tolist()) if f_g > 0.0
-        ]
+        listed = paths[(CLASSES[ci], origin, dest)] = []
+        for g, f_g in itertools.islice(entries, size):
+            if f_g > 0.0:
+                path = state.paths[g]
+                ids = names.get(path)
+                if ids is None:
+                    ids = names[path] = tuple(prob.link_ids[li] for li in path)
+                kept[ids] = path
+                listed.append((ids, f_g))
     x_class = state.link_flows(flows)
     x_agg = x_class.sum(axis=0)
 
@@ -535,7 +733,7 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
         comp[lid] = float(lam[j] * (prob.constrained_cap[j] - x_agg[int(li)]))
 
     class_flows = {c: x_class[ci].copy() for ci, c in enumerate(CLASSES)}
-    return EquilibriumSolution(
+    solution = EquilibriumSolution(
         link_flows=LinkFlows(link_ids=list(prob.link_ids), class_flows=class_flows),
         paths=paths,
         pi=_per_pair(prob, sp),
@@ -550,6 +748,8 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
         link_times=prob.times(x_agg),
         skipped_intrazonal=prob.skipped_intrazonal,
     )
+    solution._handoff = _Handoff(prob, state, method, kept)
+    return solution
 
 
 def _per_pair(prob: _Problem, values: np.ndarray) -> dict:
@@ -560,11 +760,14 @@ def _per_pair(prob: _Problem, values: np.ndarray) -> dict:
     }
 
 
-def _path_block(prob: _Problem, key: tuple, entries: list):
+def _path_block(prob: _Problem, key: tuple, entries: list, known=None):
     """One ``solution.paths`` item as (class, OD, [(link indices, flow)]).
 
-    Raises :class:`UnknownPairError` for a class or pair the demand does
-    not hold and ValueError for a link the network does not hold.
+    ``known`` maps link-id tuples to the paths they name, when the
+    solve that listed them handed them on (:class:`_Handoff`); other
+    paths are looked up link by link.  Raises :class:`UnknownPairError`
+    for a class or pair the demand does not hold and ValueError for a
+    link the network does not hold.
     """
     cls, origin, dest = key
     ci = CLASSES.index(cls) if cls in CLASSES else None
@@ -574,8 +777,10 @@ def _path_block(prob: _Problem, key: tuple, entries: list):
             f"solution has {cls!r} paths from zone {origin!r} to zone "
             f"{dest!r}, a (class, OD) block the demand does not hold"
         )
+    known = known or {}
     try:
-        mapped = [(tuple(prob.link_index[lid] for lid in link_ids), f)
+        mapped = [((isinstance(link_ids, tuple) and known.get(link_ids))
+                   or tuple(prob.link_index[lid] for lid in link_ids), f)
                   for link_ids, f in entries]
     except KeyError as exc:
         raise ValueError(
@@ -601,7 +806,7 @@ def _initial_flows(prob: _Problem, state: _PathState, warm: EquilibriumSolution 
         blocks = []
         for key, entries in warm.paths.items():
             try:
-                ci, oi, mapped = _path_block(prob, key, entries)
+                ci, oi, mapped = _path_block(prob, key, entries, state.known)
             except (UnknownPairError, ValueError):
                 continue
             total = sum(f for _, f in mapped)
@@ -611,6 +816,7 @@ def _initial_flows(prob: _Problem, state: _PathState, warm: EquilibriumSolution 
             scale = d / total
             blocks.append((ci, oi, [(path, f * scale) for path, f in mapped]))
         flows = _path_flows(state, blocks)
+        state.resume()
         # blocks the warm start could not cover fall back to shortest paths
         covered = state.block_sums(flows)
         missing = (prob.dem > 0.0) & (covered <= 0.0)
@@ -760,9 +966,9 @@ def _conjugate_target(prob, x_class, y_class, s1, s2, theta_prev):
     return 1.0, 0.0, 0.0
 
 
-def _solve_fw(prob: _Problem, method: str, warm: EquilibriumSolution | None):
+def _solve_fw(prob: _Problem, state: _PathState, method: str,
+              warm: EquilibriumSolution | None):
     opts = prob.options
-    state = _PathState(prob)
     flows = _initial_flows(prob, state, warm)
     x_class = state.link_flows(flows)
 
@@ -893,9 +1099,9 @@ def _check_duals(prob: _Problem, lam: np.ndarray):
         )
 
 
-def _solve_path_based(prob: _Problem, method: str, warm: EquilibriumSolution | None):
+def _solve_path_based(prob: _Problem, state: _PathState, method: str,
+                      warm: EquilibriumSolution | None):
     opts = prob.options
-    state = _PathState(prob)
     flows = _initial_flows(prob, state, warm)
     # a capped link without a usable warm multiplier (none, negative,
     # NaN, infinite or above ``dual_bound``) starts at 0
@@ -1002,16 +1208,28 @@ def solve(network: Network, demand: ClassDemand, config: CostConfig,
     """Solve the fixed-class equilibrium with the chosen method.
 
     ``warm_start`` reuses a previous solution's paths (rescaled to the
-    new class demands), which is how penetration sweeps stay fast.
-    Returns an :class:`EquilibriumSolution` whose ``converged`` flag is
-    False when the iteration cap was reached.
+    new class demands), which is how penetration sweeps stay fast.  A
+    solution that this function returned also carries the solve's state
+    (:class:`_Handoff`): the network's arrays, the shortest-path trees
+    with their warm-start plans and buffers, and its paths in index
+    form.  The first solve warm-started from it, with the same method
+    and an unchanged network, takes that state over and the solution
+    lets it go; every other use falls back to the solution's paths.
+    Either way the result is the same bit for bit.  Returns an
+    :class:`EquilibriumSolution` whose ``converged`` flag is False when
+    the iteration cap was reached.
     """
     method = METHOD_ALIASES.get(method, method)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if options is None:
         options = SolverOptions()
-    prob = _Problem(network, demand, config, options)
+    handoff = _take_handoff(warm_start)
+    if handoff is not None and (handoff.method != method
+                                or handoff.graph.csr is not network.csr()):
+        handoff = None
+    prob = _Problem(network, demand, config, options,
+                    None if handoff is None else handoff.graph)
     if method in ("fw", "bfw") and prob.constrained_idx.size:
         raise UnsupportedOperationError(
             "explicit capacity constraints need a path-based solver ('pd' or 'eg')"
@@ -1019,12 +1237,13 @@ def solve(network: Network, demand: ClassDemand, config: CostConfig,
     if float(prob.dem.sum()) == 0.0:
         trace = [{"iteration": 0, "rel_gap": 0.0, "objective": 0.0,
                   "note": "zero demand"}]
-        return _assemble(prob, _PathState(prob), np.zeros(0),
+        return _assemble(prob, _PathState(prob, handoff), np.zeros(0),
                          np.zeros(prob.constrained_idx.size), trace, True, 0,
                          method, 0.0, np.zeros(prob.dem.shape))
+    state = _PathState(prob, handoff)
     if method in ("fw", "bfw"):
-        return _solve_fw(prob, method, warm_start)
-    return _solve_path_based(prob, method, warm_start)
+        return _solve_fw(prob, state, method, warm_start)
+    return _solve_path_based(prob, state, method, warm_start)
 
 
 def solve_fw(network: Network, demand: ClassDemand, config: CostConfig,

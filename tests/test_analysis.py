@@ -480,3 +480,67 @@ class TestSweepFromRecords:
     def test_empty_records_rejected(self):
         with pytest.raises(AnalysisError, match="no solved levels"):
             sweep_from_records([])
+
+
+class TestSweepHandoff:
+    """Each level takes over the solve state of the level before it, bit for bit."""
+
+    @pytest.mark.parametrize("name, method", [("grid10x10", "bfw"),
+                                              ("grid3x3", "bfw"),
+                                              ("grid3x3", "pd")])
+    def test_levels_match_warm_starts_without_the_state(
+            self, name, method, monkeypatch, tmp_path):
+        import mueflow.analysis as analysis
+        from dataclasses import replace
+        from mueflow.reports import write_sweep_json
+
+        build, config = fixtures.FIXTURES[name]
+        net, od = build()
+        cfg = config()
+        levels = grid_levels()
+        carried, plain = [], []
+
+        def recorded(seen, strip):
+            def run(network, demand, config, method, options, warm_start=None):
+                if strip and warm_start is not None:
+                    # a copy is the same solution without the solve state
+                    warm_start = replace(warm_start)
+                seen.append(hasattr(warm_start, "_handoff"))
+                return solve(network, demand, config, method, options,
+                             warm_start=warm_start)
+            return run
+
+        monkeypatch.setattr(analysis, "solve", recorded(carried, False))
+        with_state = run_sweep(net, od, cfg, levels, method)
+        monkeypatch.setattr(analysis, "solve", recorded(plain, True))
+        without = run_sweep(net, od, cfg, levels, method)
+        assert carried == [False] + [True] * (len(levels) - 1)
+        assert not any(plain)
+        for a, b in zip(with_state.records, without.records):
+            sa, sb = a.solution, b.solution
+            assert sa.paths == sb.paths and sa.pi == sb.pi
+            assert sa.iterations == sb.iterations
+            assert sa.gap_trace == sb.gap_trace
+            assert same_bits(sa.wardrop_gap, sb.wardrop_gap)
+            for cls, flows in sa.link_flows.class_flows.items():
+                assert flows.tobytes() == sb.link_flows.class_flows[cls].tobytes()
+            assert sa.link_times.tobytes() == sb.link_times.tobytes()
+        write_sweep_json(with_state, tmp_path / "carried.json")
+        write_sweep_json(without, tmp_path / "plain.json")
+        assert ((tmp_path / "carried.json").read_bytes()
+                == (tmp_path / "plain.json").read_bytes())
+
+    def test_stored_levels_let_their_state_go(self):
+        net, od = fixtures.grid3x3()
+        cfg = fixtures.grid3x3_config()
+        for warm in (True, False):
+            sweep = run_sweep(net, od, cfg, [0.0, 0.5, 1.0], "bfw",
+                              warm_start=warm)
+            held = [hasattr(rec.solution, "_handoff") for rec in sweep.records]
+            # a cold sweep keeps none; a warm one only on the last level,
+            # which no level takes over
+            assert held == [False, False, warm]
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()

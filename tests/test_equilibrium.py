@@ -9,7 +9,9 @@ consistency, equilibration of used paths) are checked on every solver.
 from __future__ import annotations
 
 import functools
+import gc
 import math
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mueflow import equilibrium, fixtures
+from mueflow import _kernels, equilibrium, fixtures
 from mueflow.cost import CLASSES
 from mueflow.demand import ODMatrix, split_demand
 from mueflow.equilibrium import (
@@ -29,7 +31,9 @@ from mueflow.equilibrium import (
     UnsupportedOperationError,
     _PathState,
     _Problem,
+    _PATH_DROP_TOL,
     _all_or_nothing,
+    _assemble,
     _block_gaps,
     _worst_gap,
     beckmann_objective,
@@ -753,3 +757,280 @@ class TestLineSearch:
         sol = solve(net, split_demand(od, 0.5), cfg, "bfw")
         assert sol.converged and len(counts) >= sol.iterations - 1
         assert max(counts) <= 12
+
+
+def assert_same_solution(a: EquilibriumSolution, b: EquilibriumSolution):
+    """Every field of two solutions, floats bit for bit."""
+    assert a.paths == b.paths and a.pi == b.pi and a.duals == b.duals
+    assert a.iterations == b.iterations and a.gap_trace == b.gap_trace
+    assert a.converged == b.converged and a.method == b.method
+    for x, y in ((a.wardrop_gap, b.wardrop_gap), (a.objective, b.objective)):
+        assert np.float64(x).tobytes() == np.float64(y).tobytes()
+    for cls, flows in a.link_flows.class_flows.items():
+        assert flows.tobytes() == b.link_flows.class_flows[cls].tobytes()
+    assert a.link_times.tobytes() == b.link_times.tobytes()
+
+
+class TestHandoff:
+    """A solution lends its solve state to the next solve warm-started from it."""
+
+    @pytest.mark.parametrize("method", ["bfw", "pd"])
+    def test_the_next_solve_takes_the_state_over(self, grid3_case, method):
+        net, od, cfg = grid3_case
+        base = solve(net, split_demand(od, 0.4), cfg, method)
+        warm = base._handoff.warm
+        got = solve(net, split_demand(od, 0.5), cfg, method, warm_start=base)
+        assert not hasattr(base, "_handoff") and got._handoff.warm is warm
+        # the same warm start without the state: a copy of the solution
+        again = solve(net, split_demand(od, 0.4), cfg, method)
+        want = solve(net, split_demand(od, 0.5), cfg, method,
+                     warm_start=replace(again))
+        assert want._handoff.warm is not again._handoff.warm
+        assert_same_solution(got, want)
+
+    def fallback(self, net, base, method, demand, cfg):
+        """Solve from ``base``; check that its state was left unused."""
+        warm = getattr(base, "_handoff", None)
+        got = solve(net, demand, cfg, method, warm_start=base)
+        assert warm is None or got._handoff.warm is not warm.warm
+        assert not hasattr(base, "_handoff")
+        return got
+
+    def test_other_uses_fall_back_with_the_same_bits(self, grid3_case):
+        net, od, cfg = grid3_case
+        first, second = split_demand(od, 0.4), split_demand(od, 0.5)
+
+        def plain(network, base, method):
+            return solve(network, second, cfg, method, warm_start=replace(base))
+
+        # another network object of the same grid
+        other, _ = fixtures.grid3x3()
+        base = solve(net, first, cfg, "bfw")
+        assert_same_solution(self.fallback(other, base, "bfw", second, cfg),
+                             plain(other, base, "bfw"))
+        # a network changed after the solve
+        changed, _ = fixtures.grid3x3()
+        base = solve(changed, first, cfg, "bfw")
+        changed.add_node(Node("spare", 50.0, 50.0))
+        assert_same_solution(self.fallback(changed, base, "bfw", second, cfg),
+                             plain(changed, base, "bfw"))
+        # another method
+        for was, now in (("bfw", "fw"), ("pd", "eg")):
+            base = solve(net, first, cfg, was)
+            assert_same_solution(self.fallback(net, base, now, second, cfg),
+                                 plain(net, base, now))
+        # a solution used twice: the second solve finds no state
+        base = solve(net, first, cfg, "bfw")
+        once = solve(net, second, cfg, "bfw", warm_start=base)
+        twice = self.fallback(net, base, "bfw", second, cfg)
+        assert_same_solution(once, twice)
+        assert_same_solution(twice, plain(net, base, "bfw"))
+
+    def test_a_taken_over_state_leaves_the_solution(self, grid3_case):
+        net, od, cfg = grid3_case
+        base = solve(net, split_demand(od, 0.4), cfg, "bfw")
+        warm = weakref.ref(base._handoff.warm)
+        got = solve(net, split_demand(od, 0.5), cfg, "bfw", warm_start=base)
+        assert got._handoff.warm is warm()
+        del got
+        gc.collect()
+        # base is still held here, but no longer holds the state
+        assert base.converged and warm() is None
+
+
+def loaded_costs(prob: _Problem, seed: int, count: int) -> list:
+    """Class link costs at ``count`` random loads up to twice capacity."""
+    rng = np.random.default_rng(seed)
+    return [prob.class_costs(prob.times(rng.uniform(0.0, 2.0, prob.n_links)
+                                        * prob.cap)) for _ in range(count)]
+
+
+def full_walks(prob: _Problem, calls: list):
+    """All-or-nothing by walking every block, as a reference.
+
+    Per call (target, sp, {(tree row, destination): path} of the blocks
+    with demand), each block's path interned in block order, and the
+    universe as (class, OD, path) in arrival order.
+    """
+    universe: dict = {}
+    out = []
+    n_origins = len(prob.origin_nodes)
+    for cost, dem in calls:
+        dem = prob.dem if dem is None else dem
+        live = dem > 0.0
+        classes = np.flatnonzero(live.any(axis=1))
+        dists, preds = _kernels.batch_dijkstra(
+            prob.indptr, prob.heads, prob.slots, cost,
+            np.tile(prob.origin_nodes, classes.size),
+            cost_rows=np.repeat(classes, n_origins))
+        ci, oi = np.nonzero(live)
+        rows = np.searchsorted(classes, ci) * n_origins + prob.od_row[oi]
+        dests = prob.od_dest[oi]
+        sp = np.full(dem.shape, np.inf)
+        sp[ci, oi] = dists[rows, dests]
+        paths = _kernels.walk_paths(preds, prob.slots, prob.arc_tail, rows, dests)
+        idx = [universe.setdefault((c, o, path), len(universe))
+               for c, o, path in zip(ci.tolist(), oi.tolist(), paths)]
+        target = np.zeros(len(universe))
+        target[idx] = dem[ci, oi]
+        out.append((target.tobytes(), sp.tobytes(),
+                    dict(zip(zip(rows.tolist(), dests.tolist()), paths))))
+    return out, list(universe)
+
+
+class TestPathCertificate:
+    """A block keeps its last path while each of its links is still a tree arc."""
+
+    def run(self, prob, calls, monkeypatch):
+        """Per call (target, sp, walked blocks), then the universe."""
+        state = _PathState(prob)
+        walked = []
+        walk_paths = _kernels.walk_paths
+
+        def recorded(preds, links, arc_tail, rows, dests):
+            walked.append(set(zip(rows.tolist(), dests.tolist())))
+            return walk_paths(preds, links, arc_tail, rows, dests)
+
+        monkeypatch.setattr(_kernels, "walk_paths", recorded)
+        out = []
+        for cost, dem in calls:
+            walked.append(set())
+            target, sp = _all_or_nothing(prob, state, cost, dem)
+            out.append((target.tobytes(), sp.tobytes(), set().union(*walked)))
+            walked.clear()
+        monkeypatch.undo()
+        return out, list(zip(state.path_class, state.path_od, state.paths))
+
+    def calls(self, prob):
+        costs = loaded_costs(prob, 5, 6)
+        half = np.where(np.arange(prob.n_od) % 2 == 0, prob.dem, 0.0)
+        # repeated costs, and a call over some of the blocks only
+        return [(costs[0], None), (costs[0], None), (costs[1], half),
+                *((c, None) for c in costs[1:])]
+
+    def test_matches_a_full_walk(self, grid10_case, monkeypatch):
+        net, od, cfg = grid10_case
+        prob = _Problem(net, split_demand(od, 0.5), cfg, SolverOptions())
+        calls = self.calls(prob)
+        got, universe = self.run(prob, calls, monkeypatch)
+        want, full_universe = full_walks(prob, calls)
+        assert [call[:2] for call in got] == [call[:2] for call in want]
+        assert universe == full_universe
+
+    def test_walks_only_the_blocks_whose_path_changed(self, grid10_case,
+                                                      monkeypatch):
+        net, od, cfg = grid10_case
+        prob = _Problem(net, split_demand(od, 0.5), cfg, SolverOptions())
+        calls = self.calls(prob)
+        got, _ = self.run(prob, calls, monkeypatch)
+        want, _ = full_walks(prob, calls)
+        before = {}
+        changed_some = kept_some = False
+        for (_, _, walked), (_, _, now) in zip(got, want):
+            changed = {b for b, path in now.items() if before.get(b) != path}
+            assert walked == changed
+            changed_some |= bool(changed) and len(changed) < len(now)
+            kept_some |= len(changed) < len(now)
+            before.update(now)
+        assert changed_some and kept_some
+
+    def test_a_tied_path_the_trees_left_is_walked_again(self, monkeypatch):
+        net = Network()
+        for nid, x, y in (("o", 0.0, 0.0), ("a", 1.0, 1.0),
+                          ("b", 1.0, -1.0), ("d", 2.0, 0.0)):
+            net.add_node(Node(nid, x, y))
+        for lid, tail, head in (("oa", "o", "a"), ("ad", "a", "d"),
+                                ("ob", "o", "b"), ("bd", "b", "d")):
+            net.add_link(Link(lid, tail, head, 1.0, 1000.0, 60.0))
+        net.add_zone(Zone("O", 0.0, 0.0))
+        net.add_zone(Zone("D", 2.0, 0.0))
+        generate_connectors(net)
+        od = ODMatrix()
+        od.add("O", "D", 10.0)
+        prob = _Problem(net, split_demand(od, 0.0), fixtures.time_only_config(),
+                        SolverOptions())
+
+        def costs(**named):
+            cost = np.ones(prob.n_links)
+            for lid, value in named.items():
+                cost[prob.link_index[lid]] = value
+            return np.tile(cost, (len(CLASSES), 1))
+
+        state = _PathState(prob)
+        _all_or_nothing(prob, state, costs(oa=1.0, ad=1.0, ob=2.0, bd=2.0))
+        walked = []
+        walk_paths = _kernels.walk_paths
+
+        def recorded(preds, links, arc_tail, rows, dests):
+            walked.append(rows.size)
+            return walk_paths(preds, links, arc_tail, rows, dests)
+
+        monkeypatch.setattr(_kernels, "walk_paths", recorded)
+        # both routes now cost 5; the trees reach d from b, the nearer tail
+        target, sp = _all_or_nothing(prob, state,
+                                     costs(oa=2.0, ad=1.0, ob=1.0, bd=2.0))
+        assert walked == [1] and sp[0, 0] == 5.0
+        (g,) = np.flatnonzero(target)
+        assert [prob.link_ids[li] for li in state.paths[g]][1:3] == ["ob", "bd"]
+        assert state.n_paths == 2
+
+
+class TestProjectionLayout:
+    def test_project_matches_project_blocks_as_the_universe_grows(
+            self, grid10_case):
+        net, od, cfg = grid10_case
+        prob = _Problem(net, split_demand(od, 0.5), cfg, SolverOptions())
+        state = _PathState(prob)
+        rng = np.random.default_rng(11)
+
+        def check():
+            vec = rng.normal(0.0, 100.0, state.n_paths)
+            idx, offsets, totals, _ = state.blocks()
+            want = np.zeros_like(vec)
+            want[idx] = _kernels.project_blocks(vec[idx], offsets, totals)
+            assert state.project(vec).tobytes() == want.tobytes()
+
+        sizes = []
+        for cost in loaded_costs(prob, 7, 4):
+            _all_or_nothing(prob, state, cost)
+            sizes.append(state.n_paths)
+            check()
+            check()  # the kept layout
+        assert sizes[0] < sizes[-1]
+
+
+class TestAssemble:
+    def test_matches_the_per_block_loop(self, grid10_case):
+        # blocks of one to many paths, some below the drop tolerance
+        net, od, cfg = grid10_case
+        prob = _Problem(net, split_demand(od, 0.5), cfg, SolverOptions())
+        state = _PathState(prob)
+        for cost in loaded_costs(prob, 3, 30):
+            _all_or_nothing(prob, state, cost)
+        rng = np.random.default_rng(4)
+        flows = rng.uniform(0.0, 50.0, state.n_paths)
+        flows[rng.uniform(size=state.n_paths) < 0.2] *= 1e-12
+        for _, _, block in state.members():  # a block keeps a path
+            flows[block[-1]] = 25.0
+        sol = _assemble(prob, state, flows, np.zeros(0), [], True, 1, "pd",
+                        0.0, np.ones(prob.dem.shape))
+        want_paths, want_flows = {}, flows.copy()
+        for ci, oi, block in state.members():
+            d = prob.dem[ci, oi]
+            f = flows[block]
+            keep = f >= _PATH_DROP_TOL * d
+            scaled = np.zeros_like(f)
+            scaled[keep] = f[keep] * (d / float(f[keep].sum()))
+            want_flows[block] = scaled
+            origin, dest, _, _ = prob.od[oi]
+            want_paths[(CLASSES[ci], origin, dest)] = [
+                (tuple(prob.link_ids[li] for li in state.paths[g]), f_g)
+                for g, f_g in zip(block.tolist(), scaled.tolist()) if f_g > 0.0]
+        # numpy sums eight or more terms pairwise, not left to right
+        kept = [len(entries) for entries in sol.paths.values()]
+        assert max(kept) >= 8 and min(kept) == 1
+        assert sol.paths == want_paths
+        assert list(sol.paths) == list(want_paths)
+        x_class = state.link_flows(want_flows)
+        for ci, cls in enumerate(CLASSES):
+            assert sol.link_flows.class_flows[cls].tobytes() == x_class[ci].tobytes()

@@ -242,6 +242,28 @@ class TestWarmStart:
             assert_batch_matches_heap(indptr, heads, slots, cost, sources,
                                       batch=lambda *args: got)
 
+    def test_sources_and_cost_rows_are_compared_once_per_call(
+            self, monkeypatch):
+        # a solve's batches ask warm_chunks once each; record reuses it
+        compared, batches = [], []
+        warm_chunks = _kernels.WarmStart.warm_chunks
+        batch = _kernels.batch_dijkstra
+
+        def counted(warm, sources, cost_rows):
+            compared.append(len(batches))
+            return warm_chunks(warm, sources, cost_rows)
+
+        def counted_batch(*args, **kwargs):
+            batches.append(kwargs.get("warm"))
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels.WarmStart, "warm_chunks", counted)
+        monkeypatch.setattr(_kernels, "batch_dijkstra", counted_batch)
+        net, od = grid10x10()
+        sol = solve(net, split_demand(od, 0.5), FIXTURES["grid10x10"][1](), "pd")
+        assert sol.converged and all(w is not None for w in batches)
+        assert compared == list(range(1, len(batches) + 1))
+
     def test_trees_from_unrelated_costs(self, warm_calls):
         indptr, heads, slots, cost, rng = loaded_costs("grid10x10", 5)
         sources = list(range(0, indptr.shape[0] - 1, 3))
