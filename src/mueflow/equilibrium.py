@@ -512,8 +512,6 @@ class _PathState:
         """
         out = np.zeros(idx.size, dtype=bool)
         have = np.flatnonzero(idx >= 0)
-        if have.size == 0:
-            return out
         concat, lens, offsets, _, _ = self.flat()
         g = idx[have]
         n = lens[g]
@@ -1234,13 +1232,13 @@ def solve(network: Network, demand: ClassDemand, config: CostConfig,
         raise UnsupportedOperationError(
             "explicit capacity constraints need a path-based solver ('pd' or 'eg')"
         )
+    state = _PathState(prob, handoff)
     if float(prob.dem.sum()) == 0.0:
         trace = [{"iteration": 0, "rel_gap": 0.0, "objective": 0.0,
                   "note": "zero demand"}]
-        return _assemble(prob, _PathState(prob, handoff), np.zeros(0),
+        return _assemble(prob, state, np.zeros(0),
                          np.zeros(prob.constrained_idx.size), trace, True, 0,
                          method, 0.0, np.zeros(prob.dem.shape))
-    state = _PathState(prob, handoff)
     if method in ("fw", "bfw"):
         return _solve_fw(prob, state, method, warm_start)
     return _solve_path_based(prob, state, method, warm_start)
