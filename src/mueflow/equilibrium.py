@@ -16,19 +16,21 @@ Solvers
 ``pd``    path-based projected primal-dual gradient
 ``eg``    path-based extra-gradient (two projection sweeps per step)
 
-All four share the all-or-nothing machinery, keep an explicit path
-decomposition of their flows, and stop on the same relative Wardrop
-gap: the worst per-(class, OD) excess of mean used-path cost over the
-shortest-path cost.  pd and eg also need the squared norm of their last
-step (path flows and multipliers) below ``_EPS_GAP`` veh²/h²; that
-absolute test keeps them going long after the gap is met, and holds
-them to the iteration cap on ``mini_city``.
+All four run in one loop (:func:`_solve`); a method supplies only its
+step and its certificate.  Each keeps an explicit path decomposition of
+its flows and stops on the relative Wardrop gap, the worst per-(class,
+OD) excess of mean used-path cost over the shortest-path cost; fw and
+bfw check it once their link gap is met.  pd and eg also need the
+squared norm of their last step below ``_EPS_GAP`` veh²/h², an absolute
+test that keeps them going long after the gap is met (to the iteration
+cap on ``mini_city``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -80,8 +82,9 @@ class UnknownPairError(SolverError):
 class SolverOptions:
     """Settings of one solve; the defaults are the CLI's defaults.
 
-    fw and bfw read ``rel_gap_tol``, ``max_iters`` and ``init`` (the cold
-    start: ``"aon"`` or ``"uniform"``).  pd and eg also take
+    fw and bfw read ``rel_gap_tol``, ``max_iters`` (an integer: the most
+    steps a solve takes) and ``init`` (the cold start: ``"aon"`` or
+    ``"uniform"``).  pd and eg also take
     ``capacity_constraints`` ({link_id: cap}), pd's multiplier step
     ``dual_step``, and ``dual_bound``, above which a multiplier raises
     :class:`InfeasibleProblemError` (a warm-start multiplier above it
@@ -102,8 +105,9 @@ class SolverOptions:
         # `not x > 0` also rejects NaN, which every comparison fails
         if not self.rel_gap_tol > 0.0:
             raise ValueError("rel_gap_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        # a float cap is never met by the integer count of iterations
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer of at least 1")
         if not self.dual_step > 0.0:
             raise ValueError("dual_step must be positive")
         if not self.dual_bound > 0.0:
@@ -660,20 +664,25 @@ def _worst_gap(gaps: np.ndarray) -> float:
     return float(np.max(gaps, initial=0.0, where=gaps > 0.0))
 
 
-def _measure(prob: _Problem, state: _PathState, flows: np.ndarray,
-             costs: np.ndarray):
-    """Gap of per-path ``flows`` against the best paths under ``costs``.
+class _Measured(NamedTuple):
+    """What :func:`_measure` finds."""
 
-    Runs the all-or-nothing assignment, which may grow the path
-    universe.  Returns (all-or-nothing target, shortest costs sp,
-    ``flows`` grown to the universe, path costs, per-block gaps (see
-    :func:`_block_gaps`), worst block gap).
-    """
+    target: np.ndarray      # the all-or-nothing per-path target
+    sp: np.ndarray          # shortest costs (n_classes, n_od)
+    flows: np.ndarray       # the flows, grown to the universe
+    path_costs: np.ndarray
+    gaps: np.ndarray        # per-block gaps, see :func:`_block_gaps`
+    worst: float            # the worst block gap
+
+
+def _measure(prob: _Problem, state: _PathState, flows: np.ndarray,
+             costs: np.ndarray) -> _Measured:
+    """Measure ``flows``; the all-or-nothing step may grow the universe."""
     target, sp = _all_or_nothing(prob, state, costs)
     flows = state.grow(flows)
     path_costs = state.path_costs(costs)
     gaps = _block_gaps(prob, state, flows, path_costs, sp)
-    return target, sp, flows, path_costs, gaps, _worst_gap(gaps)
+    return _Measured(target, sp, flows, path_costs, gaps, _worst_gap(gaps))
 
 
 # -- shared assembly ------------------------------------------------------
@@ -924,6 +933,8 @@ def _conjugate_target(prob, x_class, y_class, s1, s2, theta_prev):
     fewer directions whenever denominators vanish or weights leave the
     simplex.
     """
+    if s1 is None:
+        return 1.0, 0.0, 0.0
     h = prob.gamma * prob.times_derivative(x_class.sum(axis=0))
 
     def hdot(a_agg, b_agg):
@@ -932,8 +943,6 @@ def _conjugate_target(prob, x_class, y_class, s1, s2, theta_prev):
     y_agg = y_class.sum(axis=0)
     x_agg = x_class.sum(axis=0)
     w = y_agg - x_agg
-    if s1 is None:
-        return 1.0, 0.0, 0.0
     u = s1[1].sum(axis=0) - x_agg
     whu = hdot(w, u)
     uhu = hdot(u, u)
@@ -964,80 +973,53 @@ def _conjugate_target(prob, x_class, y_class, s1, s2, theta_prev):
     return 1.0, 0.0, 0.0
 
 
-def _solve_fw(prob: _Problem, state: _PathState, method: str,
-              warm: EquilibriumSolution | None):
-    opts = prob.options
-    flows = _initial_flows(prob, state, warm)
-    x_class = state.link_flows(flows)
+class _FrankWolfeStep:
+    """``fw``/``bfw``: an exact line search towards a target.
 
-    s1 = s2 = None  # previous target points: (path vector, class link array)
-    theta_prev = None
-    trace: list = []
-    converged = False
-    iteration = 0
+    The target is the all-or-nothing assignment, under ``bfw`` mixed with
+    the last two targets (:func:`_conjugate_target`).  The certificate is
+    the link gap, then the worst block gap.  The class link flows move
+    by ``θ·d``; taking them anew from the path flows changes their bits.
+    """
 
-    # each pass prices and measures the current flows; the pass after
-    # the last step only measures, for the returned gap
-    while True:
-        costs = prob.class_costs(prob.times(x_class.sum(axis=0)))
-        y_vec, sp, flows, _, _, wardrop_gap = _measure(prob, state, flows, costs)
-        if iteration == opts.max_iters:
-            break
-        iteration += 1
-        y_class = state.link_flows(y_vec)
+    def __init__(self, prob: _Problem, state: _PathState, method: str):
+        self.prob, self.state = prob, state
+        self.conjugate = method == "bfw"
+        self.s1 = self.s2 = None  # last two targets: (path vector, class link array)
+        self.theta_prev = None
+        self.y_class = None  # class link flows of the all-or-nothing target
 
+    def certify(self, m: _Measured, costs, x_class, record):
+        self.y_class = self.state.link_flows(m.target)
         assigned = float(np.sum(costs * x_class))
-        best = float(np.sum(costs * y_class))
+        best = float(np.sum(costs * self.y_class))
         agg_gap = (assigned - best) / abs(best) if best else 0.0
+        return [("rel_gap", agg_gap), ("wardrop_gap", m.worst)], True
 
-        record = {
-            "iteration": iteration,
-            "rel_gap": float(agg_gap),
-            "objective": float(prob.beckmann(x_class)),
-        }
-        if agg_gap <= opts.rel_gap_tol:
-            record["wardrop_gap"] = float(wardrop_gap)
-            if wardrop_gap <= opts.rel_gap_tol:
-                trace.append(record)
-                converged = True
-                break
-
-        if method == "bfw":
-            b0, b1, b2 = _conjugate_target(
-                prob, x_class, y_class, s1, s2, theta_prev
-            )
-        else:
-            b0, b1, b2 = 1.0, 0.0, 0.0
-        target_vec = b0 * y_vec
+    def take(self, m: _Measured, lam, x_class, objective, record):
+        prob, state = self.prob, self.state
+        b0, b1, b2 = _conjugate_target(prob, x_class, self.y_class, self.s1,
+                                       self.s2, self.theta_prev)
+        target_vec = b0 * m.target
         if b1:
-            target_vec = target_vec + b1 * state.grow(s1[0])
+            target_vec = target_vec + b1 * state.grow(self.s1[0])
         if b2:
-            target_vec = target_vec + b2 * state.grow(s2[0])
+            target_vec = target_vec + b2 * state.grow(self.s2[0])
         target_class = state.link_flows(target_vec)
-
         d_class = target_class - x_class
         theta = _line_search(prob, x_class, d_class)
         if theta <= 0.0 and (b1 or b2):
-            # conjugate target failed to descend; retry with plain target
-            target_vec = y_vec
-            target_class = y_class
+            # the conjugate target does not descend; retry the plain one
+            target_vec, target_class = m.target, self.y_class
             d_class = target_class - x_class
             theta = _line_search(prob, x_class, d_class)
-            b0, b1, b2 = 1.0, 0.0, 0.0
-
-        flows = (1.0 - theta) * flows + theta * target_vec
-        x_class = x_class + theta * d_class
         record["step"] = theta
-        trace.append(record)
-
-        s2 = s1
-        s1 = (target_vec, target_class)
-        theta_prev = theta
-
-    return _assemble(
-        prob, state, flows, np.zeros(0), trace, converged, iteration, method,
-        wardrop_gap, sp,
-    )
+        if self.conjugate:
+            self.s1, self.s2 = (target_vec, target_class), self.s1
+        self.theta_prev = theta
+        x_class = x_class + theta * d_class
+        return ((1.0 - theta) * m.flows + theta * target_vec, lam, x_class,
+                prob.beckmann(x_class))
 
 
 # -- path-based solvers ----------------------------------------------------
@@ -1083,22 +1065,92 @@ def _effective_costs(prob: _Problem, t: np.ndarray, lam: np.ndarray) -> np.ndarr
     return prob.class_costs(t) + bump[None, :]
 
 
-def _dual_update(prob: _Problem, lam: np.ndarray, x_agg: np.ndarray,
-                 step: float) -> np.ndarray:
-    grad = x_agg[prob.constrained_idx] - prob.constrained_cap
-    return np.maximum(0.0, lam + step * grad)
+class _PathStep:
+    """``pd``/``eg``: a step on path flows and capacity multipliers.
+
+    ``pd`` takes a projected gradient step, halved until the merit does
+    not rise, then a multiplier step, and hands on its candidate's class
+    link flows and objective.  ``eg`` extrapolates, then corrects.  The
+    primal step comes from :func:`_lipschitz_estimate`.  The certificate
+    is the worst block gap, once the last step's squared norm is below
+    ``_EPS_GAP``.
+    """
+
+    def __init__(self, prob: _Problem, state: _PathState, method: str):
+        self.prob, self.state, self.method = prob, state, method
+        self.safety = 1.15 if method == "pd" else 1.35
+        # (l_f, l_a2), made again when the universe grows and every 8 steps
+        self.lip, self.lip_paths, self.lip_age = None, 0, 0
+        self.g_sq = math.inf  # squared norm of the last step
+
+    def certify(self, m: _Measured, costs, x_class, record):
+        record["g_sq"] = float(self.g_sq) if math.isfinite(self.g_sq) else None
+        return [("rel_gap", m.worst)], self.g_sq < _EPS_GAP
+
+    def take(self, m: _Measured, lam, x_class, objective, record):
+        prob, state, opts = self.prob, self.state, self.prob.options
+        flows, x_agg = m.flows, x_class.sum(axis=0)
+        if self.lip is None or state.n_paths != self.lip_paths or self.lip_age >= 8:
+            self.lip = _lipschitz_estimate(prob, state, x_agg, self.safety)
+            self.lip_paths, self.lip_age = state.n_paths, 0
+        self.lip_age += 1
+        l_f, l_a2 = self.lip
+
+        def excess(agg):  # each capped link's flow over its cap
+            return agg[prob.constrained_idx] - prob.constrained_cap
+
+        if self.method == "pd":
+            # the merit: the objective plus the multiplier terms
+            before = objective + float(np.dot(lam, excess(x_agg)))
+            step = 0.9 / (l_f + l_a2 / opts.dual_step + 1e-12)
+            for attempt in range(21):
+                new_flows = state.project(flows - step * m.path_costs)
+                x_class = state.link_flows(new_flows)
+                new_agg = x_class.sum(axis=0)
+                objective = prob.beckmann(x_class)
+                after = objective + float(np.dot(lam, excess(new_agg)))
+                if after <= before + 1e-12 * max(1.0, abs(before)):
+                    break
+                if attempt == 20:
+                    record["note"] = "step halving exhausted"
+                    break
+                step *= 0.5
+            new_lam = np.maximum(0.0, lam + opts.dual_step * excess(new_agg))
+        else:
+            step = 0.9 / (l_f + math.sqrt(l_a2) + 1e-12)
+            mid_flows = state.project(flows - step * m.path_costs)
+            mid_lam = np.maximum(0.0, lam + step * excess(x_agg))
+            mid_agg = state.link_flows(mid_flows).sum(axis=0)
+            mid_eff = _effective_costs(prob, prob.times(mid_agg), mid_lam)
+            new_flows = state.project(flows - step * state.path_costs(mid_eff))
+            new_lam = np.maximum(0.0, lam + step * excess(mid_agg))
+            x_class = state.link_flows(new_flows)
+            objective = prob.beckmann(x_class)
+        record["step"] = step
+        self.g_sq = float(np.sum((new_flows - flows) ** 2)) + float(
+            np.sum((new_lam - lam) ** 2))
+        if float(np.max(new_lam, initial=0.0)) > opts.dual_bound:
+            raise InfeasibleProblemError(
+                "capacity multipliers diverged; the caps are likely infeasible "
+                "for the given demand")
+        return new_flows, new_lam, x_class, objective
 
 
-def _check_duals(prob: _Problem, lam: np.ndarray):
-    if float(np.max(lam, initial=0.0)) > prob.options.dual_bound:
-        raise InfeasibleProblemError(
-            "capacity multipliers diverged; the caps are likely infeasible "
-            "for the given demand"
-        )
+# -- the solver loop --------------------------------------------------------
 
 
-def _solve_path_based(prob: _Problem, state: _PathState, method: str,
-                      warm: EquilibriumSolution | None):
+def _solve(prob: _Problem, state: _PathState, method: str,
+           warm: EquilibriumSolution | None) -> EquilibriumSolution:
+    """Run ``method`` from its start until it stops; assemble the solution.
+
+    Each pass prices the flows and multipliers, measures them and stops
+    at ``max_iters``.  The step's ``certify(m, costs, x_class, record)``
+    adds its trace fields and returns its residuals, (name, value) pairs
+    whose first is the trace's ``rel_gap``, and whether it lets the solve
+    stop.  The residuals are compared with ``rel_gap_tol`` and recorded
+    in order, up to the first one above it.  Unless all are met, ``take``
+    returns the next flows, multipliers, class link flows and objective.
+    """
     opts = prob.options
     flows = _initial_flows(prob, state, warm)
     # a capped link without a usable warm multiplier (none, negative,
@@ -1107,94 +1159,34 @@ def _solve_path_based(prob: _Problem, state: _PathState, method: str,
     lam = np.array([duals.get(prob.link_ids[li], 0.0)
                     for li in prob.constrained_idx.tolist()], dtype=float)
     lam[~(np.isfinite(lam) & (lam >= 0.0) & (lam <= opts.dual_bound))] = 0.0
-
-    trace: list = []
-    converged = False
-    g_sq = math.inf
-    iteration = 0
-    lip_safety = 1.15 if method == "pd" else 1.35
-    lip = None  # (l_f, l_a2), refreshed when the path universe grows
-    lip_paths = -1
-    lip_iter = 0
-    # class link flows of ``flows`` and their objective; pd carries its
-    # accepted candidate's into the next pass
-    x_class = None
-
-    # each pass prices and measures the current flows; the pass after
-    # the last step only measures, for the returned gap
+    step = (_FrankWolfeStep if method in ("fw", "bfw") else _PathStep)(
+        prob, state, method)
+    x_class = state.link_flows(flows)
+    objective = prob.beckmann(x_class)
+    trace, converged, iteration = [], False, 0
     while True:
-        if x_class is None:
-            x_class = state.link_flows(flows)
-            objective = prob.beckmann(x_class)
-        x_agg = x_class.sum(axis=0)
-        eff = _effective_costs(prob, prob.times(x_agg), lam)
-
-        # column generation: bring in each block's current best path
-        _, sp, flows, path_costs, _, wardrop_gap = _measure(
-            prob, state, flows, eff)
+        costs = _effective_costs(prob, prob.times(x_class.sum(axis=0)), lam)
+        m = _measure(prob, state, flows, costs)
         if iteration == opts.max_iters:
             break
         iteration += 1
-        record = {
-            "iteration": iteration,
-            "rel_gap": float(wardrop_gap),
-            "objective": float(objective),
-            "g_sq": float(g_sq) if math.isfinite(g_sq) else None,
-        }
-        if wardrop_gap <= opts.rel_gap_tol and g_sq < _EPS_GAP:
-            trace.append(record)
+        # the first residual takes the place of ``rel_gap``
+        record = {"iteration": iteration, "rel_gap": None,
+                  "objective": float(objective)}
+        residuals, met = step.certify(m, costs, x_class, record)
+        for name, value in residuals:
+            record[name] = float(value)
+            if not value <= opts.rel_gap_tol:
+                met = False
+                break
+        trace.append(record)
+        if met:
             converged = True
             break
-
-        if lip is None or state.n_paths != lip_paths or iteration - lip_iter >= 8:
-            lip = _lipschitz_estimate(prob, state, x_agg, lip_safety)
-            lip_paths = state.n_paths
-            lip_iter = iteration
-        l_f, l_a2 = lip
-
-        if method == "pd":
-            merit_before = objective + float(
-                np.dot(lam, x_agg[prob.constrained_idx] - prob.constrained_cap))
-            step = 0.9 / (l_f + l_a2 / opts.dual_step + 1e-12)
-            for attempt in range(21):
-                new_flows = state.project(flows - step * path_costs)
-                x_class = state.link_flows(new_flows)
-                new_agg = x_class.sum(axis=0)
-                objective = prob.beckmann(x_class)
-                merit_after = objective + float(
-                    np.dot(lam, new_agg[prob.constrained_idx] - prob.constrained_cap))
-                if merit_after <= merit_before + 1e-12 * max(1.0, abs(merit_before)):
-                    break
-                if attempt == 20:
-                    record["note"] = "step halving exhausted"
-                    break
-                step *= 0.5
-            new_lam = _dual_update(prob, lam, new_agg, opts.dual_step)
-            record["step"] = step
-        else:  # extra-gradient
-            step = 0.9 / (l_f + math.sqrt(l_a2) + 1e-12)
-            mid_flows = state.project(flows - step * path_costs)
-            mid_lam = _dual_update(prob, lam, x_agg, step)
-            mid_class = state.link_flows(mid_flows)
-            mid_agg = mid_class.sum(axis=0)
-            mid_eff = _effective_costs(prob, prob.times(mid_agg), mid_lam)
-            mid_costs = state.path_costs(mid_eff)
-            new_flows = state.project(flows - step * mid_costs)
-            new_lam = _dual_update(prob, lam, mid_agg, step)
-            record["step"] = step
-            x_class = None
-
-        g_sq = float(np.sum((new_flows - flows) ** 2)) + float(
-            np.sum((new_lam - lam) ** 2))
-        flows = new_flows
-        lam = new_lam
-        _check_duals(prob, lam)
-        trace.append(record)
-
-    return _assemble(
-        prob, state, flows, lam, trace, converged, iteration, method,
-        wardrop_gap, sp,
-    )
+        flows, lam, x_class, objective = step.take(m, lam, x_class, objective,
+                                                   record)
+    return _assemble(prob, state, m.flows, lam, trace, converged, iteration,
+                     method, m.worst, m.sp)
 
 
 # -- public entry points ----------------------------------------------------
@@ -1239,9 +1231,7 @@ def solve(network: Network, demand: ClassDemand, config: CostConfig,
         return _assemble(prob, state, np.zeros(0),
                          np.zeros(prob.constrained_idx.size), trace, True, 0,
                          method, 0.0, np.zeros(prob.dem.shape))
-    if method in ("fw", "bfw"):
-        return _solve_fw(prob, state, method, warm_start)
-    return _solve_path_based(prob, state, method, warm_start)
+    return _solve(prob, state, method, warm_start)
 
 
 def solve_fw(network: Network, demand: ClassDemand, config: CostConfig,

@@ -647,6 +647,11 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             SolverOptions(init="lucky")
         nan = float("nan")
+        # a float cap is never met by the integer iteration count
+        for bad in (2.5, 3.0, nan, "5", None):
+            with pytest.raises(ValueError, match="max_iters"):
+                SolverOptions(max_iters=bad)
+        assert SolverOptions(max_iters=np.int64(7)).max_iters == 7
         for field in ("rel_gap_tol", "dual_step"):
             with pytest.raises(ValueError, match=field):
                 SolverOptions(**{field: nan})
