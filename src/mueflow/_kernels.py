@@ -18,16 +18,18 @@ Who calls what:
   without padding (:func:`_in_arcs`, built once per graph): nodes in
   descending in-degree order, row ``r`` the ``r``-th in-arc of every
   node that has one, all rows in one flat array.  A round is one
-  gather, one add and a fold of the shorter rows into row 0.  Every
-  chunk relaxes in the buffers of one :class:`_Workspace`, made once
-  per :class:`WarmStart` (so once per solve or sweep: 2.2 MB on
-  ``mini_city``) or once per call without one, which keeps each chunk's temporaries
-  from being freed and faulted in again.  Chunks whose trees came back
-  unchanged start from them, their old tree paths costed level by level
+  gather, one add and a fold of the rows into a buffer the size of row
+  0, which leaves the last round's candidates for the predecessor rule
+  (:func:`_pred_rule`) to read.  Every chunk relaxes in the buffers of
+  one :class:`_Workspace`, made once per :class:`WarmStart` (so once
+  per solve or sweep: 2.2 MB on ``mini_city``) or once per call
+  without one, which keeps each chunk's temporaries from being freed
+  and faulted in again.  Chunks whose trees came back unchanged start
+  from them, their old tree paths costed level by level
   (:func:`_tree_levels`, :func:`_fold_levels`).  When that start is
   already the fixed point and its tree arcs are the only tight arcs,
-  the chunk keeps its old trees and skips the predecessor rule
-  (:func:`_pred_rule`); other chunks run the rule.  Chunks whose trees
+  the chunk keeps its old trees and skips the predecessor rule; other
+  chunks run the rule.  Chunks whose trees
   changed start from scratch, but with a :class:`WarmStart` they
   alternate a Gauss–Seidel :func:`_sweep` in the level order of the
   first trees of the series (:func:`_sweep_plan`) with one full
@@ -171,22 +173,30 @@ class _Buffers(NamedTuple):
 
     Each array is a view of the first ``size * k`` items of its buffer,
     shaped (size, k): per in-arc entry (entries), per position
-    (positions) or per entry of row 0 (row 0).
+    (positions) or per entry of row 0 (row 0).  A :func:`_round` leaves
+    every entry's tail value plus cost in ``cand`` and folds the rows
+    into ``low``, so after the round that lowers nothing the predecessor
+    rule (:func:`_pred_rule`) reads the candidates that round formed.
     """
 
     cost: np.ndarray    # entries: the chunk's entry costs
     cand: np.ndarray    # entries: tail value plus cost
     dist: np.ndarray    # positions: the chunk's distances
     lower: np.ndarray   # row 0, bool: where a round lowers dist
-    folds: list         # (prefix of row 0, row r) pairs of cand, r >= 1
-    via: np.ndarray     # entries, slab: the rule's tail values
+    folds: list         # (row 0 or low, row r, low) prefixes, r >= 1
+    single: tuple       # (row 0, low) at the nodes with one in-arc
+    best: np.ndarray    # row 0: each node's cheapest candidate
+    via: np.ndarray     # entries, slab: tail values
     at: np.ndarray      # entries, slab: head values
-    key: np.ndarray     # entries, slab: the rule's tail value if tight
+    term: np.ndarray    # entries, slab, int64: the rule's slot terms
     nodes: np.ndarray   # positions, slab: the gather back to node order
     tight: np.ndarray   # entries, bool
     flag: np.ndarray    # entries, bool
-    low: np.ndarray     # row 0: each node's smallest key
+    low: np.ndarray     # row 0: each node's smallest candidate
+    seen: np.ndarray    # row 0, bool view of low: a tight in-arc
+    several: np.ndarray  # row 0, bool view of low: two or more
     pred: np.ndarray    # positions, int64: tree arc slots
+    shift: np.ndarray   # entries, int64: tail minus entry, times k
 
 
 class _Workspace:
@@ -198,12 +208,17 @@ class _Workspace:
     one only when its chunks grow; a call without one makes its own,
     shared by its chunks.  A chunk-sized array on ``mini_city`` (366 KB)
     is above the allocator's mmap threshold: made per chunk, each would
-    be handed back to the system and faulted in again.  The slab's three rows serve the sweeps (plan
-    index, tails, steps) and the predecessor rule (tail values, head
-    values, key), which are never live at once.  ``views`` holds, per
-    chunk, its sweep plan as :func:`_sweep_views` slices it; the owner
-    drops them with the plans.  On ``mini_city`` (2408 entries, 676
-    positions, 19 sources) the buffers take 2.2 MB.
+    be handed back to the system and faulted in again.  Buffers serve
+    steps that are never live at once.  The slab's three rows hold the
+    sweeps' plan index, tails and steps, then the warm certificate's
+    head values, then the predecessor rule's tail values and slot terms,
+    and last the gather back to node order.  ``low`` holds a round's
+    fold, then the rule's per-node flags.  ``views`` holds, per chunk,
+    its sweep plan as :func:`_sweep_views` slices it; the owner drops
+    them with the plans.  :meth:`shaped` also keeps, per chunk width,
+    the shifts :func:`_fill_sweep` turns entries into tail indices with.
+    On ``mini_city`` (2408 entries, 676 positions, 19 sources) the
+    buffers take 2.2 MB.
     """
 
     def __init__(self, arcs, k):
@@ -223,21 +238,31 @@ class _Workspace:
     def shaped(self, k):
         """The buffers as (size, ``k``) views, for a chunk of ``k`` sources."""
         if k not in self._shaped:
-            m, n, n_in = (self.arcs.slot.size, self.arcs.pos.size,
-                          self.arcs.rows[0][1])
-            via, at, key = (row[:m * k].reshape(m, k) for row in self.slab)
+            arcs = self.arcs
+            m, n, n_in = arcs.slot.size, arcs.pos.size, arcs.rows[0][1]
+            via, at, term = (row[:m * k].reshape(m, k) for row in self.slab)
             cand = self.cand[:m * k].reshape(m, k)
+            low = self.low[:n_in * k].reshape(n_in, k)
+            seen, several = self.low.view(bool)[:2 * n_in * k].reshape(
+                2, n_in, k)
+            # the first fold reads row 0 and writes low; nodes with one
+            # in-arc (past the second row) copy theirs
+            folds, lead = [], cand
+            for lo, size in arcs.rows[1:]:
+                folds.append((lead[:size], cand[lo:lo + size], low[:size]))
+                lead = low
+            cut = arcs.rows[1][1] if folds else n_in
             self._shaped[k] = _Buffers(
                 self.cost[:m * k].reshape(m, k), cand,
                 self.dist[:n * k].reshape(n, k),
-                self.lower[:n_in * k].reshape(n_in, k),
-                [(cand[:size], cand[lo:lo + size])
-                 for lo, size in self.arcs.rows[1:]],
-                via, at, key, self.slab[0, :n * k].reshape(n, k),
+                self.lower[:n_in * k].reshape(n_in, k), folds,
+                (cand[cut:n_in], low[cut:n_in]), low if folds else cand[:n_in],
+                via, at, term.view(np.int64),
+                self.slab[0, :n * k].reshape(n, k),
                 self.tight[:m * k].reshape(m, k),
-                self.flag[:m * k].reshape(m, k),
-                self.low[:n_in * k].reshape(n_in, k),
-                self.pred[:n * k].reshape(n, k))
+                self.flag[:m * k].reshape(m, k), low, seen, several,
+                self.pred[:n * k].reshape(n, k),
+                (arcs.tail - np.arange(m)) * k)
         return self._shaped[k]
 
     def sweep_plan(self, c, plan):
@@ -248,7 +273,7 @@ class _Workspace:
 
 
 def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None,
-                 plan=None, work=None):
+                 plan=None, work=None, zero_steps=True):
     """Shortest paths from a few sources at once, position-major.
 
     ``entry_cost`` is the cost of each entry of ``arcs`` (its arc
@@ -263,7 +288,9 @@ def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None,
     round follows one :func:`_sweep` over the plan's levels.  Returns
     (dist, pred, ties): dist and pred shaped (positions, sources), both
     views of the workspace, and a per-source flag for trees whose
-    predecessors :func:`_pred_rule` cannot vouch for.
+    predecessors :func:`_pred_rule` cannot vouch for.  ``zero_steps``
+    False says that no arc can add zero to a distance, so the rule need
+    not look for such arcs (see :func:`batch_dijkstra`).
 
     ``tree_arcs`` is given with a warm ``start`` whose trees it counts
     (see :func:`batch_dijkstra`).  When the first round lowers nothing
@@ -285,7 +312,7 @@ def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None,
         dist[arcs.pos[sources], np.arange(k)] = 0.0
     if plan is not None:
         index, sweep = plan
-        _fill_sweep(index, arcs, buf, work)
+        _fill_sweep(index, buf, work)
     lowered, settled = True, False
     if tree_arcs is not None:
         lowered, settled = _round(arcs, buf, tree_arcs)
@@ -295,7 +322,7 @@ def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None,
         lowered, _ = _round(arcs, buf)
     if settled:
         return dist, None, None
-    return (dist, *_pred_rule(arcs, buf))
+    return (dist, *_pred_rule(arcs, buf, zero_steps))
 
 
 def _round(arcs, buf, tree_arcs=None):
@@ -303,12 +330,13 @@ def _round(arcs, buf, tree_arcs=None):
 
     Gathers every entry's tail value from the chunk's distances
     (``buf``, a chunk's :class:`_Buffers`) into its candidates, adds the
-    entry costs, folds rows 1.. into the prefix of row 0 with in-place
-    minimums and lowers the distances wherever row 0 is smaller: a round
-    allocates nothing.  Returns (lowered, settled).  With ``tree_arcs``
-    the round also counts, before its rows fold, the tight entries whose
-    head is finite; ``settled`` is True when it lowered nothing and that
-    count is ``tree_arcs`` (see :func:`batch_dijkstra`).
+    entry costs, folds rows 1.. with row 0 into ``buf.low`` with
+    minimums and lowers the distances wherever that minimum is smaller:
+    a round allocates nothing, and the candidates stay as formed.
+    Returns (lowered, settled).  With ``tree_arcs`` the round also
+    counts the tight entries whose head is finite; ``settled`` is True
+    when it lowered nothing and that count is ``tree_arcs`` (see
+    :func:`batch_dijkstra`).
     """
     dist, cand, lower = buf.dist, buf.cand, buf.lower
     # every index is in range, and "clip" spares take a buffered out;
@@ -321,9 +349,10 @@ def _round(arcs, buf, tree_arcs=None):
         tight = np.equal(cand, at, out=buf.tight)
         tight &= np.less(at, np.inf, out=buf.flag)
         settled = np.count_nonzero(tight) == tree_arcs
-    for lead, row in buf.folds:
-        np.minimum(lead, row, out=lead)
-    best, dist_in = cand[:lower.shape[0]], dist[:lower.shape[0]]
+    for lead, row, low in buf.folds:
+        np.minimum(lead, row, out=low)
+    np.copyto(buf.single[1], buf.single[0])
+    best, dist_in = buf.best, dist[:lower.shape[0]]
     np.less(best, dist_in, out=lower)
     if not lower.any():
         return False, settled
@@ -351,23 +380,23 @@ def _sweep_views(levels, work):
             for lo, hi, size, *folds in levels.tolist()]
 
 
-def _fill_sweep(index, arcs, buf, work):
+def _fill_sweep(index, buf, work):
     """Fill the workspace rows a chunk's :func:`_sweep_views` read.
 
     ``index`` is the chunk's plan index (see :func:`_sweep_plan`) and
-    ``buf`` its :class:`_Buffers`, with the chunk's entry costs.  Writes
-    the index as ``intp``, every in-arc's tail index into the chunk's
-    (positions, sources) array flattened, and every in-arc's cost.
+    ``buf`` its :class:`_Buffers`, with the chunk's entry costs and the
+    shifts of its width.  Writes the index as ``intp``, every in-arc's
+    tail index into the chunk's (positions, sources) array flattened,
+    and every in-arc's cost.
     """
-    m, k = buf.cost.shape
+    k = buf.cost.shape[1]
     at, tails, steps = (row[:index.size] for row in work.sweep_rows)
     np.copyto(at, index)
     # entry e of source j is e * k + j, its tail tail[e] * k + j;
     # the steps' row holds the entries until it takes the costs
     entry = np.floor_divide(at, k, out=steps.view(np.intp))
-    shift = (arcs.tail - np.arange(m)) * k
     # every index is in range, and "clip" spares take a buffered out
-    np.add(shift.take(entry, out=tails, mode="clip"), at, out=tails)
+    np.add(buf.shift.take(entry, out=tails, mode="clip"), at, out=tails)
     buf.cost.take(at, out=steps, mode="clip")
 
 
@@ -391,41 +420,68 @@ def _sweep(levels, dist):
         dist[at] = best
 
 
-def _pred_rule(arcs, buf):
+def _pred_rule(arcs, buf, zero_steps=True):
     """Tree arcs of a chunk's distances, in its :class:`_Buffers` ``buf``.
 
-    Uses the chunk's entry costs and overwrites its candidates and the
-    slab.  Each node takes, among its tight in-arcs (``d[tail] + c ==
-    d[head]``, finite), the one with the smallest ``d[tail]``, then the
-    lowest slot.  Returns (pred, ties): pred shaped (positions,
-    sources), -1 where no arc is tight, and per source whether a tight
-    arc adds zero, which leaves the rule unable to vouch for that tree
-    (see :func:`batch_dijkstra`).
+    Reads the candidates of the round that lowered nothing (see
+    :func:`_round`) and overwrites the rule's buffers.  Each node takes,
+    among its tight in-arcs (``d[tail] + c == d[head]``, finite), the
+    one with the smallest ``d[tail]``, then the lowest slot.  Entry
+    ``i`` of every row has head position ``i``, so row ``r`` is tight
+    where its candidates equal the first ``size_r`` distances.  Per
+    node the rows sum its tight arcs' slots plus one and mark whether
+    it has two or more: a node with one tight arc takes that sum less
+    one, a node with none -1, and only the nodes marked compare tail
+    values, in gathers of their own entries.  Returns
+    (pred, ties): pred shaped (positions, sources), a view of the
+    workspace, and per source whether a tight arc adds zero, which
+    leaves the rule unable to vouch for that tree (see
+    :func:`batch_dijkstra`).  With ``zero_steps`` False the caller has
+    shown that no arc can add zero, and no tie is sought.
     """
-    dist, cand, tight, flag, key, low, pred = (
-        buf.dist, buf.cand, buf.tight, buf.flag, buf.key, buf.low, buf.pred)
+    dist, cand, tight, flag, seen, several, pred = (
+        buf.dist, buf.cand, buf.tight, buf.flag, buf.seen, buf.several,
+        buf.pred)
+    k, n_in = dist.shape[1], seen.shape[0]
+    reach = np.less(dist[:n_in], np.inf, out=buf.lower)
+    slot = arcs.slot + 1
+    several.fill(False)
+    for r, (lo, size) in enumerate(arcs.rows):
+        row = tight[lo:lo + size]
+        np.equal(cand[lo:lo + size], dist[:size], out=row)
+        row &= reach[:size]
+        if r == 0:
+            np.copyto(seen, row)
+            np.multiply(row, slot[:size, None], out=pred[:size])
+            continue
+        again = np.logical_and(row, seen[:size], out=flag[lo:lo + size])
+        several[:size] |= again
+        seen[:size] |= row
+        term = np.multiply(row, slot[lo:lo + size, None],
+                           out=buf.term[lo:lo + size])
+        np.add(pred[:size], term, out=pred[:size])
+    pred[:n_in] -= 1
+    pred[n_in:] = -1
+    # several tight arcs: the smallest tail value, then the lowest row
+    pos, col = np.divmod(np.flatnonzero(several), k)
+    if pos.size:
+        key = np.full(pos.size, np.inf)
+        for lo, size in arcs.rows:
+            cut = np.searchsorted(pos, size)  # positions ascend
+            entry, j = lo + pos[:cut], col[:cut]
+            via = np.where(tight[entry, j], dist[arcs.tail[entry], j], np.inf)
+            better = np.flatnonzero(via < key[:cut])
+            key[better] = via[better]
+            pred[pos[better], col[better]] = arcs.slot[entry[better]]
+    if not zero_steps:
+        return pred, np.zeros(k, dtype=bool)
     # every index is in range, and "clip" spares take a buffered out
     via = np.take(dist, arcs.tail, axis=0, out=buf.via, mode="clip")
-    at = np.take(dist, arcs.head, axis=0, out=buf.at, mode="clip")
-    np.add(via, buf.cost, out=cand)
-    np.equal(cand, at, out=tight)
-    tight &= np.isfinite(at, out=flag)
-    np.equal(via, at, out=flag)
+    np.equal(via, cand, out=flag)
     flag &= tight
-    ties = flag.any(axis=0)
-    key.fill(np.inf)
-    np.copyto(key, via, where=tight)
-    np.copyto(low, key[:low.shape[0]])
-    for lo, size in arcs.rows[1:]:
-        np.minimum(low[:size], key[lo:lo + size], out=low[:size])
-    first = np.equal(key, np.take(low, arcs.head, axis=0, out=via,
-                                  mode="clip"), out=flag)
-    first &= tight
-    pred.fill(-1)
-    for lo, size in arcs.rows[::-1]:  # lowest row = lowest slot
-        np.copyto(pred[:size], arcs.slot[lo:lo + size, None],
-                  where=first[lo:lo + size])
-    return pred, ties
+    # a tie is rare even where costs allow one: any() over the whole
+    # chunk is far cheaper than any() per source
+    return pred, flag.any(axis=0) if flag.any() else np.zeros(k, dtype=bool)
 
 
 def _tree_parents(preds, arc_tail):
@@ -722,7 +778,15 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
     tight arc with the smallest (``d[tail]``, slot).  Trees that contain
     a tight arc of zero increase (zero-cost arcs, or a cost below the
     distance's rounding unit) can be popped in another order: those
-    sources are solved by :func:`dijkstra` instead.
+    sources are solved by :func:`dijkstra` instead.  The rule seeks such
+    arcs only where the batch's costs allow one.  A positive cost ``c``
+    vanishes in ``d + c`` only if ``c <= ulp(d) / 2 <= 2**-53 * d`` (a
+    subnormal ``d`` absorbs no positive cost), and a finite distance
+    sums at most ``n_nodes - 1`` costs of at most ``c_max`` each, so
+    ``d < 2 * n_nodes * c_max``.  So when the smallest cost is above
+    ``2**-50 * n_nodes * c_max`` (four times the product, room for the
+    rounding of the sums and of the bound), no arc adds zero.  A zero
+    or infinite cost fails the bound, and its batch takes the search.
 
     ``warm`` (a :class:`WarmStart`) lets a chunk of sources whose trees
     came back unchanged on the last call start from those trees: each
@@ -783,16 +847,19 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
     """
     cost = np.atleast_2d(cost)
     arc_cost = cost[:, links]
-    # NaN fails every comparison, so this also rejects NaN costs
-    if not np.all(arc_cost >= 0.0):
+    smallest = arc_cost.min(initial=np.inf)
+    # the minimum is NaN if any cost is, and NaN fails every comparison
+    if not smallest >= 0.0:
         raise ValueError("link costs must be nonnegative and not NaN")
+    n = indptr.shape[0] - 1
+    # may an arc add zero to a distance? (the bound is proved above)
+    zero_steps = not smallest > 2.0 ** -50 * n * arc_cost.max(initial=0.0)
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
     cost_rows = (np.zeros_like(sources) if cost_rows is None
                  else np.asarray(cost_rows, dtype=np.int64).reshape(-1))
     if cost_rows.size and not (
             0 <= cost_rows.min() <= cost_rows.max() < len(cost)):
         raise ValueError("cost rows must index the rows of cost")
-    n = indptr.shape[0] - 1
     dists = np.empty((sources.shape[0], n))
     preds = np.empty((sources.shape[0], n), dtype=np.int64)
     if warm is None:
@@ -826,7 +893,7 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
             if np.all((ends > flat[parent]) & (ends < np.inf)):
                 tree_arcs = target.size
         dist, pred, ties = _relax_chunk(arcs, buf.cost, chunk, start,
-                                        tree_arcs, plan, work)
+                                        tree_arcs, plan, work, zero_steps)
         # back from positions to nodes, then the transposing copy
         dists[lo:lo + step] = np.take(dist, arcs.pos, axis=0, out=buf.nodes,
                                       mode="clip").T

@@ -102,14 +102,15 @@ class SolverOptions:
     dual_bound: float = 1e8
 
     def __post_init__(self):
-        # `not x > 0` also rejects NaN, which every comparison fails
-        if not self.rel_gap_tol > 0.0:
-            raise ValueError("rel_gap_tol must be positive")
+        # a chained comparison also rejects NaN, which every comparison
+        # fails; an infinite tolerance would pass any gap as converged
+        if not 0.0 < self.rel_gap_tol < math.inf:
+            raise ValueError("rel_gap_tol must be positive and finite")
         # a float cap is never met by the integer count of iterations
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer of at least 1")
-        if not self.dual_step > 0.0:
-            raise ValueError("dual_step must be positive")
+        if not 0.0 < self.dual_step < math.inf:
+            raise ValueError("dual_step must be positive and finite")
         if not self.dual_bound > 0.0:
             raise ValueError("dual_bound must be positive")
         if self.init not in ("aon", "uniform"):

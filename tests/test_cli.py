@@ -198,15 +198,19 @@ class TestSolve:
         payload = last_json_line(capsys.readouterr())
         assert "csv, json" in payload["errors"][0]
 
-    def test_nan_rel_gap_rejected(self, case, tmp_path, capsys):
+    @pytest.mark.parametrize("gap", ["nan", "inf"])
+    def test_non_finite_rel_gap_rejected(self, case, tmp_path, capsys, gap):
+        # an infinite tolerance once passed a gap of 0.44 as converged
+        out = tmp_path / gap
         code = main(
             ["solve"] + base_args(case)
-            + ["--cost-config", str(case["cost"]), "--rel-gap", "nan",
-               "--out", str(tmp_path / "nan")]
+            + ["--cost-config", str(case["cost"]), "--rel-gap", gap,
+               "--out", str(out)]
         )
         assert code == EXIT_VALIDATION
         payload = last_json_line(capsys.readouterr())
         assert "rel_gap_tol" in payload["errors"][0]
+        assert not out.exists()
 
     def test_bundled_city_name_accepted(self, case, tmp_path, capsys):
         out = tmp_path / "sf"

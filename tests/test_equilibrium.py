@@ -653,8 +653,9 @@ class TestEdgeCases:
                 SolverOptions(max_iters=bad)
         assert SolverOptions(max_iters=np.int64(7)).max_iters == 7
         for field in ("rel_gap_tol", "dual_step"):
-            with pytest.raises(ValueError, match=field):
-                SolverOptions(**{field: nan})
+            for bad in (nan, float("inf")):
+                with pytest.raises(ValueError, match=field):
+                    SolverOptions(**{field: bad})
         for bad in (0.0, -1.0, nan):
             with pytest.raises(ValueError, match="dual_bound"):
                 SolverOptions(dual_bound=bad)

@@ -165,6 +165,121 @@ class TestBatchDijkstra:
         assert_batch_matches_heap(indptr, empty, empty, np.zeros(0), sources)
 
 
+def rule_reference(indptr, heads, links, cost, source):
+    """The documented predecessor rule, arc by arc, on the heap's distances.
+
+    Among the tight arcs into each node (``d[tail] + c == d[head]``,
+    finite) the one with the smallest ``d[tail]``, then the lowest slot;
+    ``tie`` says whether any tight arc adds zero.  Returns (pred, tie,
+    tight arcs per node).
+    """
+    dist, _ = _kernels.dijkstra(indptr, heads, links, cost, source)
+    tails = _kernels.arc_tails(indptr)
+    pred = np.full(dist.size, -1, dtype=np.int64)
+    tight = np.zeros(dist.size, dtype=np.int64)
+    tie = False
+    for slot, (u, v) in enumerate(zip(tails, heads)):
+        if dist[v] < np.inf and dist[u] + cost[links[slot]] == dist[v]:
+            tight[v] += 1
+            tie |= bool(dist[u] == dist[v])
+            if pred[v] < 0 or dist[u] < dist[tails[pred[v]]]:
+                pred[v] = slot
+    return pred, tie, tight
+
+
+def relaxed_rule(indptr, heads, links, cost, sources, zero_steps=True):
+    """(pred, ties) of one chunk of ``sources``, pred in node order."""
+    layout = _kernels._in_arcs(indptr, heads)
+    _, pred, ties = _kernels._relax_chunk(
+        layout, cost[links][layout.slot], np.array(list(sources)),
+        zero_steps=zero_steps)
+    return pred[layout.pos].T, ties
+
+
+@pytest.fixture
+def rule_results(monkeypatch):
+    """Per chunk the predecessor rule ran on: (zero_steps, ties)."""
+    got = []
+    pred_rule = _kernels._pred_rule
+
+    def kept(arcs, buf, zero_steps=True):
+        pred, ties = pred_rule(arcs, buf, zero_steps)
+        got.append((zero_steps, ties.tolist()))
+        return pred, ties
+
+    monkeypatch.setattr(_kernels, "_pred_rule", kept)
+    return got
+
+
+class TestPredRule:
+    """The predecessor rule against the rule it documents, arc by arc."""
+
+    def test_integer_costs_with_several_tight_arcs(self):
+        # costs 1 and 2 make many equal sums: nodes with two or more
+        # tight arcs, from tails at equal and at different distances
+        rng = np.random.default_rng(29)
+        several = np.zeros(8, dtype=np.int64)  # by the row of the 2nd arc
+        unreached = 0
+        for _ in range(30):
+            n = int(rng.integers(4, 25))
+            m = int(rng.integers(3 * n, 6 * n))
+            arcs = [(int(a), int(b), float(c)) for a, b, c in zip(
+                rng.integers(0, n, m), rng.integers(0, n, m),
+                rng.integers(1, 3, m))]
+            indptr, heads, links, cost = csr_from_arcs(n, arcs)
+            want = [rule_reference(indptr, heads, links, cost, s)
+                    for s in range(n)]
+            for zero_steps in (True, False):
+                pred, ties = relaxed_rule(indptr, heads, links, cost,
+                                          range(n), zero_steps)
+                assert pred.tolist() == [p.tolist() for p, _, _ in want]
+                assert not ties.any()
+            # no arc adds zero, so the heap's trees follow the rule
+            assert_batch_matches_heap(indptr, heads, links, cost, range(n))
+            heap = [_kernels.dijkstra(indptr, heads, links, cost, s)[1]
+                    for s in range(n)]
+            assert [p.tolist() for p in heap] == pred.tolist()
+            # the second tight arc of a node sits in in-arc row >= 1
+            indeg = np.bincount(heads, minlength=n)
+            for _, _, tight in want:
+                several[np.minimum(indeg[tight >= 2], several.size) - 1] += 1
+                unreached += int(np.count_nonzero(pred == -1))
+        assert np.all(several[1:4] > 10) and unreached > 100
+
+    def test_zero_and_absorbed_costs_take_the_exact_path(self, rule_results):
+        # 3 -> 1 costs nothing; 8 -> 9 costs 2**-51, which the distance
+        # 8 of node 8 absorbs (half its rounding unit is 2**-50)
+        zero = (5, [(0, 3, 1.0), (1, 4, 1.0), (3, 1, 0.0), (3, 4, 1.0)])
+        absorbed = (10, [(i, i + 1, 1.0) for i in range(8)]
+                    + [(8, 9, 2.0 ** -51), (7, 9, 1.0), (9, 2, 1.0)])
+        for n, arcs in (zero, absorbed):
+            indptr, heads, links, cost = csr_from_arcs(n, arcs)
+            want = [rule_reference(indptr, heads, links, cost, s)
+                    for s in range(n)]
+            ties = [tie for _, tie, _ in want]
+            assert any(ties) and not all(ties)
+            rule_results.clear()
+            assert_batch_matches_heap(indptr, heads, links, cost, range(n))
+            assert rule_results == [(True, ties)]
+            pred, got = relaxed_rule(indptr, heads, links, cost, range(n))
+            assert got.tolist() == ties
+            assert pred.tolist() == [p.tolist() for p, _, _ in want]
+
+    def test_the_cost_bound_that_skips_the_zero_step_search(
+            self, rule_results):
+        # four nodes and a largest cost of 1: a tie needs a cost of at
+        # most 2**-53 times a distance below 8, so costs above
+        # 2**-50 * 4 = 2**-48 prove that none exists
+        edge = 2.0 ** -48
+        for small, skipped in ((edge, False), (np.nextafter(edge, 1.0), True),
+                               (0.0, False), (np.inf, False)):
+            arcs = [(0, 1, 1.0), (1, 2, small), (2, 3, 1.0)]
+            indptr, heads, links, cost = csr_from_arcs(4, arcs)
+            rule_results.clear()
+            assert_batch_matches_heap(indptr, heads, links, cost, range(4))
+            assert [zero for zero, _ in rule_results] == [not skipped]
+
+
 def warm_state(indptr, heads):
     return _kernels.WarmStart(_kernels._in_arcs(indptr, heads))
 
