@@ -196,7 +196,6 @@ class _Buffers(NamedTuple):
     seen: np.ndarray    # row 0, bool view of low: a tight in-arc
     several: np.ndarray  # row 0, bool view of low: two or more
     pred: np.ndarray    # positions, int64: tree arc slots
-    shift: np.ndarray   # entries, int64: tail minus entry, times k
 
 
 class _Workspace:
@@ -215,8 +214,8 @@ class _Workspace:
     and last the gather back to node order.  ``low`` holds a round's
     fold, then the rule's per-node flags.  ``views`` holds, per chunk,
     its sweep plan as :func:`_sweep_views` slices it; the owner drops
-    them with the plans.  :meth:`shaped` also keeps, per chunk width,
-    the shifts :func:`_fill_sweep` turns entries into tail indices with.
+    them with the plans.  :meth:`shift` keeps, per chunk width, what
+    :func:`_fill_sweep` turns entries into tail indices with.
     On ``mini_city`` (2408 entries, 676 positions, 19 sources) the
     buffers take 2.2 MB.
     """
@@ -234,6 +233,7 @@ class _Workspace:
                            self.slab[1].view(np.intp), self.slab[2])
         self.views: dict[int, tuple] = {}
         self._shaped: dict[int, _Buffers] = {}
+        self._shifts: dict[int, np.ndarray] = {}
 
     def shaped(self, k):
         """The buffers as (size, ``k``) views, for a chunk of ``k`` sources."""
@@ -261,9 +261,18 @@ class _Workspace:
                 self.slab[0, :n * k].reshape(n, k),
                 self.tight[:m * k].reshape(m, k),
                 self.flag[:m * k].reshape(m, k), low, seen, several,
-                self.pred[:n * k].reshape(n, k),
-                (arcs.tail - np.arange(m)) * k)
+                self.pred[:n * k].reshape(n, k))
         return self._shaped[k]
+
+    def shift(self, k):
+        """Per entry, (its tail's position less its index) times ``k``.
+
+        Made once per chunk width, for :func:`_fill_sweep`.
+        """
+        if k not in self._shifts:
+            tail = self.arcs.tail
+            self._shifts[k] = (tail - np.arange(tail.size)) * k
+        return self._shifts[k]
 
     def sweep_plan(self, c, plan):
         """Chunk ``c``'s ``plan`` with its :func:`_sweep_views`, kept."""
@@ -384,10 +393,9 @@ def _fill_sweep(index, buf, work):
     """Fill the workspace rows a chunk's :func:`_sweep_views` read.
 
     ``index`` is the chunk's plan index (see :func:`_sweep_plan`) and
-    ``buf`` its :class:`_Buffers`, with the chunk's entry costs and the
-    shifts of its width.  Writes the index as ``intp``, every in-arc's
-    tail index into the chunk's (positions, sources) array flattened,
-    and every in-arc's cost.
+    ``buf`` its :class:`_Buffers`, with the chunk's entry costs.  Writes
+    the index as ``intp``, every in-arc's tail index into the chunk's
+    (positions, sources) array flattened, and every in-arc's cost.
     """
     k = buf.cost.shape[1]
     at, tails, steps = (row[:index.size] for row in work.sweep_rows)
@@ -396,7 +404,7 @@ def _fill_sweep(index, buf, work):
     # the steps' row holds the entries until it takes the costs
     entry = np.floor_divide(at, k, out=steps.view(np.intp))
     # every index is in range, and "clip" spares take a buffered out
-    np.add(buf.shift.take(entry, out=tails, mode="clip"), at, out=tails)
+    np.add(work.shift(k).take(entry, out=tails, mode="clip"), at, out=tails)
     buf.cost.take(at, out=steps, mode="clip")
 
 
