@@ -18,14 +18,14 @@ Who calls what:
   without padding (:func:`_in_arcs`, built once per graph): nodes in
   descending in-degree order, row ``r`` the ``r``-th in-arc of every
   node that has one, all rows in one flat array.  A round is one
-  gather, one add and a fold of the rows into a buffer the size of row
-  0, which leaves the last round's candidates for the predecessor rule
-  (:func:`_pred_rule`) to read.  Every chunk relaxes in the buffers of
-  one :class:`_Workspace`, made once per :class:`WarmStart` (so once
-  per solve or sweep: 2.2 MB on ``mini_city``) or once per call
-  without one, which keeps each chunk's temporaries from being freed
-  and faulted in again.  Chunks whose trees came back unchanged start
-  from them, their old tree paths costed level by level
+  gather, one add and a fold of the shorter rows into row 0; the
+  predecessor rule (:func:`_pred_rule`) reads the other rows of the
+  last round's candidates as they are.  Every chunk relaxes in the
+  buffers of one :class:`_Workspace`, made once per :class:`WarmStart`
+  (so once per solve or sweep: 2.2 MB on ``mini_city``) or once per
+  call without one, which keeps each chunk's temporaries from being
+  freed and faulted in again.  Chunks whose trees came back unchanged
+  start from them, their old tree paths costed level by level
   (:func:`_tree_levels`, :func:`_fold_levels`).  When that start is
   already the fixed point and its tree arcs are the only tight arcs,
   the chunk keeps its old trees and skips the predecessor rule; other
@@ -173,28 +173,22 @@ class _Buffers(NamedTuple):
 
     Each array is a view of the first ``size * k`` items of its buffer,
     shaped (size, k): per in-arc entry (entries), per position
-    (positions) or per entry of row 0 (row 0).  A :func:`_round` leaves
-    every entry's tail value plus cost in ``cand`` and folds the rows
-    into ``low``, so after the round that lowers nothing the predecessor
-    rule (:func:`_pred_rule`) reads the candidates that round formed.
+    (positions) or per entry of row 0 (row 0).
     """
 
     cost: np.ndarray    # entries: the chunk's entry costs
     cand: np.ndarray    # entries: tail value plus cost
     dist: np.ndarray    # positions: the chunk's distances
     lower: np.ndarray   # row 0, bool: where a round lowers dist
-    folds: list         # (row 0 or low, row r, low) prefixes, r >= 1
-    single: tuple       # (row 0, low) at the nodes with one in-arc
-    best: np.ndarray    # row 0: each node's cheapest candidate
+    folds: list         # (prefix of row 0, row r) pairs of cand, r >= 1
     via: np.ndarray     # entries, slab: tail values
     at: np.ndarray      # entries, slab: head values
     term: np.ndarray    # entries, slab, int64: the rule's slot terms
     nodes: np.ndarray   # positions, slab: the gather back to node order
     tight: np.ndarray   # entries, bool
     flag: np.ndarray    # entries, bool
-    low: np.ndarray     # row 0: each node's smallest candidate
-    seen: np.ndarray    # row 0, bool view of low: a tight in-arc
-    several: np.ndarray  # row 0, bool view of low: two or more
+    seen: np.ndarray    # row 0, bool: a tight in-arc
+    several: np.ndarray  # row 0, bool: two or more
     pred: np.ndarray    # positions, int64: tree arc slots
 
 
@@ -211,8 +205,7 @@ class _Workspace:
     steps that are never live at once.  The slab's three rows hold the
     sweeps' plan index, tails and steps, then the warm certificate's
     head values, then the predecessor rule's tail values and slot terms,
-    and last the gather back to node order.  ``low`` holds a round's
-    fold, then the rule's per-node flags.  ``views`` holds, per chunk,
+    and last the gather back to node order.  ``views`` holds, per chunk,
     its sweep plan as :func:`_sweep_views` slices it; the owner drops
     them with the plans.  :meth:`shift` keeps, per chunk width, what
     :func:`_fill_sweep` turns entries into tail indices with.
@@ -224,9 +217,10 @@ class _Workspace:
         m, n, n_in = arcs.slot.size, arcs.pos.size, arcs.rows[0][1]
         self.arcs, self.k = arcs, k
         self.cost, self.cand = np.empty((2, m * k))
-        self.dist, self.low = np.empty(n * k), np.empty(n_in * k)
+        self.dist = np.empty(n * k)
         self.pred = np.empty(n * k, dtype=np.int64)
         self.lower = np.empty(n_in * k, dtype=bool)
+        self.marks = np.empty((2, n_in * k), dtype=bool)
         self.tight, self.flag = np.empty((2, m * k), dtype=bool)
         self.slab = np.empty((3, max(m, n) * k))
         self.sweep_rows = (self.slab[0].view(np.intp),
@@ -242,25 +236,17 @@ class _Workspace:
             m, n, n_in = arcs.slot.size, arcs.pos.size, arcs.rows[0][1]
             via, at, term = (row[:m * k].reshape(m, k) for row in self.slab)
             cand = self.cand[:m * k].reshape(m, k)
-            low = self.low[:n_in * k].reshape(n_in, k)
-            seen, several = self.low.view(bool)[:2 * n_in * k].reshape(
-                2, n_in, k)
-            # the first fold reads row 0 and writes low; nodes with one
-            # in-arc (past the second row) copy theirs
-            folds, lead = [], cand
-            for lo, size in arcs.rows[1:]:
-                folds.append((lead[:size], cand[lo:lo + size], low[:size]))
-                lead = low
-            cut = arcs.rows[1][1] if folds else n_in
             self._shaped[k] = _Buffers(
                 self.cost[:m * k].reshape(m, k), cand,
                 self.dist[:n * k].reshape(n, k),
-                self.lower[:n_in * k].reshape(n_in, k), folds,
-                (cand[cut:n_in], low[cut:n_in]), low if folds else cand[:n_in],
+                self.lower[:n_in * k].reshape(n_in, k),
+                [(cand[:size], cand[lo:lo + size])
+                 for lo, size in arcs.rows[1:]],
                 via, at, term.view(np.int64),
                 self.slab[0, :n * k].reshape(n, k),
                 self.tight[:m * k].reshape(m, k),
-                self.flag[:m * k].reshape(m, k), low, seen, several,
+                self.flag[:m * k].reshape(m, k),
+                *(row[:n_in * k].reshape(n_in, k) for row in self.marks),
                 self.pred[:n * k].reshape(n, k))
         return self._shaped[k]
 
@@ -339,13 +325,12 @@ def _round(arcs, buf, tree_arcs=None):
 
     Gathers every entry's tail value from the chunk's distances
     (``buf``, a chunk's :class:`_Buffers`) into its candidates, adds the
-    entry costs, folds rows 1.. with row 0 into ``buf.low`` with
-    minimums and lowers the distances wherever that minimum is smaller:
-    a round allocates nothing, and the candidates stay as formed.
-    Returns (lowered, settled).  With ``tree_arcs`` the round also
-    counts the tight entries whose head is finite; ``settled`` is True
-    when it lowered nothing and that count is ``tree_arcs`` (see
-    :func:`batch_dijkstra`).
+    entry costs, folds rows 1.. into the prefix of row 0 with in-place
+    minimums and lowers the distances wherever row 0 is smaller: a round
+    allocates nothing.  Returns (lowered, settled).  With ``tree_arcs``
+    the round also counts, before its rows fold, the tight entries whose
+    head is finite; ``settled`` is True when it lowered nothing and that
+    count is ``tree_arcs`` (see :func:`batch_dijkstra`).
     """
     dist, cand, lower = buf.dist, buf.cand, buf.lower
     # every index is in range, and "clip" spares take a buffered out;
@@ -358,10 +343,9 @@ def _round(arcs, buf, tree_arcs=None):
         tight = np.equal(cand, at, out=buf.tight)
         tight &= np.less(at, np.inf, out=buf.flag)
         settled = np.count_nonzero(tight) == tree_arcs
-    for lead, row, low in buf.folds:
-        np.minimum(lead, row, out=low)
-    np.copyto(buf.single[1], buf.single[0])
-    best, dist_in = buf.best, dist[:lower.shape[0]]
+    for lead, row in buf.folds:
+        np.minimum(lead, row, out=lead)
+    best, dist_in = cand[:lower.shape[0]], dist[:lower.shape[0]]
     np.less(best, dist_in, out=lower)
     if not lower.any():
         return False, settled
@@ -432,17 +416,18 @@ def _pred_rule(arcs, buf, zero_steps=True):
     """Tree arcs of a chunk's distances, in its :class:`_Buffers` ``buf``.
 
     Reads the candidates of the round that lowered nothing (see
-    :func:`_round`) and overwrites the rule's buffers.  Each node takes,
-    among its tight in-arcs (``d[tail] + c == d[head]``, finite), the
-    one with the smallest ``d[tail]``, then the lowest slot.  Entry
-    ``i`` of every row has head position ``i``, so row ``r`` is tight
-    where its candidates equal the first ``size_r`` distances.  Per
-    node the rows sum its tight arcs' slots plus one and mark whether
-    it has two or more: a node with one tight arc takes that sum less
-    one, a node with none -1, and only the nodes marked compare tail
-    values, in gathers of their own entries.  Returns
-    (pred, ties): pred shaped (positions, sources), a view of the
-    workspace, and per source whether a tight arc adds zero, which
+    :func:`_round`), forms those of row 0 again where that round folded
+    the other rows into it, and overwrites the rule's buffers.  Each
+    node takes, among its tight in-arcs (``d[tail] + c == d[head]``,
+    finite), the one with the smallest ``d[tail]``, then the lowest
+    slot.  Entry ``i`` of every row has head position ``i``, so row
+    ``r`` is tight where its candidates equal the first ``size_r``
+    distances.  Per node the rows sum its tight arcs' slots plus one
+    and mark whether it has two or more: a node with one tight arc
+    takes that sum less one, a node with none -1, and only the nodes
+    marked compare tail values, in gathers of their own entries.
+    Returns (pred, ties): pred shaped (positions, sources), a view of
+    the workspace, and per source whether a tight arc adds zero, which
     leaves the rule unable to vouch for that tree (see
     :func:`batch_dijkstra`).  With ``zero_steps`` False the caller has
     shown that no arc can add zero, and no tie is sought.
@@ -451,6 +436,10 @@ def _pred_rule(arcs, buf, zero_steps=True):
         buf.dist, buf.cand, buf.tight, buf.flag, buf.seen, buf.several,
         buf.pred)
     k, n_in = dist.shape[1], seen.shape[0]
+    # only row 0 lost its candidates, to the round's folds; folding into
+    # a buffer of its own instead cost every round more than this
+    dist.take(arcs.tail[:n_in], axis=0, out=cand[:n_in], mode="clip")
+    cand[:n_in] += buf.cost[:n_in]
     reach = np.less(dist[:n_in], np.inf, out=buf.lower)
     slot = arcs.slot + 1
     several.fill(False)

@@ -1054,8 +1054,8 @@ def relaxed(monkeypatch):
 
 
 def workspace_buffers(work):
-    return [work.cost, work.cand, work.dist, work.low, work.pred, work.lower,
-            work.tight, work.flag, work.slab]
+    return [work.cost, work.cand, work.dist, work.marks, work.pred,
+            work.lower, work.tight, work.flag, work.slab]
 
 
 def assert_equals_cold_and_heap(got, indptr, heads, links, costs, sources,
