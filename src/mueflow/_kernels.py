@@ -29,12 +29,11 @@ Who calls what:
   (:func:`_tree_levels`, :func:`_fold_levels`).  When that start is
   already the fixed point and its tree arcs are the only tight arcs,
   the chunk keeps its old trees and skips the predecessor rule; other
-  chunks run the rule.  Chunks whose trees
-  changed start from scratch, but with a :class:`WarmStart` they
-  alternate a Gauss–Seidel :func:`_sweep` in the level order of the
-  first trees of the series (:func:`_sweep_plan`) with one full
-  :func:`_round`, which takes a few sweeps where plain rounds take one
-  per tree level.
+  chunks run the rule.  Chunks whose trees changed start from
+  scratch, but with a :class:`WarmStart` they alternate a Gauss–Seidel
+  :func:`_sweep` in the level order of the first trees of the series
+  (:func:`_sweep_plan`) with one full :func:`_round`, which takes a few
+  sweeps where plain rounds take one per tree level.
 * :func:`dijkstra` is the :mod:`heapq` reference for one source.  The
   batch kernel runs it for the trees its predecessor rule cannot settle;
   the tests hold the batch kernel to it bit for bit.
@@ -181,7 +180,7 @@ class _Buffers(NamedTuple):
     dist: np.ndarray    # positions: the chunk's distances
     lower: np.ndarray   # row 0, bool: where a round lowers dist
     folds: list         # (prefix of row 0, row r) pairs of cand, r >= 1
-    via: np.ndarray     # entries, slab: tail values
+    via: np.ndarray     # entries, slab: the rule's tail values
     at: np.ndarray      # entries, slab: head values
     term: np.ndarray    # entries, slab, int64: the rule's slot terms
     nodes: np.ndarray   # positions, slab: the gather back to node order
