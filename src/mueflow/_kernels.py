@@ -20,9 +20,10 @@ Who calls what:
   node that has one, all rows in one flat array.  A round is one
   gather, one add and a fold of the shorter rows into row 0; the
   predecessor rule (:func:`_pred_rule`) reads the other rows of the
-  last round's candidates as they are.  Every chunk relaxes in the
+  last round's candidates as they are and sums tight slots in the
+  narrowest integer type that holds them.  Every chunk relaxes in the
   buffers of one :class:`_Workspace`, made once per :class:`WarmStart`
-  (so once per solve or sweep: 2.2 MB on ``mini_city``) or once per
+  (so once per solve or sweep: 2.1 MB on ``mini_city``) or once per
   call without one, which keeps each chunk's temporaries from being
   freed and faulted in again.  Chunks whose trees came back unchanged
   start from them, their old tree paths costed level by level
@@ -33,15 +34,16 @@ Who calls what:
   scratch, but with a :class:`WarmStart` they alternate a Gauss–Seidel
   :func:`_sweep` in the level order of the first trees of the series
   (:func:`_sweep_plan`) with one full :func:`_round`, which takes a few
-  sweeps where plain rounds take one per tree level.
+  sweeps where plain rounds take one per tree level; a chunk that
+  needed more than two sweeps gets a plan from its new trees.
 * :func:`dijkstra` is the :mod:`heapq` reference for one source.  The
   batch kernel runs it for the trees its predecessor rule cannot settle;
   the tests hold the batch kernel to it bit for bit.
 * :func:`walk_paths` turns trees into link paths for the solvers and
   for ``network.shortest_path``, stepping each path up its own tree.
-  The warm start's :func:`_tree_levels` and the sweep plans step whole
-  trees up with :func:`_tree_parents`; both take arc tails from
-  :func:`arc_tails`.
+  The warm start's :func:`_tree_levels` and the sweep plans take whole
+  trees' depths from :func:`_tree_depths`, by pointer doubling in
+  position space; all three take arc tails from :func:`arc_tails`.
 * :func:`project_blocks` is the path-based solvers' simplex projection.
 """
 
@@ -172,7 +174,9 @@ class _Buffers(NamedTuple):
 
     Each array is a view of the first ``size * k`` items of its buffer,
     shaped (size, k): per in-arc entry (entries), per position
-    (positions) or per entry of row 0 (row 0).
+    (positions) or per entry of row 0 (row 0).  The predecessor rule's
+    slot sums are in the workspace's narrow signed type (see
+    :func:`_sum_type`).
     """
 
     cost: np.ndarray    # entries: the chunk's entry costs
@@ -182,13 +186,26 @@ class _Buffers(NamedTuple):
     folds: list         # (prefix of row 0, row r) pairs of cand, r >= 1
     via: np.ndarray     # entries, slab: the rule's tail values
     at: np.ndarray      # entries, slab: head values
-    term: np.ndarray    # entries, slab, int64: the rule's slot terms
-    nodes: np.ndarray   # positions, slab: the gather back to node order
+    term: np.ndarray    # entries, slab, narrow: the rule's slot terms
+    nodes: np.ndarray   # positions, slab: dist's gather back to node order
+    order: np.ndarray   # positions, slab, narrow: pred's gather
     tight: np.ndarray   # entries, bool
     flag: np.ndarray    # entries, bool
     seen: np.ndarray    # row 0, bool: a tight in-arc
     several: np.ndarray  # row 0, bool: two or more
-    pred: np.ndarray    # positions, int64: tree arc slots
+    pred: np.ndarray    # positions, narrow: tree arc slots
+    slots: np.ndarray   # (entries, 1), narrow: each entry's slot plus one
+
+
+def _sum_type(arcs):
+    """The narrowest signed integer type of the predecessor rule's sums.
+
+    Per node the rule sums one slot plus one per row of ``arcs``, so a
+    type that holds ``len(arcs.rows) * (n_arcs + 1)`` never wraps.
+    """
+    bound = len(arcs.rows) * (arcs.slot.size + 1)
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if bound <= np.iinfo(t).max)
 
 
 class _Workspace:
@@ -204,20 +221,26 @@ class _Workspace:
     steps that are never live at once.  The slab's three rows hold the
     sweeps' plan index, tails and steps, then the warm certificate's
     head values, then the predecessor rule's tail values and slot terms,
-    and last the gather back to node order.  ``views`` holds, per chunk,
-    its sweep plan as :func:`_sweep_views` slices it; the owner drops
-    them with the plans.  :meth:`shift` keeps, per chunk width, what
-    :func:`_fill_sweep` turns entries into tail indices with.
-    On ``mini_city`` (2408 entries, 676 positions, 19 sources) the
-    buffers take 2.2 MB.
+    and last the gathers back to node order.  Once a chunk's outputs are
+    copied out, :func:`_sweep_plan` builds plans in the slab, ``dist``
+    and ``cand``.  The rule's slot sums and the trees it makes are in
+    the narrow type of :func:`_sum_type` (``int16`` on ``mini_city``).
+    ``views`` holds, per chunk, its sweep plan as :func:`_sweep_views`
+    slices it; the owner drops them with the plans.  :meth:`tails`
+    keeps, per chunk width, the table :func:`_fill_sweep` turns plan
+    entries into tail indices with.  On ``mini_city`` (2408 entries, 676
+    positions, 19 sources) the buffers take 2.1 MB, and the table of 19
+    sources 91 KB.
     """
 
     def __init__(self, arcs, k):
         m, n, n_in = arcs.slot.size, arcs.pos.size, arcs.rows[0][1]
         self.arcs, self.k = arcs, k
+        narrow = _sum_type(arcs)
         self.cost, self.cand = np.empty((2, m * k))
         self.dist = np.empty(n * k)
-        self.pred = np.empty(n * k, dtype=np.int64)
+        self.pred = np.empty(n * k, dtype=narrow)
+        self.slots = (arcs.slot + 1).astype(narrow)[:, None]
         self.lower = np.empty(n_in * k, dtype=bool)
         self.marks = np.empty((2, n_in * k), dtype=bool)
         self.tight, self.flag = np.empty((2, m * k), dtype=bool)
@@ -226,12 +249,12 @@ class _Workspace:
                            self.slab[1].view(np.intp), self.slab[2])
         self.views: dict[int, tuple] = {}
         self._shaped: dict[int, _Buffers] = {}
-        self._shifts: dict[int, np.ndarray] = {}
+        self._tails: dict[int, np.ndarray] = {}
 
     def shaped(self, k):
         """The buffers as (size, ``k``) views, for a chunk of ``k`` sources."""
         if k not in self._shaped:
-            arcs = self.arcs
+            arcs, narrow = self.arcs, self.pred.dtype
             m, n, n_in = arcs.slot.size, arcs.pos.size, arcs.rows[0][1]
             via, at, term = (row[:m * k].reshape(m, k) for row in self.slab)
             cand = self.cand[:m * k].reshape(m, k)
@@ -241,23 +264,33 @@ class _Workspace:
                 self.lower[:n_in * k].reshape(n_in, k),
                 [(cand[:size], cand[lo:lo + size])
                  for lo, size in arcs.rows[1:]],
-                via, at, term.view(np.int64),
+                via, at,
+                self.slab[2].view(narrow)[:m * k].reshape(m, k),
                 self.slab[0, :n * k].reshape(n, k),
+                self.slab[0].view(narrow)[:n * k].reshape(n, k),
                 self.tight[:m * k].reshape(m, k),
                 self.flag[:m * k].reshape(m, k),
                 *(row[:n_in * k].reshape(n_in, k) for row in self.marks),
-                self.pred[:n * k].reshape(n, k))
+                self.pred[:n * k].reshape(n, k), self.slots)
         return self._shaped[k]
 
-    def shift(self, k):
-        """Per entry, (its tail's position less its index) times ``k``.
+    def tails(self, k):
+        """Per index ``entry * k + source``, its tail's ``tail * k + source``.
 
-        Made once per chunk width, for :func:`_fill_sweep`.
+        Made once per chunk width, for :func:`_fill_sweep`, in the
+        smallest unsigned type that holds ``n_nodes * k`` (``uint16`` on
+        ``mini_city``).  An ``intp`` table, which :func:`_fill_sweep`
+        would not have to widen, raised the peak RSS of three
+        ``mini_city`` solves in one process by 1.8 MB.
         """
-        if k not in self._shifts:
-            tail = self.arcs.tail
-            self._shifts[k] = (tail - np.arange(tail.size)) * k
-        return self._shifts[k]
+        if k not in self._tails:
+            arcs = self.arcs
+            table = np.empty((arcs.slot.size, k),
+                             np.min_scalar_type(arcs.pos.size * k - 1))
+            np.multiply(arcs.tail[:, None], k, out=table, casting="unsafe")
+            table += np.arange(k, dtype=table.dtype)
+            self._tails[k] = table.reshape(-1)
+        return self._tails[k]
 
     def sweep_plan(self, c, plan):
         """Chunk ``c``'s ``plan`` with its :func:`_sweep_views`, kept."""
@@ -280,9 +313,10 @@ def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None,
     :func:`_round` until a round lowers nothing.  With a ``plan`` (index
     and views from :meth:`_Workspace.sweep_plan`, for a cold start) each
     round follows one :func:`_sweep` over the plan's levels.  Returns
-    (dist, pred, ties): dist and pred shaped (positions, sources), both
-    views of the workspace, and a per-source flag for trees whose
-    predecessors :func:`_pred_rule` cannot vouch for.  ``zero_steps``
+    (dist, pred, ties, sweeps): dist and pred shaped (positions,
+    sources), both views of the workspace (pred in its narrow type), a
+    per-source flag for trees whose predecessors :func:`_pred_rule`
+    cannot vouch for, and the number of sweeps run.  ``zero_steps``
     False says that no arc can add zero to a distance, so the rule need
     not look for such arcs (see :func:`batch_dijkstra`).
 
@@ -307,16 +341,17 @@ def _relax_chunk(arcs, entry_cost, sources, start=None, tree_arcs=None,
     if plan is not None:
         index, sweep = plan
         _fill_sweep(index, buf, work)
-    lowered, settled = True, False
+    lowered, settled, sweeps = True, False, 0
     if tree_arcs is not None:
         lowered, settled = _round(arcs, buf, tree_arcs)
     while lowered:
         if plan is not None:
             _sweep(sweep, dist.reshape(-1))
+            sweeps += 1
         lowered, _ = _round(arcs, buf)
     if settled:
-        return dist, None, None
-    return (dist, *_pred_rule(arcs, buf, zero_steps))
+        return dist, None, None, sweeps
+    return (dist, *_pred_rule(arcs, buf, zero_steps), sweeps)
 
 
 def _round(arcs, buf, tree_arcs=None):
@@ -378,16 +413,16 @@ def _fill_sweep(index, buf, work):
     ``index`` is the chunk's plan index (see :func:`_sweep_plan`) and
     ``buf`` its :class:`_Buffers`, with the chunk's entry costs.  Writes
     the index as ``intp``, every in-arc's tail index into the chunk's
-    (positions, sources) array flattened, and every in-arc's cost.
+    (positions, sources) array flattened, one gather from the width's
+    table (:meth:`_Workspace.tails`), and every in-arc's cost.
     """
-    k = buf.cost.shape[1]
     at, tails, steps = (row[:index.size] for row in work.sweep_rows)
     np.copyto(at, index)
-    # entry e of source j is e * k + j, its tail tail[e] * k + j;
-    # the steps' row holds the entries until it takes the costs
-    entry = np.floor_divide(at, k, out=steps.view(np.intp))
-    # every index is in range, and "clip" spares take a buffered out
-    np.add(work.shift(k).take(entry, out=tails, mode="clip"), at, out=tails)
+    table = work.tails(buf.cost.shape[1])
+    # every index is in range, and "clip" spares take a buffered out; the
+    # narrow tails pass through the steps' row, which takes the costs after
+    np.copyto(tails, table.take(at, out=steps.view(table.dtype)[:at.size],
+                                mode="clip"))
     buf.cost.take(at, out=steps, mode="clip")
 
 
@@ -421,26 +456,26 @@ def _pred_rule(arcs, buf, zero_steps=True):
     finite), the one with the smallest ``d[tail]``, then the lowest
     slot.  Entry ``i`` of every row has head position ``i``, so row
     ``r`` is tight where its candidates equal the first ``size_r``
-    distances.  Per node the rows sum its tight arcs' slots plus one
-    and mark whether it has two or more: a node with one tight arc
-    takes that sum less one, a node with none -1, and only the nodes
-    marked compare tail values, in gathers of their own entries.
-    Returns (pred, ties): pred shaped (positions, sources), a view of
-    the workspace, and per source whether a tight arc adds zero, which
-    leaves the rule unable to vouch for that tree (see
-    :func:`batch_dijkstra`).  With ``zero_steps`` False the caller has
-    shown that no arc can add zero, and no tie is sought.
+    distances.  Per node the rows sum its tight arcs' slots plus one,
+    in the workspace's narrow type (:func:`_sum_type`), and mark
+    whether it has two or more: a node with one tight arc takes that
+    sum less one, a node with none -1, and only the nodes marked go
+    through :func:`_settle_ties`.  Returns (pred, ties): pred shaped
+    (positions, sources), a narrow view of the workspace, and per
+    source whether a tight arc adds zero, which leaves the rule unable
+    to vouch for that tree (see :func:`batch_dijkstra`).  With
+    ``zero_steps`` False the caller has shown that no arc can add zero,
+    and no tie is sought.
     """
-    dist, cand, tight, flag, seen, several, pred = (
+    dist, cand, tight, flag, seen, several, pred, slots = (
         buf.dist, buf.cand, buf.tight, buf.flag, buf.seen, buf.several,
-        buf.pred)
+        buf.pred, buf.slots)
     k, n_in = dist.shape[1], seen.shape[0]
     # only row 0 lost its candidates, to the round's folds; folding into
     # a buffer of its own instead cost every round more than this
     dist.take(arcs.tail[:n_in], axis=0, out=cand[:n_in], mode="clip")
     cand[:n_in] += buf.cost[:n_in]
     reach = np.less(dist[:n_in], np.inf, out=buf.lower)
-    slot = arcs.slot + 1
     several.fill(False)
     for r, (lo, size) in enumerate(arcs.rows):
         row = tight[lo:lo + size]
@@ -448,27 +483,18 @@ def _pred_rule(arcs, buf, zero_steps=True):
         row &= reach[:size]
         if r == 0:
             np.copyto(seen, row)
-            np.multiply(row, slot[:size, None], out=pred[:size])
+            np.multiply(row, slots[:size], out=pred[:size])
             continue
         again = np.logical_and(row, seen[:size], out=flag[lo:lo + size])
         several[:size] |= again
         seen[:size] |= row
-        term = np.multiply(row, slot[lo:lo + size, None],
-                           out=buf.term[lo:lo + size])
-        np.add(pred[:size], term, out=pred[:size])
+        pred[:size] += np.multiply(row, slots[lo:lo + size],
+                                   out=buf.term[lo:lo + size])
     pred[:n_in] -= 1
     pred[n_in:] = -1
-    # several tight arcs: the smallest tail value, then the lowest row
-    pos, col = np.divmod(np.flatnonzero(several), k)
-    if pos.size:
-        key = np.full(pos.size, np.inf)
-        for lo, size in arcs.rows:
-            cut = np.searchsorted(pos, size)  # positions ascend
-            entry, j = lo + pos[:cut], col[:cut]
-            via = np.where(tight[entry, j], dist[arcs.tail[entry], j], np.inf)
-            better = np.flatnonzero(via < key[:cut])
-            key[better] = via[better]
-            pred[pos[better], col[better]] = arcs.slot[entry[better]]
+    pairs = np.flatnonzero(several)
+    if pairs.size:
+        _settle_ties(arcs, buf, *np.divmod(pairs, k))
     if not zero_steps:
         return pred, np.zeros(k, dtype=bool)
     # every index is in range, and "clip" spares take a buffered out
@@ -480,64 +506,94 @@ def _pred_rule(arcs, buf, zero_steps=True):
     return pred, flag.any(axis=0) if flag.any() else np.zeros(k, dtype=bool)
 
 
-def _tree_parents(preds, arc_tail):
-    """One parent-pointer step over the trees ``preds``, flattened.
+def _settle_ties(arcs, buf, pos, col):
+    """The rule's pick at (position, source) pairs with several tight arcs.
+
+    One pass over a (pairs, rows) array of the pairs' in-arcs: the
+    tight one with the smallest tail value wins, then the lowest row
+    (``argmin`` returns the first minimum), which holds the lowest slot.
+    Writes the picks into ``buf.pred``.
+    """
+    k = buf.dist.shape[1]
+    lo, size = np.array(arcs.rows).T
+    entry = lo + pos[:, None]
+    # entries past a row's end are clipped into range and masked
+    tight = buf.tight.reshape(-1).take(entry * k + col[:, None], mode="clip")
+    tight &= pos[:, None] < size
+    tail = arcs.tail.take(entry, mode="clip") * k + col[:, None]
+    via = np.where(tight, buf.dist.reshape(-1).take(tail), np.inf)
+    pick = entry[np.arange(pos.size), via.argmin(axis=1)]
+    buf.pred[pos, col] = arcs.slot[pick]
+
+
+def _tree_depths(preds, arcs, tree, depth, jump, spare):
+    """Depth of every node of the trees ``preds``, in position space.
 
     ``preds`` (sources, n_nodes) are trees as the kernels return them.
-    Entry ``r * n_nodes + v`` maps to the entry of ``v``'s tree parent
-    in the same row (the tail of its tree arc); nodes off the tree map
-    to themselves.
+    The four other arrays are ``int64`` buffers of at least ``n_nodes *
+    sources`` items, each taken as a (positions, sources) array
+    flattened: ``tree`` gets each node's tree arc (-1 off the tree) and
+    ``depth`` its arcs from its root (0 at roots and off the tree).
+    ``jump`` starts at each node's tree parent (itself at roots and off
+    the tree) and is doubled against ``spare``: each step adds the
+    depth at the jump and jumps twice as far, until every jump reaches
+    a root.  Returns (tree, depth), views of the first two buffers.
     """
     k, n = preds.shape
-    entry = np.arange(k * n).reshape(k, n)
-    # only tree arcs index arc_tail, which a graph without arcs leaves empty
-    row, node = np.nonzero(preds >= 0)
-    entry[row, node] += arc_tail[preds[row, node]] - node
-    return entry.ravel()
-
-
-def _tree_depths(preds, arc_tail):
-    """Depth of every node in the trees ``preds``, flattened.
-
-    ``preds`` (sources, n_nodes) are trees as the kernels return them.
-    A node's depth counts the arcs from its root, by pointer doubling
-    over :func:`_tree_parents`; roots and nodes off the tree are at 0.
-    """
-    jump = _tree_parents(preds, arc_tail)
-    depth = (preds >= 0).ravel().astype(np.int64)
+    tree, depth, jump, spare = (a[:n * k] for a in (tree, depth, jump, spare))
+    node = np.empty_like(arcs.pos)
+    node[arcs.pos] = np.arange(n)
+    # the transposing copy first: a take from the transposed trees
+    # would copy them, and its output, into temporaries
+    np.copyto(spare.reshape(n, k), preds.T)
+    np.take(spare.reshape(n, k), node, axis=0, out=tree.reshape(n, k),
+            mode="clip")
+    parent = jump.reshape(n, k)
+    # a graph without arcs has no tail to clip to, and no tree arc
+    if arcs.slot.size:
+        np.take(arcs.pos[arcs.arc_tail], tree.reshape(n, k), out=parent,
+                mode="clip")
+    np.copyto(parent, np.arange(n)[:, None], where=tree.reshape(n, k) < 0)
+    parent *= k
+    parent += np.arange(k)
+    np.greater_equal(tree, 0, out=depth)
     while True:  # depth[e]: arcs from e up to jump[e]
-        above = depth[jump]
+        above = np.take(depth, jump, out=spare, mode="clip")
         if not above.any():
-            break
+            return tree, depth
         depth += above
-        jump = jump[jump]
-    return depth
+        jump, spare = np.take(jump, jump, out=spare, mode="clip"), jump
 
 
-def _tree_levels(preds, arcs, cost_rows):
+def _tree_levels(preds, arcs, cost_rows, work):
     """The trees ``preds`` of one chunk, sorted level by level.
 
     ``preds`` (sources, n_nodes) are trees as the kernels return them,
     and ``cost_rows`` the cost row of each tree (see
-    :func:`batch_dijkstra`).  One stable sort by
-    :func:`_tree_depths` orders the entries.  Returns (target, parent,
-    arc, bounds): per entry, its index and its tree parent's index in
-    a (positions, sources) array flattened, and its tree arc's index in
-    the (cost rows, arc slots) costs flattened; level ``d`` is entries
-    ``bounds[d - 1]:bounds[d]``.
+    :func:`batch_dijkstra`).  One stable sort by :func:`_tree_depths`
+    orders the entries, by (position, source) within a level.  Returns
+    (target, parent, arc, bounds): per entry, its index and its tree
+    parent's index in a (positions, sources) array flattened, and its
+    tree arc's index in the (cost rows, arc slots) costs flattened;
+    level ``d`` is entries ``bounds[d - 1]:bounds[d]``.  The depths are
+    made in the slab and ``dist`` of ``work``, the chunk's
+    :class:`_Workspace`, before the chunk uses them.
     """
     k, n = preds.shape
-    depth = _tree_depths(preds, arcs.arc_tail)
-    entries = np.flatnonzero(preds >= 0)
-    entries = entries[np.argsort(depth[entries], kind="stable")]
-    bounds = np.cumsum(np.bincount(depth[entries])).tolist()
-    row, v = np.divmod(entries, n)
-    slot = preds.ravel()[entries]
-    return (arcs.pos[v] * k + row, arcs.pos[arcs.arc_tail[slot]] * k + row,
+    tree, jump, spare = (row.view(np.int64) for row in work.slab)
+    tree, depth = _tree_depths(preds, arcs, tree, work.dist.view(np.int64),
+                               jump, spare)
+    target = np.flatnonzero(depth)
+    # a stable sort of narrow keys is a radix sort, several times faster
+    level = depth[target].astype(np.min_scalar_type(depth.max(initial=0)))
+    target = target[np.argsort(level, kind="stable")]
+    bounds = np.cumsum(np.bincount(depth[target])).tolist()
+    slot, row = tree[target], target % k
+    return (target, arcs.pos[arcs.arc_tail[slot]] * k + row,
             cost_rows[row] * arcs.slot.size + slot, bounds)
 
 
-def _sweep_plan(preds, arcs):
+def _sweep_plan(preds, arcs, work, into=None):
     """The level order of one chunk's trees ``preds``, for :func:`_sweep`.
 
     ``preds`` (sources, n_nodes) are trees as the kernels return them.
@@ -555,47 +611,66 @@ def _sweep_plan(preds, arcs):
     ``hi`` and ``size`` (its in-arcs are ``index[lo:hi]``, its ``size``
     nodes the first of them), then ``start`` and ``length`` of each rank
     from rank 1 on, 0 long past the level's last rank.
+
+    Row ``r``'s block of flat indices, ``(lo_r + position) * k +
+    source``, is ``lo_r * k`` plus the index of its head's (position,
+    source) pair, one of the first ``size_r * k``.  So one sort of a
+    key per flat index, its head's (level, rank) in the high bits and
+    the index itself in the low bits, lists the plan in order.  The
+    depths, keys and sort use the buffers of ``work``, a
+    :class:`_Workspace` for ``k`` sources or more, so only the index and
+    ``levels`` are new; the index is written into ``into`` when its
+    size fits.
     """
     k, n = preds.shape
-    node = np.empty_like(arcs.pos)
-    node[arcs.pos] = np.arange(n)
-    depth = _tree_depths(preds, arcs.arc_tail).reshape(k, n)[:, node]
-    # a stable sort of the depths, position-major, lists the nodes by
-    # (level, position, source) as their indices; level 0 is left out
-    depth = depth.T.ravel().astype(np.min_scalar_type(n))
-    per_level = np.bincount(depth)
-    target = np.argsort(depth, kind="stable")[per_level[0]:]
-    level = depth[target] - 1
-    per_level = per_level[1:]
-    # a node has an r-th in-arc when its position is below row r's
-    # length, so within a level those nodes come first
-    counts = np.array([np.bincount(level[target < size * k],
-                                   minlength=per_level.size)
-                       for _, size in arcs.rows]).T
+    m, ranks = arcs.slot.size, len(arcs.rows)
+    tree, jump, spare = (row.view(np.int64) for row in work.slab)
+    _, depth = _tree_depths(preds, arcs, tree, work.dist.view(np.int64),
+                            jump, spare)
+    levels = int(depth.max(initial=0))
+    bits = max(m * k - 1, 0).bit_length()
+    key_type = np.int32 if (levels + 1) * ranks << bits < 2 ** 31 else np.int64
+    # per (position, source) index t: its level less one times the
+    # ranks, shifted, plus t; depth 0 (no tree arc) sorts after them all
+    head = np.subtract(depth, 1, out=jump[:n * k]).reshape(n, k)
+    head[head < 0] = levels
+    head *= ranks
+    head <<= bits
+    head += (np.arange(n) * k)[:, None]
+    head += np.arange(k)
+    head = head.reshape(-1)
+    key = work.cand.view(key_type)[:m * k]
+    for r, (lo, size) in enumerate(arcs.rows):
+        np.add(head[:size * k], (r << bits) + lo * k,
+               out=key[lo * k:(lo + size) * k])
+    key.sort()
+    # each (level, rank)'s first key: the ranks of a level are in order
+    starts = np.searchsorted(
+        key, np.arange(levels * ranks + 1, dtype=key_type) << bits)
+    counts = np.diff(starts).reshape(levels, ranks)
+    index_type = np.min_scalar_type(m * k - 1)
+    index = (into if into is not None and into.size == starts[-1]
+             else np.empty(starts[-1], index_type))
+    np.bitwise_and(key[:index.size], (1 << bits) - 1, out=index,
+                   casting="unsafe")
     ends = np.cumsum(counts, axis=1)
     lo = np.cumsum(ends[:, -1]) - ends[:, -1]  # each level's first in-arc
-    # node i's r-th in-arc goes to i plus a shift per (level, rank)
-    shift = (lo - np.cumsum(per_level) + per_level)[:, None] + ends - counts
-    index = np.empty(ends[:, -1].sum(),
-                     np.min_scalar_type(arcs.slot.size * k - 1))
-    for r, (start, size) in enumerate(arcs.rows):
-        at = np.flatnonzero(target < size * k)
-        index[shift[level[at], r] + at] = start * k + target[at]
     folds = np.stack([lo[:, None] + ends[:, :-1], counts[:, 1:]], axis=2)
     return index, np.column_stack([lo, lo + ends[:, -1], counts[:, 0],
                                    folds.reshape(lo.size, 2 * folds.shape[1])])
 
 
-def _sweep_plans(preds, arcs):
+def _sweep_plans(preds, arcs, work):
     """The :func:`_sweep_plan` of every chunk of the trees ``preds``.
 
-    All chunks' indices live in one array: small arrays of one chunk
-    each, made between the batch's temporaries, scattered through the
-    heap and raised the peak RSS of a ``mini_city`` solve by twice
-    their size.
+    ``work`` is the :class:`_Workspace` the plans are built in.  All
+    chunks' indices live in one array: small arrays of one chunk each,
+    made between the batch's temporaries, scattered through the heap
+    and raised the peak RSS of a ``mini_city`` solve by twice their
+    size.
     """
     step = _chunk_size(arcs)
-    plans = [_sweep_plan(preds[lo:lo + step], arcs)
+    plans = [_sweep_plan(preds[lo:lo + step], arcs, work)
              for lo in range(0, preds.shape[0], step)]
     if not plans:
         return []
@@ -687,19 +762,22 @@ class WarmStart:
     trees sorted level by level (:func:`_tree_levels`), kept until they
     change.  ``plans`` holds, per chunk, the sweep plan of the first
     trees the series returned (:func:`_sweep_plans`), for the chunks
-    that start cold on later calls; they stay until the sources or cost
-    rows change, however stale they grow (see :func:`batch_dijkstra`).
-    On ``mini_city`` the plans of the 188 trees a ``bfw`` iteration asks
-    for take 0.9 MB.  A call with other sources or other cost rows (a
-    class that joins or leaves the batch) starts cold, and the trees it
-    returns make new plans.  ``work`` is the series' :class:`_Workspace`:
-    every call relaxes its chunks in the same buffers (2.2 MB on
-    ``mini_city``), made on the first call and again only when the
-    chunks grow, and it keeps each chunk's sweep views until the plans
-    change.  ``repeated`` is True when every chunk came back unchanged,
-    so a caller can reuse whatever it derived from the last trees.  A
-    call that raises on a negative or NaN cost leaves the state as it
-    was.
+    that start cold on later calls.  A chunk whose relaxation needed
+    more than two sweeps has its plan rebuilt from the trees it just
+    returned (:meth:`replan`), unless it was rebuilt on the call before:
+    a plan one call old that is already that stale shows costs that
+    move too far for any plan to keep up (``replanned`` lists this
+    call's rebuilds, ``recent`` the last call's).  On ``mini_city`` the
+    plans of the 188 trees a ``bfw`` iteration asks for take 0.9 MB.
+    A call with other sources or other cost rows (a class that joins or
+    leaves the batch) starts cold, and the trees it returns make new
+    plans.  ``work`` is the series' :class:`_Workspace`: every call
+    relaxes its chunks in the same buffers (2.1 MB on ``mini_city``),
+    made on the first call and again only when the chunks grow, and it
+    keeps each chunk's sweep views until its plan changes.
+    ``repeated`` is True when every chunk came back unchanged, so a
+    caller can reuse whatever it derived from the last trees.  A call
+    that raises on a negative or NaN cost leaves the state as it was.
     """
 
     def __init__(self, arcs):
@@ -708,6 +786,8 @@ class WarmStart:
         self.same: list[bool] = []
         self.levels: dict[int, tuple] = {}
         self.plans: list[tuple] = []
+        self.replanned: set[int] = set()
+        self.recent: set[int] = set()
         self.work: _Workspace | None = None
         self.repeated = False
 
@@ -739,13 +819,29 @@ class WarmStart:
             for c, lo in enumerate(range(0, len(sources), step))
         ]
         self.levels = {c: lv for c, lv in self.levels.items() if self.same[c]}
+        self.replanned, self.recent = set(), self.replanned
         if last is None:
-            self.plans = _sweep_plans(preds, self.arcs)
+            self.plans = _sweep_plans(preds, self.arcs, self.work)
             self.work.views.clear()
+            self.recent = set()
         self.repeated = last is not None and all(self.same)
         self.sources = np.array(sources, dtype=np.int64)
         self.cost_rows = np.array(cost_rows, dtype=np.int64)
         self.preds = preds
+
+    def replan(self, c, preds):
+        """Chunk ``c``'s plan again, from the trees ``preds`` it just returned.
+
+        Built in the workspace, whose buffers are free once the chunk's
+        outputs are copied out; the index goes into the old one's place
+        in the plans' array while its size is the same.  The chunk's
+        views are sliced again at once.
+        """
+        self.work.views.pop(c, None)
+        self.plans[c] = _sweep_plan(preds, self.arcs, self.work,
+                                    self.plans[c][0])
+        self.work.sweep_plan(c, self.plans[c])
+        self.replanned.add(c)
 
 
 def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
@@ -808,12 +904,14 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
     before.
 
     With ``warm``, a chunk that starts cold also sweeps.  Its plan
-    (:func:`_sweep_plan`, made from the first trees the series returned)
-    lists the nodes that had a tree arc level by level, each with all
-    its in-arcs.  A :func:`_sweep` sets each of them to its cheapest
-    in-arc sum ``d[u] + c``, reading what the levels above it just
-    wrote; after each sweep one full :func:`_round` runs, and the chunk
-    stops at the first round that lowers nothing.  This too ends on
+    (:func:`_sweep_plan`, made from the first trees the series returned,
+    or from the chunk's own trees once they needed more than two sweeps:
+    see :class:`WarmStart`) lists the nodes that had a tree arc level
+    by level, each with all its in-arcs.  A :func:`_sweep` sets each of
+    them to its cheapest in-arc sum ``d[u] + c``, reading what the
+    levels above it just wrote; after each sweep one full
+    :func:`_round` runs, and the chunk stops at the first round that
+    lowers nothing.  This too ends on
     ``D`` bit for bit.  Every value is still ``inf``, 0 at a source, or
     a left-to-right walk sum extended by one arc, so none drops below
     ``D``; and the loop ends only on a full round that lowers nothing,
@@ -880,7 +978,7 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
         elif warm_chunks is not None:
             if c not in warm.levels:
                 warm.levels[c] = _tree_levels(warm.preds[lo:lo + step], arcs,
-                                              rows)
+                                              rows, work)
             target, parent = warm.levels[c][:2]
             start = _fold_levels(warm.levels[c], arcs, arc_cost.reshape(-1),
                                  chunk, buf)
@@ -888,8 +986,8 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
             ends = flat[target]
             if np.all((ends > flat[parent]) & (ends < np.inf)):
                 tree_arcs = target.size
-        dist, pred, ties = _relax_chunk(arcs, buf.cost, chunk, start,
-                                        tree_arcs, plan, work, zero_steps)
+        dist, pred, ties, sweeps = _relax_chunk(
+            arcs, buf.cost, chunk, start, tree_arcs, plan, work, zero_steps)
         # back from positions to nodes, then the transposing copy
         dists[lo:lo + step] = np.take(dist, arcs.pos, axis=0, out=buf.nodes,
                                       mode="clip").T
@@ -897,11 +995,14 @@ def batch_dijkstra(indptr, heads, links, cost, sources, warm=None,
             preds[lo:lo + step] = warm.preds[lo:lo + step]
             kept.append(c)
             continue
+        # the transposing copy widens the narrow slots
         preds[lo:lo + step] = np.take(pred, arcs.pos, axis=0, mode="clip",
-                                      out=buf.nodes.view(np.int64)).T
+                                      out=buf.order).T
         for j in np.flatnonzero(ties):
             dists[lo + j], preds[lo + j] = dijkstra(
                 indptr, heads, links, cost[rows[j]], chunk[j])
+        if sweeps > 2 and c not in warm.recent:
+            warm.replan(c, preds[lo:lo + step])
     if warm is not None:
         warm.record(sources, cost_rows, preds, warm_chunks, kept)
     return dists, preds

@@ -393,6 +393,22 @@ def centroid_node_id(zone_id: str) -> str:
     return f"centroid:{zone_id}"
 
 
+def _distances_km(network: Network, point, xs, ys) -> np.ndarray:
+    """:meth:`Network.distance_km` from ``point`` to each (xs, ys), in numpy.
+
+    The same formula, but numpy's ``hypot`` and ``cos`` may round
+    differently from :mod:`math`'s: each value is within a few rounding
+    units of the scalar one, not equal to it.
+    """
+    x, y = point
+    if network.coord_system == "km":
+        return np.hypot(xs - x, ys - y)
+    mean_lat = np.radians(0.5 * (y + ys))
+    dx = np.radians(xs - x) * np.cos(mean_lat) * EARTH_RADIUS_KM
+    dy = np.radians(ys - y) * EARTH_RADIUS_KM
+    return np.hypot(dx, dy)
+
+
 def generate_connectors(network: Network) -> Network:
     """Attach every zone to the graph through a centroid + connector pair.
 
@@ -403,21 +419,28 @@ def generate_connectors(network: Network) -> Network:
     Zero distances are clamped to 1e-6 km so free-flow times stay
     positive.  Idempotent: zones that already have a centroid are left
     alone.  Returns the network for chaining.
+
+    One numpy row of distances per zone (:func:`_distances_km`) keeps
+    the nodes within a relative ``1e-9`` of its minimum, far wider than
+    the row's rounding; only those are measured again with the exact
+    :meth:`Network.distance_km` and compared by (distance, id).
     """
     road_nodes = [
         n for n in network.nodes.values() if not n.id.startswith("centroid:")
     ]
     if not road_nodes:
         raise NetworkValidationError("cannot generate connectors: no nodes")
+    xs = np.array([node.x for node in road_nodes])
+    ys = np.array([node.y for node in road_nodes])
     for zone in network.zones.values():
         if zone.centroid_node is not None:
             continue
-        best = None
-        for node in road_nodes:
-            d = network.distance_km((zone.x, zone.y), (node.x, node.y))
-            if best is None or d < best[0] or (d == best[0] and node.id < best[1]):
-                best = (d, node.id)
-        dist, nearest = best
+        point = (zone.x, zone.y)
+        row = _distances_km(network, point, xs, ys)
+        near = np.flatnonzero(row <= row.min() * (1.0 + 1e-9))
+        dist, nearest = min(
+            (network.distance_km(point, (node.x, node.y)), node.id)
+            for node in (road_nodes[i] for i in near.tolist()))
         dist = max(dist, MIN_LINK_LENGTH_KM)
         cid = centroid_node_id(zone.id)
         network.add_node(Node(cid, zone.x, zone.y))

@@ -124,7 +124,7 @@ class TestBatchDijkstra:
         arcs = [(0, 3, 1.0), (1, 4, 1.0), (3, 1, 0.0), (3, 4, 1.0)]
         indptr, heads, links, cost = csr_from_arcs(5, arcs)
         layout = _kernels._in_arcs(indptr, heads)
-        _, rule_pred, ties = _kernels._relax_chunk(
+        _, rule_pred, ties, _ = _kernels._relax_chunk(
             layout, cost[links][layout.slot], np.array([0]))
         assert ties[0]
         assert arcs[links[rule_pred[layout.pos[4], 0]]][:2] == (1, 4)
@@ -194,7 +194,7 @@ def rule_reference(indptr, heads, links, cost, source):
 def relaxed_rule(indptr, heads, links, cost, sources, zero_steps=True):
     """(pred, ties) of one chunk of ``sources``, pred in node order."""
     layout = _kernels._in_arcs(indptr, heads)
-    _, pred, ties = _kernels._relax_chunk(
+    _, pred, ties, _ = _kernels._relax_chunk(
         layout, cost[links][layout.slot], np.array(list(sources)),
         zero_steps=zero_steps)
     return pred[layout.pos].T, ties
@@ -279,6 +279,55 @@ class TestPredRule:
             rule_results.clear()
             assert_batch_matches_heap(indptr, heads, links, cost, range(4))
             assert [zero for zero, _ in rule_results] == [not skipped]
+
+    def test_the_tie_pass_on_many_multi_tight_nodes(self):
+        # costs 1 and 2 on a multigraph: many nodes with several tight
+        # in-arcs, from tails at equal and at different distances
+        rng = np.random.default_rng(31)
+        settled = equal_tails = 0
+        for _ in range(20):
+            n = int(rng.integers(5, 30))
+            m = int(rng.integers(4 * n, 8 * n))
+            arcs = [(int(a), int(b), float(c)) for a, b, c in zip(
+                rng.integers(0, n, m), rng.integers(0, n, m),
+                rng.integers(1, 3, m))]
+            indptr, heads, links, cost = csr_from_arcs(n, arcs)
+            layout = _kernels._in_arcs(indptr, heads)
+            sources = np.arange(n)
+            dist, pred, _, _ = _kernels._relax_chunk(
+                layout, cost[links][layout.slot], sources, zero_steps=False)
+            d, tail = dist.tolist(), layout.pos[_kernels.arc_tails(indptr)]
+            for p, v in enumerate(np.argsort(layout.pos).tolist()):
+                in_arcs = np.flatnonzero(heads == v).tolist()
+                for j in range(n):
+                    # the documented rule, plainly: the tight in-arcs by
+                    # (d[tail], slot)
+                    tight = sorted((d[tail[slot]][j], slot) for slot in in_arcs
+                                   if d[tail[slot]][j] + cost[links[slot]]
+                                   == d[p][j] < np.inf)
+                    if len(tight) > 1:
+                        settled += 1
+                        equal_tails += tight[0][0] == tight[1][0]
+                        assert pred[p, j] == tight[0][1]
+        assert settled > 500 and equal_tails > 100
+
+    def test_the_slot_sum_type_follows_the_arc_count(self):
+        # a hub with 20000 out-arcs and a chain through its leaves:
+        # 40000 arcs in two rows, so the sums need int32, and a leaf's
+        # single tight slot is past int16's range
+        leaves = 20000
+        rng = np.random.default_rng(37)
+        arcs = [(0, v, float(c)) for v, c in zip(
+            range(1, leaves + 1), rng.integers(1, 4, leaves))]
+        arcs += [(v, v + 1, 1.0) for v in range(1, leaves)]
+        indptr, heads, links, cost = csr_from_arcs(leaves + 1, arcs)
+        layout = _kernels._in_arcs(indptr, heads)
+        assert len(layout.rows) == 2
+        assert _kernels._sum_type(layout) == np.int32
+        _, pred, _, _ = _kernels._relax_chunk(
+            layout, cost[links][layout.slot], np.array([0]))
+        assert pred.dtype == np.int32 and pred.max() > np.iinfo(np.int16).max
+        assert_batch_matches_heap(indptr, heads, links, cost, [0, 7, 12345])
 
 
 def warm_state(indptr, heads):
@@ -812,6 +861,18 @@ def sweep_counts(monkeypatch):
     return chunks
 
 
+def walked_depths(preds, arc_tail):
+    """Each node's arcs from its root in the trees ``preds``, one by one."""
+    depth = np.zeros(preds.shape, dtype=np.int64)
+    for row, pred in enumerate(preds.tolist()):
+        for v in range(len(pred)):
+            u = v
+            while pred[u] >= 0:
+                depth[row, v] += 1
+                u = arc_tail[pred[u]]
+    return depth
+
+
 def planned_batch(indptr, heads, links, plan_cost, cost, sources, **kwargs):
     """A batch under ``cost`` sweeping in the order of ``plan_cost``'s trees.
 
@@ -952,7 +1013,8 @@ class TestSweeps:
                                               batch, warm=warm, cost_rows=rows)
                 if call == 0:
                     assert not any(p for p, _ in sweep_counts[chunks:])
-                    made = _kernels._sweep_plans(warm.preds, warm.arcs)
+                    made = _kernels._sweep_plans(warm.preds, warm.arcs,
+                                                 warm.work)
                     assert warm.plans is not plans
                     assert [[a.tobytes() for a in p] for p in warm.plans] == [
                         [a.tobytes() for a in p] for p in made]
@@ -969,11 +1031,12 @@ class TestSweeps:
         sources = np.array(list(node_index.values())[:7])
         arcs = _kernels._in_arcs(indptr, heads)
         _, preds = _kernels.batch_dijkstra(indptr, heads, slots, cost, sources)
-        index, levels = _kernels._sweep_plan(preds, arcs)
+        index, levels = _kernels._sweep_plan(
+            preds, arcs, _kernels._Workspace(arcs, len(sources)))
         k, n = preds.shape
         assert index.dtype == np.uint16 and index.size == levels[-1, 1]
         assert levels.shape[1] == 1 + 2 * len(arcs.rows)
-        depth = _kernels._tree_depths(preds, arcs.arc_tail).reshape(k, n)
+        depth = walked_depths(preds, arcs.arc_tail)
         seen = []
         for d, (lo, hi, size, *folds) in enumerate(levels.tolist(), 1):
             target = index[lo:lo + size].astype(np.int64)
@@ -999,6 +1062,71 @@ class TestSweeps:
             seen += target.tolist()
         reached = np.flatnonzero((preds >= 0).T[np.argsort(arcs.pos)].ravel())
         assert sorted(seen) == reached.tolist()
+
+    @staticmethod
+    def plan_bytes(plans):
+        return [tuple(a.tobytes() for a in plan) for plan in plans]
+
+    def test_a_stale_plan_is_rebuilt_from_the_trees_just_returned(
+            self, monkeypatch, sweep_counts):
+        # chunks of 6 sources: some need two sweeps, some three
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = list(node_index.values())
+        monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 1 << 12)
+        moved = cost * np.random.default_rng(61).uniform(0.7, 1.3, cost.size)
+        warm = warm_state(indptr, heads)
+        _kernels.batch_dijkstra(indptr, heads, slots, cost, sources, warm=warm)
+        before, whole = self.plan_bytes(warm.plans), warm.plans[0][0].base
+        got = _kernels.batch_dijkstra(indptr, heads, slots, moved, sources,
+                                      warm=warm)
+        sweeps = [n for _, n in sweep_counts[-len(before):]]
+        assert {2, 3} <= set(sweeps)  # both sides of the bound
+        step = _kernels._chunk_size(warm.arcs)
+        for c, (plan, old) in enumerate(zip(warm.plans, before)):
+            want = old
+            if sweeps[c] > 2:
+                want = self.plan_bytes([_kernels._sweep_plan(
+                    got[1][c * step:(c + 1) * step], warm.arcs,
+                    _kernels._Workspace(warm.arcs, step))])[0]
+            assert self.plan_bytes([plan])[0] == want
+            assert plan[0].base is whole  # the index in its old place
+            assert warm.work.views[c][0] is plan[0]  # sliced at once
+        assert warm.recent == {c for c, n in enumerate(sweeps) if n > 2}
+        # the same costs again: new trees on the last call, so every
+        # chunk starts cold, and a rebuilt plan is already the level order
+        again = _kernels.batch_dijkstra(indptr, heads, slots, moved, sources,
+                                        warm=warm)
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in got]
+        for (_, n), old in zip(sweep_counts[-len(before):], sweeps):
+            assert n == 1 or old <= 2
+        assert_batch_matches_heap(indptr, heads, slots, moved, sources,
+                                  batch=lambda *args: again)
+
+    def test_a_plan_is_not_rebuilt_on_two_calls_in_a_row(self, monkeypatch,
+                                                          sweep_counts):
+        indptr, heads, slots, cost, node_index = grid_csr()
+        sources = list(node_index.values())
+        monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 1 << 12)
+        rng = np.random.default_rng(61)
+        warm = warm_state(indptr, heads)
+        for scale in (0.0, 0.3):
+            _kernels.batch_dijkstra(
+                indptr, heads, slots,
+                cost * rng.uniform(1.0 - scale, 1.0 + scale, cost.size),
+                sources, warm=warm)
+        rebuilt, before = warm.recent, self.plan_bytes(warm.plans)
+        assert rebuilt
+        new = cost * rng.uniform(0.5, 1.5, cost.size)
+        got = _kernels.batch_dijkstra(indptr, heads, slots, new, sources,
+                                      warm=warm)
+        stale = {c for c, (_, n) in enumerate(sweep_counts[-len(before):])
+                 if n > 2}
+        assert stale & rebuilt and stale - rebuilt  # both kinds
+        assert warm.recent == stale - rebuilt
+        for c in rebuilt:
+            assert self.plan_bytes([warm.plans[c]])[0] == before[c]
+        assert_batch_matches_heap(indptr, heads, slots, new, sources,
+                                  batch=lambda *args: got)
 
     def test_city_bfw_solve_sweeps_at_most_three_times(self, monkeypatch,
                                                        sweep_counts):
@@ -1080,20 +1208,26 @@ class TestWorkspace:
         sources = list(node_index.values())[:30]
         warm = warm_state(indptr, heads)
         rng = np.random.default_rng(37)
-        views = []
+        views, replanned = [], []
         for _ in range(4):
             cost = cost * rng.uniform(0.5, 1.5, cost.size)
             _kernels.batch_dijkstra(indptr, heads, slots, cost, sources,
                                     warm=warm)
             views.append(warm.work.views.get(0))
+            replanned.append(0 in warm.recent)
         (work,) = workspaces
         assert warm.work is work and len(relaxed) == 4
         for dist, pred in relaxed:
             assert np.shares_memory(dist, work.dist)
             assert np.shares_memory(dist, relaxed[0][0])
             assert pred is None or np.shares_memory(pred, work.pred)
-        # the first call makes the plans, the second slices them once
-        assert views[0] is None and views[1] is views[2] is views[3]
+        # the first call makes the plans, the second slices them once;
+        # a rebuilt plan is sliced again at once, and only then
+        assert views[0] is None and views[1] is not None
+        assert replanned[1] and not replanned[2]  # at most every other call
+        for call in (2, 3):
+            assert (views[call] is views[call - 1]) != replanned[call]
+        assert views[3][0] is warm.plans[0][0]
 
     def test_a_call_without_a_series_makes_one_for_its_chunks(
             self, monkeypatch, workspaces, relaxed):
@@ -1273,6 +1407,16 @@ class TestInArcs:
             assert index.size == 0 or (index.min() >= 0
                                        and index.max() < bound)
 
+    @pytest.mark.parametrize("indptr,heads", layout_cases())
+    def test_the_narrowest_sum_type(self, indptr, heads):
+        layout = _kernels._in_arcs(indptr, heads)
+        bound = len(layout.rows) * (layout.slot.size + 1)
+        kinds = [np.int8, np.int16, np.int32, np.int64]
+        want = next(t for t in kinds if np.iinfo(t).max >= bound)
+        assert _kernels._sum_type(layout) == want
+        work = _kernels._Workspace(layout, 3)
+        assert work.pred.dtype == want and work.shaped(2).term.dtype == want
+
     @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
     def test_batch_equals_heap_cold_and_warm(self, name, warm_calls):
         n, arcs, sources = SMALL_GRAPHS[name]()
@@ -1280,12 +1424,15 @@ class TestInArcs:
         assert_batch_matches_heap(indptr, heads, links, cost, sources)
         # no cost here is zero: the rule settles every tree, no heap
         layout = _kernels._in_arcs(indptr, heads)
-        dist, pred, ties = _kernels._relax_chunk(
+        dist, pred, ties, _ = _kernels._relax_chunk(
             layout, cost[links][layout.slot], np.array(list(sources)))
         assert not ties.any()
+        # the rule's slots are narrow; the batch widens them to int64
+        assert pred.dtype == _kernels._sum_type(layout)
         assert_batch_matches_heap(
             indptr, heads, links, cost, sources,
-            batch=lambda *args: (dist[layout.pos].T, pred[layout.pos].T))
+            batch=lambda *args: (dist[layout.pos].T,
+                                 pred[layout.pos].T.astype(np.int64)))
         rng = np.random.default_rng(3)
         for scale in (1e-3, 0.5, 2.0):
             warm = warm_state(indptr, heads)

@@ -347,6 +347,91 @@ class TestConnectors:
         with pytest.raises(NetworkValidationError, match="no nodes"):
             generate_connectors(Network())
 
+    @staticmethod
+    def scalar_nearest(net, zone):
+        """The documented rule, node by node: (distance, node id)."""
+        best = None
+        for node in net.nodes.values():
+            if node.id.startswith("centroid:"):
+                continue
+            d = net.distance_km((zone.x, zone.y), (node.x, node.y))
+            if best is None or d < best[0] or (d == best[0]
+                                               and node.id < best[1]):
+                best = (d, node.id)
+        return best
+
+    def assert_scalar_rule(self, net):
+        want = {z.id: self.scalar_nearest(net, z) for z in net.zones.values()}
+        generate_connectors(net)
+        for zid, (dist, nearest) in want.items():
+            assert net.zones[zid].attached_node == nearest
+            out = net.links[f"connector:{zid}:out"]
+            assert out.to_node == nearest
+            assert out.length_km == max(dist, 1e-6)
+
+    @staticmethod
+    def bare(nodes, zones, coord_system="km"):
+        net = Network(coord_system=coord_system)
+        for nid, x, y in nodes:
+            net.add_node(Node(nid, x, y))
+        for zid, x, y in zones:
+            net.add_zone(Zone(zid, x, y))
+        return net
+
+    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    def test_every_fixture_follows_the_scalar_rule(self, name):
+        built, _ = fixtures.FIXTURES[name][0]()
+        net = self.bare(
+            [(n.id, n.x, n.y) for n in built.nodes.values()
+             if not n.id.startswith("centroid:")],
+            [(z.id, z.x, z.y) for z in built.zones.values()],
+            built.coord_system)
+        assert net.zones
+        self.assert_scalar_rule(net)
+
+    def test_duplicate_coordinates_tie_on_the_smallest_id(self):
+        # a small lattice: many nodes share a point, and zones sit on
+        # nodes (distance 0) or between them (several equal distances)
+        rng = np.random.default_rng(3)
+        points = rng.integers(0, 4, size=(60, 2)).astype(float)
+        ids = rng.permutation(60)
+        nodes = [(f"n{i:02d}", x, y) for i, (x, y) in zip(ids, points)]
+        zones = [(f"z{j}", x, y) for j, (x, y) in enumerate(
+            rng.integers(0, 8, size=(40, 2)) / 2.0)]
+        self.assert_scalar_rule(self.bare(nodes, zones))
+
+    def test_the_numpy_row_does_not_decide(self):
+        # a node at (dx, dy) and one at (h, 0), h = math.hypot(dx, dy):
+        # equal scalar distances from the origin, a tie the ids break,
+        # where numpy's hypot rounds (dx, dy) one unit off
+        rng = np.random.default_rng(7)
+        while True:
+            dx, dy = rng.uniform(0.0, 10.0, 2).tolist()
+            h = math.hypot(dx, dy)
+            if np.hypot(dx, dy) != h:
+                break
+        # the scalar tie goes to "a": the node numpy puts farther
+        near, far = ("a", "b") if np.hypot(dx, dy) > h else ("b", "a")
+        net = self.bare([(near, dx, dy), (far, h, 0.0)], [("Z", 0.0, 0.0)])
+        self.assert_scalar_rule(net)
+        assert net.zones["Z"].attached_node == "a"
+
+    def test_lonlat_coordinates(self):
+        # nodes mirrored about a zone's meridian are at equal distances
+        # in exact arithmetic; the scalar rounding decides, as before
+        rng = np.random.default_rng(5)
+        lon, lat = -122.42, 37.77
+        offsets = rng.uniform(-0.05, 0.05, size=(80, 2))
+        nodes = [(f"n{i}", lon + dx, lat + dy)
+                 for i, (dx, dy) in enumerate(offsets)]
+        nodes += [(f"m{i}", lon - dx, lat + dy)
+                  for i, (dx, dy) in enumerate(offsets[:20])]
+        zones = [(f"z{j}", lon + dx, lat + dy) for j, (dx, dy) in
+                 enumerate(rng.uniform(-0.06, 0.06, size=(30, 2)))]
+        zones += [(f"on{i}", x, y) for i, (_, x, y) in enumerate(nodes[:5])]
+        zones += [("axis", lon, lat)]
+        self.assert_scalar_rule(self.bare(nodes, zones, "lonlat"))
+
 
 class TestShortestPath:
     def make_net(self):
