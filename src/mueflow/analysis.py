@@ -18,7 +18,7 @@ from .equilibrium import (
     SolverError,
     SolverOptions,
     UnsupportedOperationError,
-    _take_handoff,
+    _Session,
     solve,
 )
 from .metrics import MetricsReport, compute_report, potential_savings, \
@@ -285,13 +285,13 @@ def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
     """Solve the equilibrium across penetration levels and diagnose.
 
     Each level is one :func:`solve`, warm-started from the previous
-    solution unless ``warm_start`` is False.  A warm level also takes
-    over the state the previous solve left on its solution: the
-    network's arrays, the shortest-path trees with their warm-start
-    plans and buffers, and the kept paths in index form (see
-    :func:`solve`); the stored solution lets it go, and so does every
-    level of a cold sweep.  A level that fails or hits the iteration cap
-    raises :class:`SweepError` carrying the completed records; an
+    solution unless ``warm_start`` is False.  A warm sweep also carries
+    the solve state from each level to the next in one private session
+    (``equilibrium._Session``): the network's arrays, the shortest-path
+    trees with their warm-start plans and buffers, and the kept paths in
+    index form.  The session ends when the sweep returns, so no stored
+    solution holds that state.  A level that fails or hits the iteration
+    cap raises :class:`SweepError` carrying the completed records; an
     infeasible or unsupported problem raises its own error unwrapped.
     """
     levels = sorted(float(v) for v in levels)
@@ -299,13 +299,14 @@ def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
 
     records: list[LevelRecord] = []
     previous: EquilibriumSolution | None = None
+    session = _Session() if warm_start else None
     t_ff = None  # the same at every level: the first report computes it
     for r_e in levels:
         demand = split_demand(od, r_e)
         try:
             solution = solve(
                 network, demand, config, method, options,
-                warm_start=previous,
+                warm_start=previous, _session=session,
             )
         except (InfeasibleProblemError, UnsupportedOperationError):
             raise  # structural, not a convergence failure
@@ -330,8 +331,6 @@ def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
         ))
         if warm_start:
             previous = solution
-        else:  # no level takes this solve's state over
-            _take_handoff(solution)
 
     return sweep_from_records(records)
 

@@ -36,7 +36,6 @@ from .equilibrium import (
     InfeasibleProblemError,
     SolverOptions,
     UnsupportedOperationError,
-    _take_handoff,
     solve,
 )
 from .metrics import compute_report
@@ -252,9 +251,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         inputs.network, demand, inputs.config, method=args.method,
         options=_solver_options(args, inputs),
     )
-    # no solve starts from this solution: its solve state (the trees,
-    # plans and buffers) goes before the metrics make their own
-    _take_handoff(solution)
     report = compute_report(solution, inputs.network, inputs.od)
     outdir = _outdir(args)
     written = _write_solution_artifacts(formats, outdir, solution,

@@ -193,9 +193,7 @@ def project_simplex(v, total: float) -> np.ndarray:
 class _Graph:
     """The network side of a problem: what every level of a sweep shares.
 
-    Built from ``network.csr()`` and kept with it (``csr``), so a later
-    solve can tell whether the network changed since: ``add_node`` and
-    ``add_link`` make a new CSR tuple.
+    Built from ``network.csr()``, which it keeps (``csr``).
     """
 
     def __init__(self, network: Network):
@@ -333,14 +331,16 @@ class _PathState:
     :meth:`walk` keeps where the new trees still hold it.  ``names``
     holds the link-id tuple of each path that a solution has listed.
 
-    A :class:`_Handoff` from the solve before (``handoff``) lends its
-    ``WarmStart``, its paths' names and its last walk; the last walk
-    takes its place in this universe once the warm paths are in it
-    (:meth:`resume`).
+    A sweep's :class:`_Session` (``session``) lends the state that the
+    solve before left in it: the ``WarmStart``, the paths' names and the
+    last walk; the last walk takes its place in this universe once the
+    warm paths are in it (:meth:`resume`).  :func:`_assemble` leaves this
+    solve's state there in turn.
     """
 
-    def __init__(self, prob: _Problem, handoff: _Handoff | None = None):
+    def __init__(self, prob: _Problem, session: _Session | None = None):
         self.prob = prob
+        self.session = session
         self.paths: list[tuple[int, ...]] = []
         self.path_class = []
         self.path_od = []
@@ -350,15 +350,15 @@ class _PathState:
         self._projection = None
         self.last_path = np.full(prob.dem.shape, -1, dtype=np.int64)
         self.last_live = None
-        if handoff is None:
+        if session is None or session.warm is None:
             self.warm = _kernels.WarmStart(prob.in_arcs)
             self.known, self.names, self._resumed = {}, {}, None
         else:
-            self.warm = handoff.warm
+            self.warm = session.warm
             # the warm solution's paths by name, and their names
-            self.known = handoff.kept
-            self.names = {path: ids for ids, path in handoff.kept.items()}
-            self._resumed = handoff.last if handoff.od == prob.od else None
+            self.known = session.kept
+            self.names = {path: ids for ids, path in session.kept.items()}
+            self._resumed = session.last
 
     @property
     def n_paths(self) -> int:
@@ -539,41 +539,38 @@ class _PathState:
         return out
 
 
-class _Handoff:
-    """What a solve leaves for the next solve that warm-starts from it.
+class _Session:
+    """The solve state one warm sweep carries from each level to the next.
 
-    A solution carries it as ``_handoff``, an attribute that is not a
-    dataclass field, so no writer, comparison or ``dataclasses.replace``
-    sees it.  :func:`solve`, given that solution as ``warm_start``, takes
-    it off (:func:`_take_handoff`) and uses it for the same method on the
-    same network (the same ``network.csr()`` tuple): the network side of
-    the problem (``graph``), the ``WarmStart`` with its trees, sweep
-    plans and workspace, the solution's paths by link-id tuple (``kept``)
-    and each block's last walked path (``last``: the blocks of the last
-    walk, then (class, OD, path) per block, over the OD list ``od``).
-    The solve returns the same bits without it: the kernel returns the
-    heap's trees from any ``WarmStart`` over the same in-arc layout, the
-    path universe is rebuilt in the order of the solution's paths as
-    from their names, and a last path counts only where the new trees
-    still hold it.
+    ``analysis.run_sweep`` makes one for a warm sweep and passes it to
+    every level's :func:`solve`; it goes when the sweep returns, so no
+    solution holds solve state.  It starts empty: the first level builds
+    its state as a solve without a session does.  Each solve leaves here
+    (:meth:`keep`) the network side of its problem (``graph``), its
+    ``WarmStart`` with the trees, sweep plans and workspace (``warm``),
+    its solution's paths by link-id tuple (``kept``) and each block's
+    last walked path (``last``: the blocks of the last walk, then
+    (class, OD, path) per block).  The next level, warm-started from
+    that solution, takes them over: a sweep has one method, one network
+    and one OD list.  It returns the same bits without them: the kernel
+    returns the heap's trees from any ``WarmStart`` over the same in-arc
+    layout, the path universe is rebuilt in the order of the solution's
+    paths as from their names, and a last path counts only where the new
+    trees still hold it.
     """
 
-    def __init__(self, prob: _Problem, state: _PathState, method: str,
-                 kept: dict):
-        self.graph = prob.graph
-        self.method = method
-        self.od = prob.od
+    def __init__(self):
+        self.graph = self.warm = self.kept = self.last = None
+
+    def keep(self, state: _PathState, kept: dict):
+        """Hold the state of a finished solve; ``kept`` names its paths."""
+        self.graph = state.prob.graph
         self.warm = state.warm
         self.kept = kept
         ci, oi = np.nonzero(state.last_path >= 0)
         self.last = (state.last_live, [
             (c, o, state.paths[g]) for c, o, g in zip(
                 ci.tolist(), oi.tolist(), state.last_path[ci, oi].tolist())])
-
-
-def _take_handoff(solution) -> _Handoff | None:
-    """Detach the :class:`_Handoff` that ``solution`` carries, if any."""
-    return getattr(solution, "__dict__", {}).pop("_handoff", None)
 
 
 # -- all-or-nothing ------------------------------------------------------
@@ -756,7 +753,8 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
         link_times=prob.times(x_agg),
         skipped_intrazonal=prob.skipped_intrazonal,
     )
-    solution._handoff = _Handoff(prob, state, method, kept)
+    if state.session is not None:
+        state.session.keep(state, kept)
     return solution
 
 
@@ -771,8 +769,8 @@ def _per_pair(prob: _Problem, values: np.ndarray) -> dict:
 def _path_block(prob: _Problem, key: tuple, entries: list, known=None):
     """One ``solution.paths`` item as (class, OD, [(link indices, flow)]).
 
-    ``known`` maps link-id tuples to the paths they name, when the
-    solve that listed them handed them on (:class:`_Handoff`); other
+    ``known`` maps link-id tuples to the paths they name, when a sweep's
+    :class:`_Session` kept them from the solve that listed them; other
     paths are looked up link by link.  Raises :class:`UnknownPairError`
     for a class or pair the demand does not hold and ValueError for a
     link the network does not hold.
@@ -1195,37 +1193,32 @@ def _solve(prob: _Problem, state: _PathState, method: str,
 
 def solve(network: Network, demand: ClassDemand, config: CostConfig,
           method: str = "bfw", options: SolverOptions | None = None,
-          warm_start: EquilibriumSolution | None = None) -> EquilibriumSolution:
+          warm_start: EquilibriumSolution | None = None, *,
+          _session: _Session | None = None) -> EquilibriumSolution:
     """Solve the fixed-class equilibrium with the chosen method.
 
     ``warm_start`` reuses a previous solution's paths (rescaled to the
-    new class demands), which is how penetration sweeps stay fast.  A
-    solution that this function returned also carries the solve's state
-    (:class:`_Handoff`): the network's arrays, the shortest-path trees
-    with their warm-start plans and buffers, and its paths in index
-    form.  The first solve warm-started from it, with the same method
-    and an unchanged network, takes that state over and the solution
-    lets it go; every other use falls back to the solution's paths.
-    Either way the result is the same bit for bit.  Returns an
-    :class:`EquilibriumSolution` whose ``converged`` flag is False when
-    the iteration cap was reached.
+    new class demands), which is how penetration sweeps stay fast.
+    ``analysis.run_sweep`` also passes its private :class:`_Session`,
+    through which each level takes over the solve state of the level
+    before (the network's arrays, the shortest-path trees with their
+    warm-start plans and buffers, and the paths in index form); the
+    result is the same bit for bit as from ``warm_start`` alone.
+    Returns an :class:`EquilibriumSolution` whose ``converged`` flag is
+    False when the iteration cap was reached.
     """
     method = METHOD_ALIASES.get(method, method)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if options is None:
         options = SolverOptions()
-    handoff = _take_handoff(warm_start)
-    if handoff is not None and (handoff.method != method
-                                or handoff.graph.csr is not network.csr()):
-        handoff = None
     prob = _Problem(network, demand, config, options,
-                    None if handoff is None else handoff.graph)
+                    None if _session is None else _session.graph)
     if method in ("fw", "bfw") and prob.constrained_idx.size:
         raise UnsupportedOperationError(
             "explicit capacity constraints need a path-based solver ('pd' or 'eg')"
         )
-    state = _PathState(prob, handoff)
+    state = _PathState(prob, _session)
     if float(prob.dem.sum()) == 0.0:
         trace = [{"iteration": 0, "rel_gap": 0.0, "objective": 0.0,
                   "note": "zero demand"}]

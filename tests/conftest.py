@@ -6,9 +6,11 @@ runtime and every consumer treats solutions as read-only.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
-from mueflow import fixtures
+from mueflow import _kernels, fixtures
 from mueflow.demand import split_demand
 from mueflow.equilibrium import SolverOptions, solve
 
@@ -50,3 +52,18 @@ def grid3_solution(grid3_case):
 def grid10_case():
     net, od = fixtures.grid10x10()
     return net, od, fixtures.grid10x10_config()
+
+
+@pytest.fixture
+def warm_starts(monkeypatch):
+    """A weak reference to every ``_kernels.WarmStart`` the test makes."""
+    made = []
+    real = _kernels.WarmStart
+
+    def recorded(*args, **kwargs):
+        warm = real(*args, **kwargs)
+        made.append(weakref.ref(warm))
+        return warm
+
+    monkeypatch.setattr(_kernels, "WarmStart", recorded)
+    return made

@@ -7,6 +7,7 @@ whose threshold structure is known in closed form.
 
 from __future__ import annotations
 
+import gc
 import math
 from types import SimpleNamespace
 
@@ -394,11 +395,12 @@ class TestSweepMechanics:
 
         real_solve = analysis.solve
 
-        def failing(network, demand, config, method, options, warm_start=None):
+        def failing(network, demand, config, method, options, warm_start=None,
+                    _session=None):
             if demand.penetration >= 0.5:
                 raise SolverError("synthetic failure")
             return real_solve(network, demand, config, method, options,
-                              warm_start=warm_start)
+                              warm_start=warm_start, _session=_session)
 
         monkeypatch.setattr(analysis, "solve", failing)
         net, od = fixtures.dual_route()
@@ -436,11 +438,12 @@ class TestSweepFromRecords:
 
         real_solve = analysis.solve
 
-        def failing(network, demand, config, method, options, warm_start=None):
+        def failing(network, demand, config, method, options, warm_start=None,
+                    _session=None):
             if demand.penetration > 0.6:
                 raise SolverError("synthetic failure")
             return real_solve(network, demand, config, method, options,
-                              warm_start=warm_start)
+                              warm_start=warm_start, _session=_session)
 
         monkeypatch.setattr(analysis, "solve", failing)
         net, od = fixtures.dual_route()
@@ -491,7 +494,6 @@ class TestSweepHandoff:
     def test_levels_match_warm_starts_without_the_state(
             self, name, method, monkeypatch, tmp_path):
         import mueflow.analysis as analysis
-        from dataclasses import replace
         from mueflow.reports import write_sweep_json
 
         build, config = fixtures.FIXTURES[name]
@@ -501,13 +503,14 @@ class TestSweepHandoff:
         carried, plain = [], []
 
         def recorded(seen, strip):
-            def run(network, demand, config, method, options, warm_start=None):
-                if strip and warm_start is not None:
-                    # a copy is the same solution without the solve state
-                    warm_start = replace(warm_start)
-                seen.append(hasattr(warm_start, "_handoff"))
+            def run(network, demand, config, method, options, warm_start=None,
+                    _session=None):
+                if strip:
+                    # without the session: the warm start's paths alone
+                    _session = None
+                seen.append(_session is not None and _session.warm is not None)
                 return solve(network, demand, config, method, options,
-                             warm_start=warm_start)
+                             warm_start=warm_start, _session=_session)
             return run
 
         monkeypatch.setattr(analysis, "solve", recorded(carried, False))
@@ -530,16 +533,19 @@ class TestSweepHandoff:
         assert ((tmp_path / "carried.json").read_bytes()
                 == (tmp_path / "plain.json").read_bytes())
 
-    def test_stored_levels_let_their_state_go(self):
+    def test_stored_levels_let_their_state_go(self, warm_starts):
         net, od = fixtures.grid3x3()
         cfg = fixtures.grid3x3_config()
-        for warm in (True, False):
-            sweep = run_sweep(net, od, cfg, [0.0, 0.5, 1.0], "bfw",
-                              warm_start=warm)
-            held = [hasattr(rec.solution, "_handoff") for rec in sweep.records]
-            # a cold sweep keeps none; a warm one only on the last level,
-            # which no level takes over
-            assert held == [False, False, warm]
+        levels = [0.0, 0.5, 1.0]
+        warm = run_sweep(net, od, cfg, levels, "bfw")
+        # the session carried one WarmStart through every level
+        assert len(warm_starts) == 1
+        cold = run_sweep(net, od, cfg, levels, "bfw", warm_start=False)
+        assert len(warm_starts) == 1 + len(levels)
+        gc.collect()
+        # both sweeps are still held here, but no record holds a state
+        assert len(warm.records) == len(cold.records) == len(levels)
+        assert all(ref() is None for ref in warm_starts)
 
 
 def same_bits(a, b):

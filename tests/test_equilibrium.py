@@ -32,6 +32,7 @@ from mueflow.equilibrium import (
     _PathState,
     _Problem,
     _PATH_DROP_TOL,
+    _Session,
     _all_or_nothing,
     _assemble,
     _block_gaps,
@@ -778,70 +779,44 @@ def assert_same_solution(a: EquilibriumSolution, b: EquilibriumSolution):
 
 
 class TestHandoff:
-    """A solution lends its solve state to the next solve warm-started from it."""
+    """A sweep session lends each solve's state to the next solve."""
 
     @pytest.mark.parametrize("method", ["bfw", "pd"])
     def test_the_next_solve_takes_the_state_over(self, grid3_case, method):
         net, od, cfg = grid3_case
-        base = solve(net, split_demand(od, 0.4), cfg, method)
-        warm = base._handoff.warm
-        got = solve(net, split_demand(od, 0.5), cfg, method, warm_start=base)
-        assert not hasattr(base, "_handoff") and got._handoff.warm is warm
-        # the same warm start without the state: a copy of the solution
-        again = solve(net, split_demand(od, 0.4), cfg, method)
-        want = solve(net, split_demand(od, 0.5), cfg, method,
-                     warm_start=replace(again))
-        assert want._handoff.warm is not again._handoff.warm
+        session = _Session()
+        base = solve(net, split_demand(od, 0.4), cfg, method, _session=session)
+        warm = session.warm
+        got = solve(net, split_demand(od, 0.5), cfg, method, warm_start=base,
+                    _session=session)
+        assert warm is not None and session.warm is warm
+        # the same warm start without the session: its paths alone
+        want = solve(net, split_demand(od, 0.5), cfg, method, warm_start=base)
         assert_same_solution(got, want)
 
-    def fallback(self, net, base, method, demand, cfg):
-        """Solve from ``base``; check that its state was left unused."""
-        warm = getattr(base, "_handoff", None)
-        got = solve(net, demand, cfg, method, warm_start=base)
-        assert warm is None or got._handoff.warm is not warm.warm
-        assert not hasattr(base, "_handoff")
-        return got
-
-    def test_other_uses_fall_back_with_the_same_bits(self, grid3_case):
+    def test_the_state_goes_with_the_session(self, grid3_case):
         net, od, cfg = grid3_case
-        first, second = split_demand(od, 0.4), split_demand(od, 0.5)
-
-        def plain(network, base, method):
-            return solve(network, second, cfg, method, warm_start=replace(base))
-
-        # another network object of the same grid
-        other, _ = fixtures.grid3x3()
-        base = solve(net, first, cfg, "bfw")
-        assert_same_solution(self.fallback(other, base, "bfw", second, cfg),
-                             plain(other, base, "bfw"))
-        # a network changed after the solve
-        changed, _ = fixtures.grid3x3()
-        base = solve(changed, first, cfg, "bfw")
-        changed.add_node(Node("spare", 50.0, 50.0))
-        assert_same_solution(self.fallback(changed, base, "bfw", second, cfg),
-                             plain(changed, base, "bfw"))
-        # another method
-        for was, now in (("bfw", "fw"), ("pd", "eg")):
-            base = solve(net, first, cfg, was)
-            assert_same_solution(self.fallback(net, base, now, second, cfg),
-                                 plain(net, base, now))
-        # a solution used twice: the second solve finds no state
-        base = solve(net, first, cfg, "bfw")
-        once = solve(net, second, cfg, "bfw", warm_start=base)
-        twice = self.fallback(net, base, "bfw", second, cfg)
-        assert_same_solution(once, twice)
-        assert_same_solution(twice, plain(net, base, "bfw"))
-
-    def test_a_taken_over_state_leaves_the_solution(self, grid3_case):
-        net, od, cfg = grid3_case
-        base = solve(net, split_demand(od, 0.4), cfg, "bfw")
-        warm = weakref.ref(base._handoff.warm)
-        got = solve(net, split_demand(od, 0.5), cfg, "bfw", warm_start=base)
-        assert got._handoff.warm is warm()
-        del got
+        session = _Session()
+        base = solve(net, split_demand(od, 0.4), cfg, "bfw", _session=session)
+        got = solve(net, split_demand(od, 0.5), cfg, "bfw", warm_start=base,
+                    _session=session)
+        warm = weakref.ref(session.warm)
+        del session
         gc.collect()
-        # base is still held here, but no longer holds the state
-        assert base.converged and warm() is None
+        # both solutions are still held here, but neither holds the state
+        assert base.converged and got.converged and warm() is None
+
+    @pytest.mark.parametrize("method", ["bfw", "pd"])
+    def test_a_solution_holds_no_warm_start(self, grid3_case, method,
+                                            warm_starts):
+        net, od, cfg = grid3_case
+        base = solve(net, split_demand(od, 0.4), cfg, method)
+        got = solve(net, split_demand(od, 0.5), cfg, method, warm_start=base)
+        gc.collect()
+        assert base.converged and got.converged
+        assert all(ref() is None for ref in warm_starts)
+        # the warm solve made its own: it took over nothing from base
+        assert len(warm_starts) == 2
 
 
 def loaded_costs(prob: _Problem, seed: int, count: int) -> list:
