@@ -295,6 +295,9 @@ def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
     infeasible or unsupported problem raises its own error unwrapped.
     """
     levels = sorted(float(v) for v in levels)
+    # sorted, a level that does not rise is a repeat
+    if any(b == a for a, b in zip(levels, levels[1:])):
+        raise AnalysisError("levels must be distinct")
     _check_levels(levels)
 
     records: list[LevelRecord] = []

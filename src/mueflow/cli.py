@@ -88,15 +88,28 @@ def parse_levels(text: str) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"--levels grid form is lo:hi:n, got {text!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi = (_level(tok, text) for tok in parts[:2])
+        try:
+            n = int(parts[2])
+        except ValueError:
+            raise ValueError(f"--levels grid count n must be an integer, "
+                             f"got {parts[2].strip()!r} in {text!r}") from None
         if n < 2:
             raise ValueError("--levels grid needs n >= 2")
         step = (hi - lo) / (n - 1)
         return [lo + step * i for i in range(n - 1)] + [hi]
-    levels = [float(tok) for tok in text.split(",") if tok.strip()]
+    levels = [_level(tok, text) for tok in text.split(",") if tok.strip()]
     if not levels:
         raise ValueError(f"--levels got no values in {text!r}")
     return levels
+
+
+def _level(token: str, text: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"--levels takes numbers, got {token.strip()!r} "
+                         f"in {text!r}") from None
 
 
 def _load_inputs(args: argparse.Namespace, *, need_cost: bool) -> _Inputs:

@@ -205,11 +205,11 @@ class _Graph:
         self.length = network.lengths_km()
         # the in-arc layout every warm start reads, and arc tails
         self.in_arcs = _kernels._in_arcs(indptr, heads)
-        # each link's arc slot and head node: a path's link is on a tree
-        # when it is its head's tree arc
+        # each link's arc slot and tail node: a path is a tree path when
+        # each of its links is the tree arc of the next link's tail
         self.link_slot = np.empty_like(slots)
         self.link_slot[slots] = np.arange(slots.size)
-        self.link_head = heads[self.link_slot]
+        self.link_tail = self.in_arcs.arc_tail[self.link_slot]
 
 
 class _Problem:
@@ -327,9 +327,12 @@ class _PathState:
     The state also owns the kernel's ``WarmStart`` for the one batch of
     trees each all-or-nothing step makes over both classes (it tells
     whether the trees repeated), and ``last_path``, each (class, OD)
-    block's path from the last walk of its tree (-1 before any), which
-    :meth:`walk` keeps where the new trees still hold it.  ``names``
-    holds the link-id tuple of each path that a solution has listed.
+    block's path from the last all-or-nothing step (-1 before any),
+    which :meth:`walk` keeps while the trees repeat.  When they change,
+    :meth:`walk` finds each block's tree path among the paths the
+    universe holds, and walks a tree only for a path that is new.
+    ``names`` holds the link-id tuple of each path that a solution has
+    listed.
 
     A sweep's :class:`_Session` (``session``) lends the state that the
     solve before left in it: the ``WarmStart``, the paths' names and the
@@ -488,46 +491,61 @@ class _PathState:
         """Each block's path in the trees ``preds``, as a path index.
 
         ``layout`` (:class:`_Layout`) lists the blocks and their tree
-        rows.  A block keeps its last path when the trees repeat, or
-        when each link of that path is still its head's tree arc: the
-        walk from the destination would then step back along exactly
-        that path.  Only the other blocks are walked, and their paths
-        join the universe in block order, as a walk of every block would
-        add them.
+        rows.  A block keeps its last path when the trees repeat;
+        otherwise it takes the path of the universe that is its tree
+        path (:meth:`_tree_paths`), where there is one.  Only the other
+        blocks are walked: their tree paths are new, and they join the
+        universe in block order, as a walk of every block would add them.
         """
-        old = self.last_path[layout.ci, layout.oi]
         if self.warm.repeated and np.array_equal(self.last_live, layout.live):
-            redo = np.flatnonzero(old < 0)
+            idx = self.last_path[layout.ci, layout.oi]
         else:
-            redo = np.flatnonzero(~self._on_trees(old, preds, layout.rows))
+            idx = self._tree_paths(preds, layout)
+        redo = np.flatnonzero(idx < 0)
         if redo.size:
             paths = _kernels.walk_paths(preds, self.prob.slots, self.prob.arc_tail,
                                         layout.rows[redo], layout.dests[redo])
-            old[redo] = [self.ensure(c, o, path) for c, o, path in zip(
+            idx[redo] = [self.ensure(c, o, path) for c, o, path in zip(
                 layout.ci[redo].tolist(), layout.oi[redo].tolist(), paths)]
-        self.last_path[layout.ci, layout.oi] = old
+        self.last_path[layout.ci, layout.oi] = idx
         self.last_live = layout.live
-        return old
+        return idx
 
-    def _on_trees(self, idx: np.ndarray, preds: np.ndarray,
-                  rows: np.ndarray) -> np.ndarray:
-        """Per block: is every link of path ``idx`` (-1: none) a tree arc?
+    def _tree_paths(self, preds: np.ndarray, layout: _Layout) -> np.ndarray:
+        """Per block of ``layout``: its path in the trees ``preds``, if held.
 
-        Block ``b``'s path is checked in tree ``rows[b]`` of ``preds``.
+        Returns the index of the universe path that is the block's tree
+        path, -1 where no path is.  A path is its block's tree path when
+        its first link leaves the block's origin and each link is the
+        tree arc, in the block's tree row, of the next link's tail or,
+        for the last link, of the destination: the walk from the
+        destination would step back along exactly that path.  A tree
+        holds one path from its root to each node, so at most one path
+        of a block passes.
         """
-        out = np.zeros(idx.size, dtype=bool)
-        have = np.flatnonzero(idx >= 0)
-        concat, lens, offsets, _, _ = self.flat()
-        g = idx[have]
-        n = lens[g]
-        # the paths' links one after another, and the path of each
-        owner = np.repeat(np.arange(g.size), n)
-        links = concat[np.arange(owner.size)
-                       + (offsets[g] - (np.cumsum(n) - n))[owner]]
+        out = np.full(layout.ci.size, -1, dtype=np.int64)
+        concat, lens, offsets, block, _ = self.flat()
+        # a path without links leaves no origin
+        full = np.flatnonzero(lens > 0)
+        if not full.size:
+            return out
+        # each path's block in the layout; -1 (any block) where it is not
+        in_layout = np.full(self.last_path.size, -1, dtype=np.int64)
+        in_layout[layout.ci * self.prob.n_od + layout.oi] = np.arange(layout.ci.size)
+        b = in_layout[block[full]]
+        rows = layout.rows[b]
         graph = self.prob.graph
-        at = (rows[have] * preds.shape[1])[owner] + graph.link_head[links]
-        off = preds.reshape(-1)[at] != graph.link_slot[links]
-        out[have] = np.bincount(owner[off], minlength=g.size) == 0
+        tail = graph.link_tail[concat]
+        # the entry of ``preds`` that must hold each link: the next
+        # link's tail, or the destination, in the block's tree row
+        at = np.empty_like(tail)
+        at[:-1] = tail[1:]
+        at[offsets[full] + lens[full] - 1] = layout.dests[b]
+        at += np.repeat(rows * preds.shape[1], lens[full])
+        on_tree = preds.reshape(-1)[at] == graph.link_slot[concat]
+        hit = (np.logical_and.reduceat(on_tree, offsets[full])
+               & (tail[offsets[full]] == layout.sources[rows]) & (b >= 0))
+        out[b[hit]] = full[hit]
         return out
 
     def grow(self, vec: np.ndarray) -> np.ndarray:
@@ -615,9 +633,9 @@ def _all_or_nothing(prob: _Problem, state: _PathState, class_link_costs: np.ndar
     solves the trees of every origin for each class with demand, each
     class under its own row of ``class_link_costs``.  Each block's path
     comes from :meth:`_PathState.walk`, which walks only the blocks whose
-    last path left the trees.  Returns (per-path target vector over the
-    grown universe, shortest cost array (n_classes, n_od), inf off the
-    blocks with demand).  Unreachable positive-demand pairs raise
+    tree path the universe does not hold yet.  Returns (per-path target
+    vector over the grown universe, shortest cost array (n_classes,
+    n_od), inf off the blocks with demand).  Unreachable positive-demand pairs raise
     :class:`InfeasibleProblemError`.
     """
     layout = prob.layout if dem is None else _layout(prob, dem)

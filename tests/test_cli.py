@@ -392,6 +392,22 @@ class TestSweep:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("levels, message", [
+        ("0:1:3.5", "--levels grid count n must be an integer, got '3.5'"),
+        ("0:x:3", "--levels takes numbers, got 'x'"),
+        ("a", "--levels takes numbers, got 'a'"),
+        ("0,0.5,0.5", "levels must be distinct"),
+    ])
+    def test_levels_errors_say_what_is_wrong(self, case, capsys, levels,
+                                             message):
+        code = main(
+            ["sweep"] + base_args(case)
+            + ["--cost-config", str(case["cost"]), "--levels", levels]
+        )
+        assert code == EXIT_VALIDATION
+        (error,) = last_json_line(capsys.readouterr())["errors"]
+        assert error.startswith(message)
+
     def test_capacity_constraints_need_path_solver(self, case, tmp_path,
                                                    capsys):
         # the same exit code and message as the solve subcommand

@@ -898,22 +898,26 @@ class TestPathCertificate:
         assert [call[:2] for call in got] == [call[:2] for call in want]
         assert universe == full_universe
 
-    def test_walks_only_the_blocks_whose_path_changed(self, grid10_case,
-                                                      monkeypatch):
+    def test_walks_only_the_blocks_whose_tree_path_is_new(self, grid10_case,
+                                                          monkeypatch):
         net, od, cfg = grid10_case
         prob = _Problem(net, split_demand(od, 0.5), cfg, SolverOptions())
         calls = self.calls(prob)
         got, _ = self.run(prob, calls, monkeypatch)
         want, _ = full_walks(prob, calls)
-        before = {}
-        changed_some = kept_some = False
+        held, before = {}, {}
+        walked_some = found_some = False
         for (_, _, walked), (_, _, now) in zip(got, want):
+            assert walked == {b for b, path in now.items()
+                              if path not in held.get(b, ())}
             changed = {b for b, path in now.items() if before.get(b) != path}
-            assert walked == changed
-            changed_some |= bool(changed) and len(changed) < len(now)
-            kept_some |= len(changed) < len(now)
+            walked_some |= bool(walked) and len(walked) < len(now)
+            # a block whose path changed to one the universe held
+            found_some |= bool(changed - walked)
+            for b, path in now.items():
+                held.setdefault(b, set()).add(path)
             before.update(now)
-        assert changed_some and kept_some
+        assert walked_some and found_some
 
     def test_a_tied_path_the_trees_left_is_walked_again(self, monkeypatch):
         net = Network()
@@ -954,6 +958,66 @@ class TestPathCertificate:
         (g,) = np.flatnonzero(target)
         assert [prob.link_ids[li] for li in state.paths[g]][1:3] == ["ob", "bd"]
         assert state.n_paths == 2
+
+    def two_routes(self):
+        """The problem of one OD pair over two routes, o-a-d and o-b-d."""
+        net = Network()
+        for nid, x, y in (("o", 0.0, 0.0), ("a", 1.0, 1.0),
+                          ("b", 1.0, -1.0), ("d", 2.0, 0.0)):
+            net.add_node(Node(nid, x, y))
+        for lid, tail, head in (("oa", "o", "a"), ("ad", "a", "d"),
+                                ("ob", "o", "b"), ("bd", "b", "d")):
+            net.add_link(Link(lid, tail, head, 1.0, 1000.0, 60.0))
+        net.add_zone(Zone("O", 0.0, 0.0))
+        net.add_zone(Zone("D", 2.0, 0.0))
+        generate_connectors(net)
+        od = ODMatrix()
+        od.add("O", "D", 10.0)
+        prob = _Problem(net, split_demand(od, 0.0), fixtures.time_only_config(),
+                        SolverOptions())
+
+        def costs(**named):
+            cost = np.ones(prob.n_links)
+            for lid, value in named.items():
+                cost[prob.link_index[lid]] = value
+            return np.tile(cost, (len(CLASSES), 1))
+
+        return prob, costs
+
+    def test_a_route_the_universe_holds_is_found_without_a_walk(
+            self, monkeypatch):
+        prob, costs = self.two_routes()
+        state = _PathState(prob)
+        route_a = costs(ob=3.0, bd=3.0)
+        (a,) = np.flatnonzero(_all_or_nothing(prob, state, route_a)[0])
+        _all_or_nothing(prob, state, costs(oa=3.0, ad=3.0))  # route B
+        walked = []
+        walk_paths = _kernels.walk_paths
+
+        def recorded(*args):
+            walked.append(args)
+            return walk_paths(*args)
+
+        monkeypatch.setattr(_kernels, "walk_paths", recorded)
+        target, _ = _all_or_nothing(prob, state, route_a)
+        assert walked == []
+        assert np.flatnonzero(target).tolist() == [a]
+        assert state.n_paths == 2
+
+    def test_a_held_part_of_the_tree_path_is_not_the_path(self):
+        prob, costs = self.two_routes()
+        state = _PathState(prob)
+        route_a, route_b = costs(ob=3.0, bd=3.0), costs(oa=3.0, ad=3.0)
+        (a,) = np.flatnonzero(_all_or_nothing(prob, state, route_a)[0])
+        path = state.paths[a]
+        # route A's links but the first, its road links alone and no link:
+        # tree arcs of route A that do not make its tree path
+        inner = tuple(li for li in path if prob.link_ids[li] in ("oa", "ad"))
+        for part in (path[1:], inner, ()):
+            state.ensure(0, 0, part)
+        _all_or_nothing(prob, state, route_b)
+        target, _ = _all_or_nothing(prob, state, route_a)
+        assert np.flatnonzero(target).tolist() == [a]
 
 
 class TestProjectionLayout:
