@@ -327,18 +327,11 @@ class _PathState:
     The state also owns the kernel's ``WarmStart`` for the one batch of
     trees each all-or-nothing step makes over both classes (it tells
     whether the trees repeated), and ``last_path``, each (class, OD)
-    block's path from the last all-or-nothing step (-1 before any),
-    which :meth:`walk` keeps while the trees repeat.  When they change,
-    :meth:`walk` finds each block's tree path among the paths the
-    universe holds, and walks a tree only for a path that is new.
+    block's path from the last all-or-nothing step (-1 before any).
     ``names`` holds the link-id tuple of each path that a solution has
-    listed.
-
-    A sweep's :class:`_Session` (``session``) lends the state that the
-    solve before left in it: the ``WarmStart``, the paths' names and the
-    last walk; the last walk takes its place in this universe once the
-    warm paths are in it (:meth:`resume`).  :func:`_assemble` leaves this
-    solve's state there in turn.
+    listed.  A sweep's :class:`_Session` (``session``) lends the
+    ``WarmStart`` and the names that the solve before left in it, and
+    :func:`_assemble` leaves this solve's there in turn.
     """
 
     def __init__(self, prob: _Problem, session: _Session | None = None):
@@ -355,13 +348,12 @@ class _PathState:
         self.last_live = None
         if session is None or session.warm is None:
             self.warm = _kernels.WarmStart(prob.in_arcs)
-            self.known, self.names, self._resumed = {}, {}, None
+            self.known, self.names = {}, {}
         else:
             self.warm = session.warm
             # the warm solution's paths by name, and their names
             self.known = session.kept
             self.names = {path: ids for ids, path in session.kept.items()}
-            self._resumed = session.last
 
     @property
     def n_paths(self) -> int:
@@ -379,19 +371,6 @@ class _PathState:
             self._blocks = None
             self._projection = None
         return g
-
-    def resume(self):
-        """Take over the last walk of the solve before, where it applies.
-
-        Each block's last path counts only if this universe holds it.
-        """
-        if self._resumed is None:
-            return
-        live, walked = self._resumed
-        self._resumed = None
-        for ci, oi, path in walked:
-            self.last_path[ci, oi] = self._lookup.get((ci, oi, path), -1)
-        self.last_live = live
 
     def flat(self):
         """Flat arrays of the universe, extended as it grows.
@@ -529,7 +508,7 @@ class _PathState:
         full = np.flatnonzero(lens > 0)
         if not full.size:
             return out
-        # each path's block in the layout; -1 (any block) where it is not
+        # each path's block in the layout, -1 where it is not (masked below)
         in_layout = np.full(self.last_path.size, -1, dtype=np.int64)
         in_layout[layout.ci * self.prob.n_od + layout.oi] = np.arange(layout.ci.size)
         b = in_layout[block[full]]
@@ -565,30 +544,23 @@ class _Session:
     solution holds solve state.  It starts empty: the first level builds
     its state as a solve without a session does.  Each solve leaves here
     (:meth:`keep`) the network side of its problem (``graph``), its
-    ``WarmStart`` with the trees, sweep plans and workspace (``warm``),
-    its solution's paths by link-id tuple (``kept``) and each block's
-    last walked path (``last``: the blocks of the last walk, then
-    (class, OD, path) per block).  The next level, warm-started from
-    that solution, takes them over: a sweep has one method, one network
-    and one OD list.  It returns the same bits without them: the kernel
-    returns the heap's trees from any ``WarmStart`` over the same in-arc
-    layout, the path universe is rebuilt in the order of the solution's
-    paths as from their names, and a last path counts only where the new
-    trees still hold it.
+    ``WarmStart`` with the trees, sweep plans and workspace (``warm``)
+    and its solution's paths by link-id tuple (``kept``).  The next
+    level, warm-started from that solution, takes them over: a sweep has
+    one method, one network and one OD list.  It returns the same bits
+    without them: the kernel returns the heap's trees from any
+    ``WarmStart`` over the same in-arc layout, and the path universe is
+    rebuilt in the order of the solution's paths as from their names.
     """
 
     def __init__(self):
-        self.graph = self.warm = self.kept = self.last = None
+        self.graph = self.warm = self.kept = None
 
     def keep(self, state: _PathState, kept: dict):
         """Hold the state of a finished solve; ``kept`` names its paths."""
         self.graph = state.prob.graph
         self.warm = state.warm
         self.kept = kept
-        ci, oi = np.nonzero(state.last_path >= 0)
-        self.last = (state.last_live, [
-            (c, o, state.paths[g]) for c, o, g in zip(
-                ci.tolist(), oi.tolist(), state.last_path[ci, oi].tolist())])
 
 
 # -- all-or-nothing ------------------------------------------------------
@@ -840,7 +812,6 @@ def _initial_flows(prob: _Problem, state: _PathState, warm: EquilibriumSolution 
             scale = d / total
             blocks.append((ci, oi, [(path, f * scale) for path, f in mapped]))
         flows = _path_flows(state, blocks)
-        state.resume()
         # blocks the warm start could not cover fall back to shortest paths
         covered = state.block_sums(flows)
         missing = (prob.dem > 0.0) & (covered <= 0.0)

@@ -860,7 +860,7 @@ def full_walks(prob: _Problem, calls: list):
 
 
 class TestPathCertificate:
-    """A block keeps its last path while each of its links is still a tree arc."""
+    """A block takes its tree path from the universe; only new ones are walked."""
 
     def run(self, prob, calls, monkeypatch):
         """Per call (target, sp, walked blocks), then the universe."""
