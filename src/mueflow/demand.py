@@ -72,7 +72,7 @@ def load_od_csv(path) -> ODMatrix:
     """Read an OD file with the columns of :data:`OD_COLUMNS` into an ODMatrix.
 
     Cells are stripped; :class:`DemandError` names the file at the first
-    missing column, ragged row, empty zone id or bad demand.
+    missing column, ragged row, empty zone id, bad demand or repeated pair.
     """
     path = Path(path)
     od = ODMatrix()
@@ -86,7 +86,10 @@ def load_od_csv(path) -> ODMatrix:
             raise DemandError(
                 f"{path}: bad demand {row['demand']!r} for ({origin}, {dest})"
             ) from None
-        od.add(origin, dest, demand)
+        try:
+            od.add(origin, dest, demand)
+        except DemandError as exc:
+            raise DemandError(f"{path}: {exc}") from None
     return od
 
 

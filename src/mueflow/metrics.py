@@ -2,13 +2,14 @@
 
 Scalar system metrics (average travel time, potential savings), per-link
 metrics (volume/capacity, delay factor, congested time), and comparison
-helpers between a baseline and a scenario solution.  Connector links are
-synthetic plumbing and are excluded from every per-link metric and from
-the aggregate VOC/utilization counts.
+helpers between a baseline and a scenario solution.  They read link
+flows and times, never path flows, which an equilibrium does not fix.
+Connector links are synthetic plumbing and are excluded from every
+per-link metric and from the aggregate VOC/utilization counts.
 
-Per-link metrics read a solution's flows and times by position: they
-require ``solution.link_flows.link_ids == network.link_ids`` (same ids,
-same order, as every solver returns them) and raise MetricsError if not.
+Metrics read a solution's flows and times by position: they require
+``solution.link_flows.link_ids == network.link_ids`` (same ids, same
+order, as every solver returns them) and raise MetricsError if not.
 """
 
 from __future__ import annotations
@@ -159,11 +160,11 @@ def avg_travel_time(solution, network: Network, od,
     """Demand-weighted mean OD travel time, minutes.
 
     mode "mue" evaluates times at equilibrium flows; "free_flow" uses
-    free-flow times and needs no solution paths.  Under "mue" the
-    default rule averages link time over used paths weighted by path
-    flow; rule "min_time" instead takes each pair's fastest path at
-    equilibrium, which can sit below the used-path mean when classes
-    trade time against operating cost.
+    free-flow times and needs no solution.  Under "mue" the default rule
+    gives T_MUE, the total link travel time ``sum(x_l * t_l)`` over all
+    links divided by the demand between distinct zones; rule "min_time"
+    instead takes each pair's fastest path at equilibrium, which can sit
+    below T_MUE when classes trade time against operating cost.
     """
     if mode not in ("mue", "free_flow"):
         raise MetricsError(f"unknown mode {mode!r}")
@@ -177,24 +178,15 @@ def avg_travel_time(solution, network: Network, od,
     if mode == "free_flow":
         return _sp_weighted_time(network, network.free_flow_times(), pairs, total)
 
+    _check_link_ids(solution, network)
     times = np.asarray(solution.link_times, dtype=float)
     if rule == "min_time":
         return _sp_weighted_time(network, times, pairs, total)
 
-    by_time = dict(zip(solution.link_flows.link_ids, times))
-    weighted = 0.0
-    assigned = 0.0
-    for (cls, r, s), entries in solution.paths.items():
-        if r == s:
-            continue
-        for links, flow in entries:
-            if flow <= 0.0:
-                continue
-            weighted += flow * sum(by_time[lid] for lid in links)
-            assigned += flow
-    if assigned <= 0.0:
-        raise MetricsError("solution carries no used paths")
-    return float(weighted / assigned)
+    flows = solution.link_flows.aggregate()
+    if not np.any(flows > 0.0):
+        raise MetricsError("solution link flows carry none of the demand")
+    return float(np.dot(flows, times) / total)
 
 
 def _sp_weighted_time(network: Network, link_times: np.ndarray, pairs, total):

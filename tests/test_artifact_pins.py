@@ -29,10 +29,10 @@ from mueflow.reports import write_solution_json
 ARTIFACT_SHA256 = {
     ("solve", "--method", "pd", "--penetration", "0.5"): {
         "solution.json": "380cb5d19789623b5dfd6bb8f46825f94b5fe436bfa09a26fd09723ab1a511be",
-        "metrics.json": "a22c3306f0917f98a0ebcecadacb406e8a732bf1ea0fdc902752fabe48583143",
+        "metrics.json": "33a5c1573bb3ca8167244a43b38593be6800435a76981c2ce7f2bdca30573885",
     },
     ("sweep", "--method", "bfw", "--levels", "0:1:5"): {
-        "sweep.json": "4476c843162f547c9a786f77f22ae21b7a154dff1644d37cd81b0d3c17df6f6e",
+        "sweep.json": "0c35e9557cae1edc84f2430ed30d6e6ff0c28ccba0518a3d6aae1c5ee32edb48",
     },
 }
 

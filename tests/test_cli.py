@@ -123,6 +123,21 @@ class TestValidate:
         payload = last_json_line(capsys.readouterr())
         assert len(payload["errors"]) == 2
 
+    @pytest.mark.parametrize("rows, message", [
+        ("A,B,-1", "demand for ('A', 'B') must be finite and >= 0"),
+        ("A,B,100\nA,B,5", "duplicate OD pair ('A', 'B')"),
+    ], ids=["negative", "duplicate"])
+    def test_bad_od_demand_names_the_file(self, case, tmp_path, capsys,
+                                          rows, message):
+        od = tmp_path / "od.csv"
+        od.write_text(f"origin_zone,destination_zone,demand\n{rows}\n")
+        code = main(["solve"] + base_args(dict(case, od=od))
+                    + ["--cost-config", str(case["cost"]),
+                       "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        (error,) = last_json_line(capsys.readouterr())["errors"]
+        assert error == f"{od}: {message}"
+
     @pytest.mark.parametrize("kind", ["nodes", "links", "zones", "od"])
     @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
     def test_short_or_long_row_named(self, case, tmp_path, capsys, kind,

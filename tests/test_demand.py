@@ -71,6 +71,19 @@ class TestLoadODCsv:
         with pytest.raises(DemandError, match="bad demand"):
             load_od_csv(p)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("A,B,-1", "demand for ('A', 'B') must be finite and >= 0"),
+        ("A,B,inf", "demand for ('A', 'B') must be finite and >= 0"),
+        ("A,B,nan", "demand for ('A', 'B') must be finite and >= 0"),
+        ("A,B,10\nA,B,3", "duplicate OD pair ('A', 'B')"),
+    ])
+    def test_demand_errors_name_the_file(self, tmp_path, rows, message):
+        p = tmp_path / "od.csv"
+        p.write_text(f"origin_zone,destination_zone,demand\n{rows}\n")
+        with pytest.raises(DemandError) as info:
+            load_od_csv(p)
+        assert str(info.value) == f"{p}: {message}"
+
     def test_empty_zone_id(self, tmp_path):
         p = tmp_path / "od.csv"
         p.write_text("origin_zone,destination_zone,demand\n,B,10\n")

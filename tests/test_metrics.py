@@ -7,6 +7,7 @@ eye; the dual-route session fixtures cover the solver-backed numbers.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,6 +170,44 @@ class TestAvgTravelTime:
         with pytest.raises(MetricsError,
                            match="no route between zones 'B' and 'A'"):
             avg_travel_time(None, single_link_network(), od, mode="free_flow")
+
+    def test_t_mue_reads_link_flows_not_paths(self, grid3_solution,
+                                              grid3_case):
+        # path flows of an equilibrium are not unique; the report must
+        # not depend on which of them a solver kept
+        net, od, _ = grid3_case
+        pathless = replace(grid3_solution, paths={})
+        assert compute_report(pathless, net, od) == compute_report(
+            grid3_solution, net, od)
+
+    def test_link_flows_without_demand_rejected(self, dual_solution_gv,
+                                                dual_case):
+        net, od, _ = dual_case
+        n = len(net.links)
+        empty = stub_solution(net, {"gv": np.zeros(n), "ev": np.zeros(n)},
+                              dual_solution_gv.link_times)
+        with pytest.raises(MetricsError, match="carry none of the demand"):
+            avg_travel_time(empty, net, od)
+
+    @pytest.mark.parametrize("rule", ["flow_weighted", "min_time"])
+    def test_loaded_times_reject_reordered_link_ids(self, grid3_solution,
+                                                    grid3_case, rule):
+        # link times are read by position: on a network with the same
+        # links in another order, min_time found a wrong shortest path
+        src, od, _ = grid3_case
+        net = Network()
+        for node in src.nodes.values():
+            if not node.id.startswith("centroid:"):
+                net.add_node(node)
+        for link in reversed(list(src.links.values())):
+            if not link.connector:
+                net.add_link(link)
+        for zone in src.zones.values():
+            net.add_zone(Zone(zone.id, zone.x, zone.y))
+        generate_connectors(net)
+        assert sorted(net.link_ids) == sorted(src.link_ids)
+        with pytest.raises(MetricsError, match="same order"):
+            avg_travel_time(grid3_solution, net, od, rule=rule)
 
     def test_zero_demand_undefined(self, dual_solution_gv, dual_case):
         net, _, _ = dual_case
