@@ -287,9 +287,9 @@ def run_sweep(network: Network, od: ODMatrix, config: CostConfig, levels,
     Each level is one :func:`solve`, warm-started from the previous
     solution unless ``warm_start`` is False.  A warm sweep also carries
     the solve state from each level to the next in one private session
-    (``equilibrium._Session``): the network's arrays, the shortest-path
-    trees with their warm-start plans and buffers, and the kept paths in
-    index form.  The session ends when the sweep returns, so no stored
+    (``equilibrium._Session``): the network's arrays and the
+    shortest-path trees with their warm-start plans and buffers.  The
+    session ends when the sweep returns, so no stored
     solution holds that state.  A level that fails or hits the iteration
     cap raises :class:`SweepError` carrying the completed records; an
     infeasible or unsupported problem raises its own error unwrapped.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -203,7 +204,13 @@ def _load_capacity_constraints(path, network: Network) -> dict:
         try:
             cap = float(value)
         except (TypeError, ValueError):
+            cap = None
+        # bool converts, but ``true`` is no capacity
+        if cap is None or isinstance(value, bool):
             problems.append(f"non-numeric capacity for link {lid!r}")
+            continue
+        if not math.isfinite(cap):
+            problems.append(f"non-finite capacity for link {lid!r}")
             continue
         if not cap > 0.0:
             problems.append(f"non-positive capacity for link {lid!r}")

@@ -49,7 +49,9 @@ class CostConfigError(ValueError):
 
 
 def _is_finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    # bool is a numbers.Real, but ``true`` is no price or exponent
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)

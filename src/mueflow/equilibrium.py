@@ -284,8 +284,9 @@ class _Problem:
             for lid, cap in options.capacity_constraints.items():
                 if lid not in self.link_index:
                     raise ValueError(f"capacity constraint on unknown link {lid!r}")
-                if not cap > 0.0:
-                    raise ValueError(f"capacity constraint on {lid!r} must be positive")
+                if isinstance(cap, bool) or not 0.0 < cap < math.inf:
+                    raise ValueError(
+                        f"capacity constraint on {lid!r} must be positive and finite")
                 idx.append(self.link_index[lid])
                 caps.append(float(cap))
             order = np.argsort(idx)
@@ -328,15 +329,12 @@ class _PathState:
     trees each all-or-nothing step makes over both classes (it tells
     whether the trees repeated), and ``last_path``, each (class, OD)
     block's path from the last all-or-nothing step (-1 before any).
-    ``names`` holds the link-id tuple of each path that a solution has
-    listed.  A sweep's :class:`_Session` (``session``) lends the
-    ``WarmStart`` and the names that the solve before left in it, and
-    :func:`_assemble` leaves this solve's there in turn.
+    ``warm`` is a ``WarmStart`` to take over, such as the one a sweep's
+    :class:`_Session` holds from the solve before; None builds one.
     """
 
-    def __init__(self, prob: _Problem, session: _Session | None = None):
+    def __init__(self, prob: _Problem, warm: _kernels.WarmStart | None = None):
         self.prob = prob
-        self.session = session
         self.paths: list[tuple[int, ...]] = []
         self.path_class = []
         self.path_od = []
@@ -346,14 +344,7 @@ class _PathState:
         self._projection = None
         self.last_path = np.full(prob.dem.shape, -1, dtype=np.int64)
         self.last_live = None
-        if session is None or session.warm is None:
-            self.warm = _kernels.WarmStart(prob.in_arcs)
-            self.known, self.names = {}, {}
-        else:
-            self.warm = session.warm
-            # the warm solution's paths by name, and their names
-            self.known = session.kept
-            self.names = {path: ids for ids, path in session.kept.items()}
+        self.warm = _kernels.WarmStart(prob.in_arcs) if warm is None else warm
 
     @property
     def n_paths(self) -> int:
@@ -543,24 +534,15 @@ class _Session:
     every level's :func:`solve`; it goes when the sweep returns, so no
     solution holds solve state.  It starts empty: the first level builds
     its state as a solve without a session does.  Each solve leaves here
-    (:meth:`keep`) the network side of its problem (``graph``), its
-    ``WarmStart`` with the trees, sweep plans and workspace (``warm``)
-    and its solution's paths by link-id tuple (``kept``).  The next
-    level, warm-started from that solution, takes them over: a sweep has
-    one method, one network and one OD list.  It returns the same bits
-    without them: the kernel returns the heap's trees from any
-    ``WarmStart`` over the same in-arc layout, and the path universe is
-    rebuilt in the order of the solution's paths as from their names.
+    the network side of its problem (``graph``) and its ``WarmStart``
+    with the trees, sweep plans and workspace (``warm``).  The next
+    level takes them over: a sweep has one method and one network.  It
+    returns the same bits without them: the kernel returns the heap's
+    trees from any ``WarmStart`` over the same in-arc layout.
     """
 
     def __init__(self):
-        self.graph = self.warm = self.kept = None
-
-    def keep(self, state: _PathState, kept: dict):
-        """Hold the state of a finished solve; ``kept`` names its paths."""
-        self.graph = state.prob.graph
-        self.warm = state.warm
-        self.kept = kept
+        self.graph = self.warm = None
 
 
 # -- all-or-nothing ------------------------------------------------------
@@ -702,8 +684,7 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
     flows = flows.copy()
     flows[idx] = scaled
     paths: dict = {}
-    kept: dict = {}  # {link-id tuple: path} of the listed paths
-    names = state.names
+    link_ids = prob.link_ids
     entries = zip(idx.tolist(), scaled.tolist())
     for key, size in zip(keys.tolist(), sizes.tolist()):
         ci, oi = divmod(key, prob.n_od)
@@ -711,12 +692,7 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
         listed = paths[(CLASSES[ci], origin, dest)] = []
         for g, f_g in itertools.islice(entries, size):
             if f_g > 0.0:
-                path = state.paths[g]
-                ids = names.get(path)
-                if ids is None:
-                    ids = names[path] = tuple(prob.link_ids[li] for li in path)
-                kept[ids] = path
-                listed.append((ids, f_g))
+                listed.append((tuple(link_ids[li] for li in state.paths[g]), f_g))
     x_class = state.link_flows(flows)
     x_agg = x_class.sum(axis=0)
 
@@ -728,7 +704,7 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
         comp[lid] = float(lam[j] * (prob.constrained_cap[j] - x_agg[int(li)]))
 
     class_flows = {c: x_class[ci].copy() for ci, c in enumerate(CLASSES)}
-    solution = EquilibriumSolution(
+    return EquilibriumSolution(
         link_flows=LinkFlows(link_ids=list(prob.link_ids), class_flows=class_flows),
         paths=paths,
         pi=_per_pair(prob, sp),
@@ -743,9 +719,6 @@ def _assemble(prob: _Problem, state: _PathState, flows: np.ndarray, lam: np.ndar
         link_times=prob.times(x_agg),
         skipped_intrazonal=prob.skipped_intrazonal,
     )
-    if state.session is not None:
-        state.session.keep(state, kept)
-    return solution
 
 
 def _per_pair(prob: _Problem, values: np.ndarray) -> dict:
@@ -756,14 +729,11 @@ def _per_pair(prob: _Problem, values: np.ndarray) -> dict:
     }
 
 
-def _path_block(prob: _Problem, key: tuple, entries: list, known=None):
+def _path_block(prob: _Problem, key: tuple, entries: list):
     """One ``solution.paths`` item as (class, OD, [(link indices, flow)]).
 
-    ``known`` maps link-id tuples to the paths they name, when a sweep's
-    :class:`_Session` kept them from the solve that listed them; other
-    paths are looked up link by link.  Raises :class:`UnknownPairError`
-    for a class or pair the demand does not hold and ValueError for a
-    link the network does not hold.
+    Raises :class:`UnknownPairError` for a class or pair the demand does
+    not hold and ValueError for a link the network does not hold.
     """
     cls, origin, dest = key
     ci = CLASSES.index(cls) if cls in CLASSES else None
@@ -773,10 +743,8 @@ def _path_block(prob: _Problem, key: tuple, entries: list, known=None):
             f"solution has {cls!r} paths from zone {origin!r} to zone "
             f"{dest!r}, a (class, OD) block the demand does not hold"
         )
-    known = known or {}
     try:
-        mapped = [((isinstance(link_ids, tuple) and known.get(link_ids))
-                   or tuple(prob.link_index[lid] for lid in link_ids), f)
+        mapped = [(tuple(prob.link_index[lid] for lid in link_ids), f)
                   for link_ids, f in entries]
     except KeyError as exc:
         raise ValueError(
@@ -802,7 +770,7 @@ def _initial_flows(prob: _Problem, state: _PathState, warm: EquilibriumSolution 
         blocks = []
         for key, entries in warm.paths.items():
             try:
-                ci, oi, mapped = _path_block(prob, key, entries, state.known)
+                ci, oi, mapped = _path_block(prob, key, entries)
             except (UnknownPairError, ValueError):
                 continue
             total = sum(f for _, f in mapped)
@@ -1190,9 +1158,9 @@ def solve(network: Network, demand: ClassDemand, config: CostConfig,
     new class demands), which is how penetration sweeps stay fast.
     ``analysis.run_sweep`` also passes its private :class:`_Session`,
     through which each level takes over the solve state of the level
-    before (the network's arrays, the shortest-path trees with their
-    warm-start plans and buffers, and the paths in index form); the
-    result is the same bit for bit as from ``warm_start`` alone.
+    before (the network's arrays and the shortest-path trees with their
+    warm-start plans and buffers); the result is the same bit for bit
+    as from ``warm_start`` alone.
     Returns an :class:`EquilibriumSolution` whose ``converged`` flag is
     False when the iteration cap was reached.
     """
@@ -1207,14 +1175,18 @@ def solve(network: Network, demand: ClassDemand, config: CostConfig,
         raise UnsupportedOperationError(
             "explicit capacity constraints need a path-based solver ('pd' or 'eg')"
         )
-    state = _PathState(prob, _session)
+    state = _PathState(prob, None if _session is None else _session.warm)
     if float(prob.dem.sum()) == 0.0:
         trace = [{"iteration": 0, "rel_gap": 0.0, "objective": 0.0,
                   "note": "zero demand"}]
-        return _assemble(prob, state, np.zeros(0),
-                         np.zeros(prob.constrained_idx.size), trace, True, 0,
-                         method, 0.0, np.zeros(prob.dem.shape))
-    return _solve(prob, state, method, warm_start)
+        solution = _assemble(prob, state, np.zeros(0),
+                             np.zeros(prob.constrained_idx.size), trace, True,
+                             0, method, 0.0, np.zeros(prob.dem.shape))
+    else:
+        solution = _solve(prob, state, method, warm_start)
+    if _session is not None:
+        _session.graph, _session.warm = prob.graph, state.warm
+    return solution
 
 
 def solve_fw(network: Network, demand: ClassDemand, config: CostConfig,

@@ -3,9 +3,12 @@
 The artifact pins show that written bytes do not move; this module shows
 that the numbers are right.  It runs the CLI ``solve`` (``bfw`` and
 ``pd``, penetration 0.5) on the files ``fixtures.write_fixture_files``
-writes for ``grid3x3`` and ``grid10x10``, then recomputes each checked
-number of ``solution.csv`` and ``metrics.json`` from ``links.csv``,
-``od.csv`` and ``cost.json`` with ``csv``, ``json`` and ``math`` only.
+writes for ``grid3x3`` and ``grid10x10``, and ``bfw`` on ``mini_city``,
+then recomputes each checked number of ``solution.csv`` and
+``metrics.json`` from ``links.csv``, ``od.csv`` and ``cost.json`` with
+``csv``, ``json`` and ``math`` only.  It also runs the CLI ``sweep``
+(``bfw``, five levels) on ``grid3x3`` and recomputes the series that
+``sweep.json`` derives from its own T_MUE series.
 No ``mueflow`` formula enters a reference, so a change that moves a
 definition cannot move its check with it.
 
@@ -13,7 +16,10 @@ Checked: each link's ``flow_total`` is ``flow_gv + flow_ev``; on each
 road link (a row of ``links.csv``) the BPR ``time``, ``voc`` and
 ``delay_factor``; ``voc_total`` and ``rur``; and T_MUE, the total link
 travel time ``sum(flow_total * time)`` over all links divided by the OD
-demand between distinct zones.
+demand between distinct zones.  In ``sweep.json``: ``gradient``, the
+forward differences of T_MUE over the levels; ``potential_savings``,
+``100 (t_max - t) / (t_max - t_min)`` over that series; and
+``potential_savings_diff``, the consecutive differences of the latter.
 """
 
 from __future__ import annotations
@@ -41,21 +47,25 @@ def close(got: float, want: float) -> bool:
     return math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0)
 
 
+def input_args(case) -> list:
+    return ["--network", str(case["nodes"]), "--links", str(case["links"]),
+            "--zones", str(case["zones"]), "--od", str(case["od"]),
+            "--cost-config", str(case["cost"])]
+
+
 @pytest.fixture(scope="module", params=[
     (name, method) for name in ("grid3x3", "grid10x10")
     for method in ("bfw", "pd")
-], ids="-".join)
+] + [("mini_city", "bfw")], ids="-".join)
 def audited(request, tmp_path_factory):
     """The input files and the written outputs of one CLI solve."""
     name, method = request.param
     root = tmp_path_factory.mktemp(f"audit-{name}-{method}")
     case = fixtures.write_fixture_files(name, root / "inputs")
     out = root / "out"
-    code = main(["solve", "--network", str(case["nodes"]),
-                 "--links", str(case["links"]), "--zones", str(case["zones"]),
-                 "--od", str(case["od"]), "--cost-config", str(case["cost"]),
-                 "--penetration", "0.5", "--method", method,
-                 "--out", str(out)])
+    code = main(["solve"] + input_args(case)
+                + ["--penetration", "0.5", "--method", method,
+                   "--out", str(out)])
     assert code == EXIT_OK
     solution = {row["link_id"]: {k: float(v) for k, v in row.items()
                                  if k != "link_id"}
@@ -111,3 +121,41 @@ def test_t_mue_is_total_link_time_over_demand(audited):
     link_time = math.fsum(row["flow_total"] * row["time"]
                           for row in audited["solution"].values())
     assert close(audited["metrics"]["avg_travel_time_mue"], link_time / demand)
+
+
+@pytest.fixture(scope="module")
+def swept(tmp_path_factory):
+    """The ``sweep.json`` of a five-level ``bfw`` CLI sweep of ``grid3x3``."""
+    root = tmp_path_factory.mktemp("audit-sweep")
+    case = fixtures.write_fixture_files("grid3x3", root / "inputs")
+    out = root / "out"
+    code = main(["sweep"] + input_args(case)
+                + ["--method", "bfw", "--levels", "0:1:5", "--out", str(out)])
+    assert code == EXIT_OK
+    return json.loads((out / "sweep.json").read_text())
+
+
+def test_sweep_gradient_is_the_forward_differences(swept):
+    levels, t = swept["levels"], swept["avg_travel_time_mue"]
+    assert levels == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert len(t) == len(levels)
+    want = [(t[i + 1] - t[i]) / (levels[i + 1] - levels[i])
+            for i in range(len(levels) - 1)]
+    assert len(swept["gradient"]) == len(want)
+    for got, value in zip(swept["gradient"], want):
+        assert close(got, value)
+
+
+def test_sweep_potential_savings_and_their_differences(swept):
+    t = swept["avg_travel_time_mue"]
+    t_max, t_min = max(t), min(t)
+    assert t_max > t_min
+    want = [100.0 * (t_max - v) / (t_max - t_min) for v in t]
+    ps = swept["potential_savings"]
+    assert len(ps) == len(want)
+    for got, value in zip(ps, want):
+        assert close(got, value)
+    diffs = swept["potential_savings_diff"]
+    assert len(diffs) == len(ps) - 1
+    for i, got in enumerate(diffs):
+        assert close(got, ps[i + 1] - ps[i])

@@ -253,7 +253,12 @@ class TestSolve:
          "gv_components must map component names"),
         ('{"p_gas": 3.0, "p_ele": 0.1, "mpg_gv": 1e-320}',
          "class cost overflows: {'gv': inf"),
-    ], ids=["infinite-price", "component-list", "overflow"])
+        ('{"p_gas": 3.0, "p_ele": 0.1, "bpr_beta": true}',
+         "bpr_beta must be a finite number, got True"),
+        ('{"p_gas": true, "p_ele": 0.1}',
+         "p_gas must be a finite number, got True"),
+    ], ids=["infinite-price", "component-list", "overflow", "bool-exponent",
+            "bool-price"])
     def test_bad_cost_config_rejected(self, case, tmp_path, capsys, text,
                                       message):
         cost = tmp_path / "cost.json"
@@ -357,7 +362,14 @@ class TestSolve:
         ("[25.0]", "expected a JSON object"),
         ("{}", "expected a non-empty JSON object"),
         ('{"a": "wide"}', "non-numeric capacity for link 'a'"),
-    ], ids=["invalid-json", "array", "empty", "non-numeric"])
+        # an infinite cap once ran a pd solve unconverged to exit 3, and
+        # ``true`` was taken as a cap of 1 veh/h
+        ('{"a": Infinity}', "non-finite capacity for link 'a'"),
+        ('{"a": "inf"}', "non-finite capacity for link 'a'"),
+        ('{"a": NaN}', "non-finite capacity for link 'a'"),
+        ('{"a": true}', "non-numeric capacity for link 'a'"),
+    ], ids=["invalid-json", "array", "empty", "non-numeric", "infinity",
+            "inf-text", "nan", "bool"])
     def test_bad_capacity_file_named_in_error(self, case, tmp_path, capsys,
                                               text, message):
         caps = tmp_path / "caps.json"

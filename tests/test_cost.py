@@ -100,6 +100,8 @@ class TestCostConfigValidation:
         ("p_gas", math.inf), ("mpg_gv", math.nan), ("mpge_ev", math.inf),
         ("kappa_gal", -math.inf), ("r_dis", math.inf), ("vot", math.inf),
         ("bpr_alpha", math.nan), ("bpr_beta", math.inf), ("p_ele", "0.1"),
+        # bool is a numbers.Real, and ``true`` once solved as 1
+        ("bpr_beta", True), ("p_gas", True), ("vot", False),
     ])
     def test_nonfinite_scalars_rejected(self, field, value):
         payload = {"p_gas": 1.0, "p_ele": 0.1, field: value}
@@ -107,8 +109,8 @@ class TestCostConfigValidation:
                            match=f"{field} must be a finite number"):
             cost_config_from_dict(payload)
 
-    @pytest.mark.parametrize("table", [[1, 2], {"a": "x"}, None],
-                             ids=["list", "text", "null"])
+    @pytest.mark.parametrize("table", [[1, 2], {"a": "x"}, None, {"a": True}],
+                             ids=["list", "text", "null", "bool"])
     def test_component_tables_must_map_to_numbers(self, table):
         with pytest.raises(CostConfigError,
                            match="gv_components must map component names"):

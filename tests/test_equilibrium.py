@@ -363,6 +363,16 @@ class TestCapacityConstraints:
             solve(net, split_demand(od, 0.0), cfg, "pd",
                   SolverOptions(capacity_constraints={"a": 0.0}))
 
+    @pytest.mark.parametrize("cap", [math.inf, math.nan, True],
+                             ids=["inf", "nan", "bool"])
+    def test_infinite_or_boolean_cap_rejected(self, cap):
+        # an infinite cap once ran its merit into 0 * -inf and stopped
+        # unconverged; ``True`` was taken as a cap of 1 veh/h
+        net, od = fixtures.dual_route()
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            solve(net, split_demand(od, 0.5), fixtures.dual_route_config(),
+                  "pd", SolverOptions(capacity_constraints={"a": cap}))
+
     @pytest.mark.parametrize("method", ["pd", "eg"])
     def test_cap_on_an_unused_link_changes_nothing(self, method):
         # a cap no path can reach keeps its multiplier at 0, and adding a
@@ -793,6 +803,17 @@ class TestHandoff:
         # the same warm start without the session: its paths alone
         want = solve(net, split_demand(od, 0.5), cfg, method, warm_start=base)
         assert_same_solution(got, want)
+
+    def test_the_session_holds_the_graph_and_the_warm_start(self, grid3_case):
+        net, od, cfg = grid3_case
+        session = _Session()
+        base = solve(net, split_demand(od, 0.4), cfg, "bfw", _session=session)
+        graph, warm = session.graph, session.warm
+        solve(net, split_demand(od, 0.5), cfg, "bfw", warm_start=base,
+              _session=session)
+        # the second level took both over and left nothing else behind
+        assert vars(session) == {"graph": graph, "warm": warm}
+        assert graph is not None and warm is not None
 
     def test_the_state_goes_with_the_session(self, grid3_case):
         net, od, cfg = grid3_case
